@@ -341,48 +341,65 @@ class VerifyResult:
         return self.status == "ok"
 
 
-def verify_proper(colored: list[tuple[Edge, ColorId]], input_edges: list[Edge]) -> VerifyResult:
+def verify_proper(
+    colored: list[tuple[Edge, ColorId]], input_edges: Iterable[Edge]
+) -> VerifyResult:
     """Check conservation and properness of a colored stream.
 
     Ok iff the multiset of colored (u, v, seq) triples equals the input
     multiset and no two distinct edge instances sharing an endpoint carry
-    equal colors.  Scans ascending seq, so the first witness reported is
-    deterministic.
+    equal colors.  input_edges may be any iterable, a one-shot stream
+    reader included; it is read to the end before any verdict.  Scans
+    ascending seq, so the first witness reported is deterministic.
     """
-    got: dict[tuple[int, int, int], int] = {}
-    for e, _ in colored:
-        key = (e.u, e.v, e.seq)
-        got[key] = got.get(key, 0) + 1
-    want: dict[tuple[int, int, int], int] = {}
-    for e in input_edges:
-        key = (e.u, e.v, e.seq)
-        want[key] = want.get(key, 0) + 1
-    if got != want:
-        missing = sorted(k for k in want if got.get(k, 0) < want[k])
-        surplus = sorted(k for k in got if want.get(k, 0) < got[k])
-        bits = []
-        if missing:
-            bits.append(f"missing {missing[0]}")
-        if surplus:
-            bits.append(f"unexpected {surplus[0]}")
-        return VerifyResult(status="mismatch", detail="; ".join(bits) or "multiset mismatch")
+    mismatch = _conservation_mismatch(colored, input_edges)
+    if mismatch is not None:
+        return VerifyResult(status="mismatch", detail=mismatch)
 
-    seen: dict[tuple[int, str], Edge] = {}
+    # Colors are compared by value: each distinct one gets a small index,
+    # so differently spelled tokens of one color still conflict.  A vertex
+    # and a color index pack into one int key; every index is below span,
+    # so the packing is one-to-one and costs less memory than a tuple.
+    index_of: dict[ColorId, int] = {}
+    span = len(colored) + 1
+    seen: dict[int, Edge] = {}
     for e, color in sorted(colored, key=lambda pair: pair[0].seq):
-        token = encode_color(color)
+        index = index_of.setdefault(color, len(index_of))
         for x in (e.u, e.v):
-            key = (x, token)
+            key = x * span + index
             other = seen.get(key)
             if other is not None and other.seq != e.seq:
                 return VerifyResult(
                     status="conflict",
-                    detail=f"color {token} repeats at vertex {x}",
+                    detail=f"color {encode_color(color)} repeats at vertex {x}",
                     first=other,
                     second=e,
                     color=color,
                 )
             seen[key] = e
     return VerifyResult(status="ok")
+
+
+def _conservation_mismatch(
+    colored: list[tuple[Edge, ColorId]], input_edges: Iterable[Edge]
+) -> str | None:
+    """Count colored (u, v, seq) triples up and input triples down in one
+    balance; describe the smallest missing and unexpected triple, if any."""
+    balance: dict[tuple[int, int, int], int] = {}
+    for e, _ in colored:
+        key = (e.u, e.v, e.seq)
+        balance[key] = balance.get(key, 0) + 1
+    for e in input_edges:
+        key = (e.u, e.v, e.seq)
+        balance[key] = balance.get(key, 0) - 1
+    missing = min((k for k, c in balance.items() if c < 0), default=None)
+    surplus = min((k for k, c in balance.items() if c > 0), default=None)
+    bits = []
+    if missing is not None:
+        bits.append(f"missing {missing}")
+    if surplus is not None:
+        bits.append(f"unexpected {surplus}")
+    return "; ".join(bits) or None
 
 
 def oracle_min_greedy(edges: list[Edge], tries: int, seed: int) -> dict[Edge, int]:

@@ -15,10 +15,11 @@ import contextlib
 import csv
 import json
 import math
+import os
 import sys
 import time
 from dataclasses import asdict
-from typing import IO, Iterator
+from typing import IO, Callable, ContextManager, Iterator
 
 from .audit import (
     TraceRecorder,
@@ -68,6 +69,40 @@ def _open_out(path: str) -> Iterator[IO[str]]:
     else:
         with open(path, "w", encoding="ascii") as fh:
             yield fh
+
+
+@contextlib.contextmanager
+def _staged_outputs() -> Iterator[Callable[[str], ContextManager[IO[str]]]]:
+    """Yield an opener for output paths that writes each file to a temp
+    sibling.  The temps replace their targets only when the block exits
+    cleanly and are removed otherwise, so a failed run leaves no partial
+    output and keeps what was there.  '-' is stdout; an existing non-regular
+    file, such as /dev/null, is written in place, and a symlink's target is
+    replaced rather than the link."""
+    pending: list[tuple[str, str]] = []
+
+    @contextlib.contextmanager
+    def open_out(path: str) -> Iterator[IO[str]]:
+        if path == "-" or (os.path.exists(path) and not os.path.isfile(path)):
+            with _open_out(path) as fh:
+                yield fh
+            return
+        target = os.path.realpath(path)
+        head, name = os.path.split(target)
+        tmp = os.path.join(head, f".{name}.{os.getpid()}.{len(pending)}.tmp")
+        pending.append((tmp, target))
+        with open(tmp, "x", encoding="ascii") as fh:
+            yield fh
+
+    try:
+        yield open_out
+        while pending:
+            os.replace(*pending[0])
+            pending.pop(0)
+    finally:
+        for tmp, _ in pending:
+            with contextlib.suppress(OSError):
+                os.remove(tmp)
 
 
 def _effective(command: str, **fields: object) -> None:
@@ -128,7 +163,7 @@ def _run_from_file(args: argparse.Namespace, baseline: bool) -> int:
             raise StreamInputError("reading from stdin requires an explicit --out path")
         out_path = args.stream + ".colored"
     trace = TraceRecorder() if getattr(args, "trace", None) else None
-    with _open_in(args.stream) as fh:
+    with _staged_outputs() as open_out, _open_in(args.stream) as fh:
         header, body = read_stream(fh)
         config = _resolve_from_args(args, header.n, header.delta, header.m)
         _effective(
@@ -141,20 +176,20 @@ def _run_from_file(args: argparse.Namespace, baseline: bool) -> int:
         )
         colorer = StreamColorer(config, trace=trace, baseline=baseline)
         start = time.perf_counter()
-        with _open_out(out_path) as out_fh:
+        with open_out(out_path) as out_fh:
             for e in body:
                 for edge, color in colorer.feed(e.u, e.v):
                     out_fh.write(colored_line(edge, color))
             for edge, color in colorer.finalize():
                 out_fh.write(colored_line(edge, color))
         wall_ms = (time.perf_counter() - start) * 1000.0
-    metrics = colorer.metrics(wall_ms=wall_ms)
-    with _open_out(args.metrics) as mfh:
-        mfh.write(metrics.to_json())
-        mfh.write("\n")
-    if trace is not None:
-        with _open_out(args.trace) as tfh:
-            trace.dump(tfh)
+        metrics = colorer.metrics(wall_ms=wall_ms)
+        with open_out(args.metrics) as mfh:
+            mfh.write(metrics.to_json())
+            mfh.write("\n")
+        if trace is not None:
+            with open_out(args.trace) as tfh:
+                trace.dump(tfh)
     return EXIT_OK
 
 
@@ -171,9 +206,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
         colored = read_colored(fh)
     with _open_in(args.stream) as fh:
         _, body = read_stream(fh)
-        input_edges = list(body)
+        result = verify_proper(colored, body)
     _effective("verify", colored=args.colored, stream=args.stream)
-    result = verify_proper(colored, input_edges)
     if result.ok:
         print(f"ok: {len(colored)} edges, coloring is proper")
         return EXIT_OK

@@ -194,11 +194,17 @@ def write_colored(fh: IO[str], emissions: Iterable[tuple[Edge, ColorId]]) -> Non
 
 
 def read_colored(fh: IO[str]) -> list[tuple[Edge, ColorId]]:
+    """Parse a colored file into (edge, color) pairs.
+
+    Each distinct color token is decoded and validated once, where it first
+    appears; later lines with the same token share its ColorId.
+    """
     out: list[tuple[Edge, ColorId]] = []
+    decoded: dict[str, ColorId] = {}
     for lineno, line in enumerate(fh, start=1):
-        if not line.strip():
-            continue
         fields = line.split()
+        if not fields:
+            continue
         if len(fields) != 4:
             raise StreamFormatError(
                 f"line {lineno}: expected '<u> <v> <seq> <color>', got {line.rstrip()!r}"
@@ -209,9 +215,13 @@ def read_colored(fh: IO[str]) -> list[tuple[Edge, ColorId]]:
             raise StreamFormatError(
                 f"line {lineno}: endpoints and seq must be integers, got {line.rstrip()!r}"
             ) from None
-        try:
-            color = decode_color(fields[3])
-        except ValueError as err:
-            raise StreamFormatError(f"line {lineno}: {err}") from None
+        token = fields[3]
+        color = decoded.get(token)
+        if color is None:
+            try:
+                color = decode_color(token)
+            except ValueError as err:
+                raise StreamFormatError(f"line {lineno}: {err}") from None
+            decoded[token] = color
         out.append((Edge(u, v, seq), color))
     return out

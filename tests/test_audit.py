@@ -79,6 +79,44 @@ def test_verify_flags_duplicated_emission():
     assert verify_proper(twice, edges).status == "mismatch"
 
 
+def _path_cases():
+    path = make_edges([(0, 1), (1, 2)])
+    lone = make_edges([(0, 1)])
+    return {
+        "ok": (painted(path, [0, 1]), path),
+        "missing": (painted(path, [0, 1])[:1], path),
+        "unexpected": (painted(make_edges([(0, 1), (5, 6)]), [0, 1]), lone),
+        "duplicate": (painted(lone + lone, [0, 4]), lone),
+        "conflict": (painted(path, [3, 3]), path),
+    }
+
+
+@pytest.mark.parametrize("case", ["ok", "missing", "unexpected", "duplicate", "conflict"])
+def test_verify_reads_a_one_shot_input_iterator_like_a_list(case):
+    colored, edges = _path_cases()[case]
+    from_list = verify_proper(colored, edges)
+    from_iter = verify_proper(colored, (e for e in edges))
+    # dataclass equality: status, detail, first, second and color all match
+    assert from_iter == from_list
+    assert from_list.status == {"ok": "ok", "conflict": "conflict"}.get(case, "mismatch")
+
+
+def test_verify_drains_the_input_before_a_verdict():
+    edges = make_edges([(0, 1), (1, 2)])
+    it = iter(edges)
+    assert verify_proper(painted(edges, [3, 3]), it).status == "conflict"
+    assert next(it, None) is None
+
+
+def test_verify_compares_colors_by_value_not_by_object():
+    edges = make_edges([(0, 1), (1, 2)])
+    colored = [(edges[0], ColorId.base(1, 0, 3)), (edges[1], ColorId.base(1, 0, 3))]
+    assert colored[0][1] is not colored[1][1]
+    result = verify_proper(colored, edges)
+    assert result.status == "conflict"
+    assert result.detail == "color E1.L0.BASE.3 repeats at vertex 1"
+
+
 def test_verify_agrees_with_pairwise_oracle():
     edges, emissions, _, _ = color_run(64, 16, 256, seed=9)
     assert verify_proper(emissions, edges).status == "ok"

@@ -165,6 +165,64 @@ def test_verify_rejects_garbage_color_token(stream_path, capsys):
     assert "error:" in err
 
 
+def test_verify_reads_the_whole_stream_before_its_verdict(stream_path, capsys):
+    run_cli(capsys, "color", str(stream_path))
+    colored = stream_path.with_suffix(".wse.colored")
+    with open(stream_path, "a") as fh:
+        fh.write("not an edge\n")
+    code, out, err = run_cli(capsys, "verify", str(colored), str(stream_path))
+    assert code == 2
+    assert "line 258" in err
+    assert out == ""
+
+
+def test_verify_compares_canonical_colors(tmp_path, capsys):
+    stream = tmp_path / "s.wse"
+    stream.write_text("wse v1 3 2 2\n0 1\n1 2\n")
+    colored = tmp_path / "s.colored"
+    colored.write_text("0 1 0 E01.L0.BASE.3\n1 2 1 E1.L0.BASE.3\n")
+    code, out, _ = run_cli(capsys, "verify", str(colored), str(stream))
+    assert code == 1
+    assert out.startswith("conflict: color E1.L0.BASE.3 repeats at vertex 1")
+
+
+@pytest.mark.parametrize("command", ["color", "baseline"])
+def test_failed_run_leaves_no_partial_output(command, tmp_path, capsys):
+    bad = tmp_path / "bad.wse"
+    bad.write_text("wse v1 4 2 3\n0 1\n1 2\n2 9\n")
+    code, _, err = run_cli(capsys, command, str(bad), "--metrics", str(tmp_path / "m.json"))
+    assert code == 2
+    assert "line 4: vertex 9" in err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["bad.wse"]
+
+    kept = tmp_path / "kept.colored"
+    kept.write_text("earlier output\n")
+    code, _, _ = run_cli(
+        capsys, command, str(bad), "--out", str(kept), "--metrics", str(tmp_path / "m.json")
+    )
+    assert code == 2
+    assert kept.read_text() == "earlier output\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["bad.wse", "kept.colored"]
+
+
+def test_color_replaces_existing_outputs_on_success(stream_path, tmp_path, capsys):
+    out, metrics, trace = tmp_path / "o.colored", tmp_path / "m.json", tmp_path / "t.jsonl"
+    real = tmp_path / "real.colored"
+    out.symlink_to(real)
+    for path in (real, metrics, trace):
+        path.write_text("stale\n")
+    code, _, _ = run_cli(
+        capsys, "color", str(stream_path), "--out", str(out),
+        "--metrics", str(metrics), "--trace", str(trace),
+    )
+    assert code == 0
+    assert out.is_symlink()
+    assert len(real.read_text().splitlines()) == 256
+    assert json.loads(metrics.read_text())["input_edges"] == 256
+    assert trace.read_text() != "stale\n"
+    assert not [p for p in tmp_path.iterdir() if p.name.endswith(".tmp")]
+
+
 def test_baseline_output_verifies(stream_path, tmp_path, capsys):
     out_path = tmp_path / "b.colored"
     code, out, _ = run_cli(

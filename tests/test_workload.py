@@ -10,6 +10,7 @@ from wsecolor import (
     ColorId,
     Edge,
     StreamInputError,
+    decode_color,
     gen_multigraph,
     order_stream,
     read_colored,
@@ -230,6 +231,24 @@ def test_colored_roundtrip():
     lines = fh.getvalue().splitlines()
     assert lines[0] == "0 1 0 E0.L0.BASE.3"
     assert read_colored(io.StringIO(fh.getvalue())) == emissions
+
+
+def test_colored_lines_with_one_token_share_one_color():
+    tokens = ["E0.L0.BASE.3", "E0.L1.P2.I5.LOW.7", "E2.L0.P1.D8.B17.42"]
+    text = "".join(f"{i % 9} {i % 9 + 1} {i} {tokens[i % 3]}\n" for i in range(300))
+    parsed = read_colored(io.StringIO(text))
+    assert len({id(color) for _, color in parsed}) == 3
+    by_line = [
+        (Edge(int(u), int(v), int(seq)), decode_color(token))
+        for u, v, seq, token in (line.split() for line in text.splitlines())
+    ]
+    assert parsed == by_line
+
+
+def test_colored_reports_a_repeated_bad_token_at_its_first_line():
+    text = "0 1 0 E0.L0.BASE.3\n1 2 1 E0.L0.NOPE.3\n2 3 2 E0.L0.NOPE.3\n"
+    with pytest.raises(StreamFormatError, match="line 2"):
+        read_colored(io.StringIO(text))
 
 
 def test_colored_rejects_short_lines():
