@@ -273,7 +273,7 @@ class MetricsCollector:
         key = (epoch, level)
         self._phases[key] = self._phases.get(key, 0) + 1
 
-    def note_fallback_interval(self, epoch: int, level: int) -> None:
+    def note_fallback_interval(self) -> None:
         self._fallback_intervals += 1
 
     def note_base_case(self, epoch: int, level: int, delta_prime: int) -> None:

@@ -24,7 +24,6 @@ from typing import IO, Callable, ContextManager, Iterator
 from .audit import (
     TraceRecorder,
     assignment_structure_audit,
-    color_budget_check,
     leftover_stats,
     offset_independence_check,
     saturated_index_audit,
@@ -111,10 +110,6 @@ def _effective(command: str, **fields: object) -> None:
     print(json.dumps(doc, sort_keys=False), file=sys.stderr)
 
 
-def _config_fields(config: RunConfig) -> dict:
-    return asdict(config)
-
-
 def _resolve_from_args(args: argparse.Namespace, n: int, delta: int, m: int | None) -> RunConfig:
     return resolve_config(
         n=n,
@@ -172,15 +167,12 @@ def _run_from_file(args: argparse.Namespace, baseline: bool) -> int:
             out=out_path,
             metrics=args.metrics,
             trace=getattr(args, "trace", None),
-            config=_config_fields(config),
+            config=asdict(config),
         )
         colorer = StreamColorer(config, trace=trace, baseline=baseline)
         start = time.perf_counter()
         with open_out(out_path) as out_fh:
-            for e in body:
-                for edge, color in colorer.feed(e.u, e.v):
-                    out_fh.write(colored_line(edge, color))
-            for edge, color in colorer.finalize():
+            for edge, color in colorer.run(body):
                 out_fh.write(colored_line(edge, color))
         wall_ms = (time.perf_counter() - start) * 1000.0
         metrics = colorer.metrics(wall_ms=wall_ms)

@@ -49,7 +49,7 @@ FAMILIES = ("A", "B", "C")
 _KINDS = frozenset((KIND_BASE, KIND_LOW, *FAMILIES))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Edge:
     """One arrival event: an endpoint pair plus its position in the stream.
 

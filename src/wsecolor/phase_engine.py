@@ -5,7 +5,9 @@ Edges are buffered until an interval fills, then the interval subgraph is
 split by max endpoint degree: edges below the square-root threshold get a
 fresh per-interval palette, the rest are routed to their degree class.
 Classes keep per-phase state; a phase ends after phase_len intervals and
-discards everything it held.
+discards everything it held.  A level whose whole input fits in its first
+interval is the base case: flush colors it outright.  Edges arrive here
+already validated by the stream driver.
 """
 
 from __future__ import annotations
@@ -30,6 +32,22 @@ __all__ = [
 ]
 
 Emissions = list[tuple[Edge, ColorId]]
+
+
+def color_greedy(
+    edges: list[Edge],
+    bound: int,
+    palette: list[ColorId],
+    scope: tuple,
+    collector: MetricsCollector,
+) -> Emissions:
+    """First-fit color edges of max degree bound from one fresh palette,
+    noting each emission under scope with the palette size as its budget."""
+    out: Emissions = []
+    for e, color in greedy_edge_color(edges, bound, palette).items():
+        out.append((e, color))
+        collector.note_emission(scope, len(palette), color)
+    return out
 
 
 def compute_degrees(edges: list[Edge]) -> dict[int, int]:
@@ -136,13 +154,6 @@ class PhaseEngine:
         return len(self._buffer)
 
     def ingest(self, e: Edge) -> tuple[Emissions, list[Edge]]:
-        if e.u == e.v:
-            raise StreamInputError(f"self-loop at vertex {e.u} (seq {e.seq})")
-        for x in (e.u, e.v):
-            if not 0 <= x < self.config.n:
-                raise StreamInputError(
-                    f"vertex {x} outside [0, {self.config.n}) (seq {e.seq})"
-                )
         self._buffer.append(e)
         self._meter.add("buffer", 1)
         if len(self._buffer) >= self.config.interval_size:
@@ -150,17 +161,21 @@ class PhaseEngine:
         return [], []
 
     def flush(self) -> tuple[Emissions, list[Edge]]:
-        """Process the final partial interval, if any."""
-        if self._buffer:
+        """Process the final partial interval, if any.  When it is also the
+        first interval, the level's whole input is buffered: color it
+        outright from BASE colors and defer nothing."""
+        if not self._buffer:
+            return [], []
+        if self.interval_index > 0:
             return self._process_interval()
-        return [], []
-
-    def drain_buffer(self) -> list[Edge]:
-        """Hand the untouched buffer back to the caller (base-case path)."""
         edges = self._buffer
         self._meter.add("buffer", -len(edges))
         self._buffer = []
-        return edges
+        bound = max(compute_degrees(edges).values())
+        palette = [ColorId.base(self.epoch, self.level, s) for s in range(2 * bound - 1)]
+        self._collector.note_base_case(self.epoch, self.level, bound)
+        scope = ("base", self.epoch, self.level)
+        return color_greedy(edges, bound, palette, scope, self._collector), []
 
     def close(self) -> None:
         if self._phase is not None:
@@ -240,18 +255,16 @@ class PhaseEngine:
         classified = classify_interval(snapshot, cfg.delta)
         high_by_class = self._high_by_class(snapshot.deg)
 
-        emissions: Emissions = []
-        leftovers: list[Edge] = []
-
         low_palette = [
             ColorId.low(self.epoch, self.level, phase, index, s)
             for s in range(2 * cfg.sqrt_delta - 1)
         ]
         low_bound = max(compute_degrees(classified.low_bucket).values(), default=0)
         low_scope = ("low", self.epoch, self.level, index)
-        for e, color in greedy_edge_color(classified.low_bucket, low_bound, low_palette).items():
-            emissions.append((e, color))
-            self._collector.note_emission(low_scope, len(low_palette), color)
+        emissions = color_greedy(
+            classified.low_bucket, low_bound, low_palette, low_scope, self._collector
+        )
+        leftovers: list[Edge] = []
 
         empty = ClassBucket(d=0)
         for d, state in sorted(self._states.items()):

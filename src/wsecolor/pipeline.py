@@ -1,23 +1,25 @@
-"""The recursion cascade, depth cap, unknown-degree epoch routing, and the
-single-pass entry points.
+"""The single-pass driver: input validation, degree accounting, epoch
+routing, the recursion cascade and the depth cap.
 
-Level 0 consumes the input stream; every deferred edge flows to the next
-level, which runs the same machinery with its own randomness and colors.
-A level whose whole input fits in its first interval colors it outright; a
-level at the depth cap switches to a per-interval fresh-palette colorer
-that never defers, so runs always terminate.  run_baseline drives that
-same colorer over the raw stream for comparison runs.
+StreamColorer is the engine's one input boundary.  It checks each edge
+once, counts degrees to enforce a known bound or to pick the degree regime
+(epoch) when the bound is unknown, and hands the edge to that epoch's
+level-0 instance.  Every deferred edge flows to the next level, which runs
+the same machinery with its own randomness and colors; a level at the
+depth cap switches to a per-interval fresh-palette colorer that never
+defers, so runs always terminate.  run_baseline drives that same colorer
+over the raw stream for comparison runs.
 """
 
 from __future__ import annotations
 
 import time
-from typing import Iterable
+from typing import Iterable, Iterator
 
 from .audit import MeterHandle, MetricsCollector, RunMetrics, SpaceMeter, TraceRecorder
 from .model import ColorId, Edge, RunConfig, StreamInputError, resolve_config
-from .phase_engine import PhaseEngine, compute_degrees
-from .primitives import RandomSource, greedy_edge_color
+from .phase_engine import PhaseEngine, color_greedy, compute_degrees
+from .primitives import RandomSource
 
 __all__ = ["IntervalColorer", "LevelInstance", "StreamColorer", "run_baseline", "run_stream"]
 
@@ -52,18 +54,7 @@ class IntervalColorer:
         self._buffer: list[Edge] = []
         self.interval_index = 0
 
-    @property
-    def buffered(self) -> int:
-        return len(self._buffer)
-
     def ingest(self, e: Edge) -> tuple[Emissions, list[Edge]]:
-        if e.u == e.v:
-            raise StreamInputError(f"self-loop at vertex {e.u} (seq {e.seq})")
-        for x in (e.u, e.v):
-            if not 0 <= x < self.config.n:
-                raise StreamInputError(
-                    f"vertex {x} outside [0, {self.config.n}) (seq {e.seq})"
-                )
         self._buffer.append(e)
         self._meter.add("buffer", 1)
         if len(self._buffer) >= self.config.interval_size:
@@ -85,64 +76,50 @@ class IntervalColorer:
         self._buffer = []
         self._collector.note_interval(self.epoch, self.level)
         if self.role == "fallback":
-            self._collector.note_fallback_interval(self.epoch, self.level)
-        bound = max(compute_degrees(edges).values(), default=0)
-        if bound > self.config.delta:
-            raise StreamInputError(
-                f"interval degree {bound} exceeds the configured bound {self.config.delta}"
-            )
+            self._collector.note_fallback_interval()
+        self.interval_index = index + 1
+        bound = max(compute_degrees(edges).values())
         palette = [
             ColorId.low(self.epoch, self.level, 0, index, s)
             for s in range(2 * self.config.delta - 1)
         ]
         scope = ("fresh", self.epoch, self.level, index)
-        out: Emissions = []
-        for e, color in greedy_edge_color(edges, bound, palette).items():
-            out.append((e, color))
-            self._collector.note_emission(scope, len(palette), color)
-        self.interval_index = index + 1
-        return out
+        return color_greedy(edges, bound, palette, scope, self._collector)
 
 
 class LevelInstance:
-    """One recursion level plus the lazily created level below it."""
+    """One recursion level plus the lazily created level below it.
 
-    def __init__(
-        self,
-        config: RunConfig,
-        *,
-        epoch: int,
-        level: int,
-        meter: SpaceMeter,
-        collector: MetricsCollector,
-        trace: TraceRecorder | None,
-        sigma_root: RandomSource,
-        offset_root: RandomSource,
-    ) -> None:
+    Run-wide state (meter, metrics, trace, random roots, baseline mode)
+    is read from the owning StreamColorer.
+    """
+
+    def __init__(self, owner: StreamColorer, config: RunConfig, epoch: int, level: int) -> None:
+        self.owner = owner
         self.config = config
         self.epoch = epoch
         self.level = level
-        self._meter = meter
-        self._collector = collector
-        self._trace = trace
-        self._sigma_root = sigma_root
-        self._offset_root = offset_root
         self.child: LevelInstance | None = None
-        handle = MeterHandle(meter, epoch, level)
-        if level >= config.max_depth:
+        meter = MeterHandle(owner.meter, epoch, level)
+        if owner.baseline or level >= config.max_depth:
             self.engine: PhaseEngine | IntervalColorer = IntervalColorer(
-                config, epoch=epoch, level=level, role="fallback", meter=handle, collector=collector
+                config,
+                epoch=epoch,
+                level=level,
+                role="baseline" if owner.baseline else "fallback",
+                meter=meter,
+                collector=owner.collector,
             )
         else:
             self.engine = PhaseEngine(
                 config,
                 epoch=epoch,
                 level=level,
-                sigma_source=sigma_root.child("e", epoch, "l", level),
-                offset_source=offset_root.child("e", epoch, "l", level),
-                meter=handle,
-                collector=collector,
-                trace=trace,
+                sigma_source=owner.sigma_root.child("e", epoch, "l", level),
+                offset_source=owner.offset_root.child("e", epoch, "l", level),
+                meter=meter,
+                collector=owner.collector,
+                trace=owner.trace,
             )
 
     def submit(self, e: Edge) -> Emissions:
@@ -153,198 +130,120 @@ class LevelInstance:
 
     def finalize(self) -> Emissions:
         """Flush this level only; callers then finalize self.child in turn."""
-        engine = self.engine
-        if isinstance(engine, PhaseEngine) and engine.interval_index == 0 and engine.buffered:
-            # the level's entire input fits in one buffer: color it outright
-            edges = engine.drain_buffer()
-            engine.close()
-            return self._base_case(edges)
-        emissions, leftovers = engine.flush()
-        engine.close()
+        emissions, leftovers = self.engine.flush()
+        self.engine.close()
         return emissions + self._forward(leftovers)
 
     def _forward(self, leftovers: list[Edge]) -> Emissions:
         if not leftovers:
             return []
         if self.child is None:
-            self.child = LevelInstance(
-                self.config,
-                epoch=self.epoch,
-                level=self.level + 1,
-                meter=self._meter,
-                collector=self._collector,
-                trace=self._trace,
-                sigma_root=self._sigma_root,
-                offset_root=self._offset_root,
-            )
+            self.child = LevelInstance(self.owner, self.config, self.epoch, self.level + 1)
         out: Emissions = []
         for e in leftovers:
             out.extend(self.child.submit(e))
         return out
 
-    def _base_case(self, edges: list[Edge]) -> Emissions:
-        bound = max(compute_degrees(edges).values())
-        palette = [ColorId.base(self.epoch, self.level, s) for s in range(2 * bound - 1)]
-        scope = ("base", self.epoch, self.level)
-        self._collector.note_base_case(self.epoch, self.level, bound)
-        out: Emissions = []
-        for e, color in greedy_edge_color(edges, bound, palette).items():
-            out.append((e, color))
-            self._collector.note_emission(scope, len(palette), color)
-        return out
-
-
-def _finalize_chain(node: LevelInstance | None) -> Emissions:
-    # flushing a level can push new edges into its child, so walk top-down
-    out: Emissions = []
-    while node is not None:
-        out.extend(node.finalize())
-        node = node.child
-    return out
-
-
-class _EpochRouter:
-    """Unknown-degree routing: watch the running max degree and hand each
-    edge to the pipeline instance owning the current degree regime."""
-
-    def __init__(
-        self,
-        config: RunConfig,
-        *,
-        meter: SpaceMeter,
-        collector: MetricsCollector,
-        trace: TraceRecorder | None,
-        sigma_root: RandomSource,
-        offset_root: RandomSource,
-    ) -> None:
-        self._base = config
-        self._meter = meter
-        self._collector = collector
-        self._trace = trace
-        self._sigma_root = sigma_root
-        self._offset_root = offset_root
-        self._deg = [0] * config.n
-        self._top = 0
-        self._epochs: dict[int, LevelInstance] = {}
-
-    def route(self, e: Edge) -> Emissions:
-        for x in (e.u, e.v):
-            if not 0 <= x < self._base.n:
-                raise StreamInputError(
-                    f"vertex {x} outside [0, {self._base.n}) (seq {e.seq})"
-                )
-        if e.u == e.v:
-            raise StreamInputError(f"self-loop at vertex {e.u} (seq {e.seq})")
-        self._deg[e.u] += 1
-        self._deg[e.v] += 1
-        self._top = max(self._top, self._deg[e.u], self._deg[e.v])
-        epoch = (self._top - 1).bit_length()
-        inst = self._epochs.get(epoch)
-        if inst is None:
-            cfg = resolve_config(
-                n=self._base.n,
-                delta=1 << epoch,
-                kappa=self._base.kappa,
-                seed=self._base.seed,
-                interval_size=self._base.interval_size,
-                max_depth=self._base.max_depth,
-                delta_mode="unknown",
-                sigma_seed=self._base.sigma_seed,
-                offset_seed=self._base.offset_seed,
-            )
-            inst = self._epochs[epoch] = LevelInstance(
-                cfg,
-                epoch=epoch,
-                level=0,
-                meter=self._meter,
-                collector=self._collector,
-                trace=self._trace,
-                sigma_root=self._sigma_root,
-                offset_root=self._offset_root,
-            )
-        return inst.submit(e)
-
-    def finalize(self) -> Emissions:
-        # every epoch still holds buffered edges; drain them in epoch order
-        out: Emissions = []
-        for epoch in sorted(self._epochs):
-            out.extend(_finalize_chain(self._epochs[epoch]))
-        return out
-
 
 class StreamColorer:
-    """Single-pass driver: assigns arrival sequence numbers, routes edges
-    into the engine, and owns the run's meter and metrics."""
+    """Single-pass driver: assigns arrival sequence numbers, validates and
+    degree-counts each edge, routes it to its epoch's level-0 instance, and
+    owns the run's meter, metrics, trace and random roots.
+
+    A known degree bound, and the baseline, use epoch 0 and reject the first
+    edge that lifts an endpoint above config.delta.  An unknown bound routes
+    each edge to the epoch of the running max degree, (top - 1).bit_length(),
+    whose instance is configured for delta 2**epoch.
+    """
 
     def __init__(
         self, config: RunConfig, *, trace: TraceRecorder | None = None, baseline: bool = False
     ) -> None:
         self.config = config
+        self.trace = trace
+        self.baseline = baseline
         self.meter = SpaceMeter()
         self.collector = MetricsCollector()
-        self._seq = 0
-        sigma_root = RandomSource(
+        self.sigma_root = RandomSource(
             config.seed if config.sigma_seed is None else config.sigma_seed, ("sigma",)
         )
-        offset_root = RandomSource(
+        self.offset_root = RandomSource(
             config.seed if config.offset_seed is None else config.offset_seed, ("offsets",)
         )
-        self._router: _EpochRouter | None = None
-        self._baseline: IntervalColorer | None = None
-        self._root: LevelInstance | None = None
-        if baseline:
-            self._baseline = IntervalColorer(
-                config,
-                epoch=0,
-                level=0,
-                role="baseline",
-                meter=MeterHandle(self.meter, 0, 0),
-                collector=self.collector,
-            )
-        elif config.delta_mode == "unknown":
-            self._router = _EpochRouter(
-                config,
-                meter=self.meter,
-                collector=self.collector,
-                trace=trace,
-                sigma_root=sigma_root,
-                offset_root=offset_root,
-            )
-        else:
-            self._root = LevelInstance(
-                config,
-                epoch=0,
-                level=0,
-                meter=self.meter,
-                collector=self.collector,
-                trace=trace,
-                sigma_root=sigma_root,
-                offset_root=offset_root,
-            )
+        self._seq = 0
+        self._deg = [0] * config.n
+        self._top = 0
+        # None routes by the running max degree instead of enforcing a bound
+        self._bound = (
+            None if config.delta_mode == "unknown" and not baseline else config.delta
+        )
+        self._epochs: dict[int, LevelInstance] = {}
 
     def feed(self, u: int, v: int) -> Emissions:
-        e = Edge(u, v, self._seq)
+        seq = self._seq
         self._seq += 1
-        if self._baseline is not None:
-            emissions, _ = self._baseline.ingest(e)
-            return emissions
-        if self._router is not None:
-            return self._router.route(e)
-        assert self._root is not None
-        return self._root.submit(e)
+        n = self.config.n
+        if u == v:
+            raise StreamInputError(f"self-loop at vertex {u} (seq {seq})")
+        for x in (u, v):
+            if not 0 <= x < n:
+                raise StreamInputError(f"vertex {x} outside [0, {n}) (seq {seq})")
+        du = self._deg[u] + 1
+        dv = self._deg[v] + 1
+        if self._bound is None:
+            self._top = max(self._top, du, dv)
+            epoch = (self._top - 1).bit_length()
+        elif du > self._bound or dv > self._bound:
+            x, dx = (u, du) if du > self._bound else (v, dv)
+            raise StreamInputError(
+                f"degree {dx} at vertex {x} exceeds the configured bound {self._bound} (seq {seq})"
+            )
+        else:
+            epoch = 0
+        self._deg[u] = du
+        self._deg[v] = dv
+        inst = self._epochs.get(epoch)
+        if inst is None:
+            inst = self._epochs[epoch] = LevelInstance(self, self._epoch_config(epoch), epoch, 0)
+        return inst.submit(Edge(u, v, seq))
 
     def finalize(self) -> Emissions:
-        if self._baseline is not None:
-            emissions, _ = self._baseline.flush()
-            return emissions
-        if self._router is not None:
-            return self._router.finalize()
-        assert self._root is not None
-        return _finalize_chain(self._root)
+        # every epoch still holds buffered edges; drain them in epoch order,
+        # and walk each chain top-down, since flushing a level can push new
+        # edges into its child
+        out: Emissions = []
+        for epoch in sorted(self._epochs):
+            node: LevelInstance | None = self._epochs[epoch]
+            while node is not None:
+                out.extend(node.finalize())
+                node = node.child
+        return out
+
+    def run(self, edges: Iterable[Edge]) -> Iterator[tuple[Edge, ColorId]]:
+        """Feed every edge, then finalize, yielding emissions as they appear."""
+        for e in edges:
+            yield from self.feed(e.u, e.v)
+        yield from self.finalize()
 
     def metrics(self, *, wall_ms: float) -> RunMetrics:
         return self.collector.build(
             config=self.config, meter=self.meter, input_edges=self._seq, wall_ms=wall_ms
+        )
+
+    def _epoch_config(self, epoch: int) -> RunConfig:
+        base = self.config
+        if self._bound is not None:
+            return base
+        return resolve_config(
+            n=base.n,
+            delta=1 << epoch,
+            kappa=base.kappa,
+            seed=base.seed,
+            interval_size=base.interval_size,
+            max_depth=base.max_depth,
+            delta_mode="unknown",
+            sigma_seed=base.sigma_seed,
+            offset_seed=base.offset_seed,
         )
 
 
@@ -357,10 +256,7 @@ def _run(
 ) -> tuple[Emissions, RunMetrics]:
     start = time.perf_counter()
     colorer = StreamColorer(config, trace=trace, baseline=baseline)
-    emissions: Emissions = []
-    for e in edges:
-        emissions.extend(colorer.feed(e.u, e.v))
-    emissions.extend(colorer.finalize())
+    emissions = list(colorer.run(edges))
     wall_ms = (time.perf_counter() - start) * 1000.0
     return emissions, colorer.metrics(wall_ms=wall_ms)
 

@@ -205,6 +205,16 @@ def test_failed_run_leaves_no_partial_output(command, tmp_path, capsys):
     assert sorted(p.name for p in tmp_path.iterdir()) == ["bad.wse", "kept.colored"]
 
 
+@pytest.mark.parametrize("command", ["color", "baseline"])
+def test_over_degree_stream_rejected_without_output(command, tmp_path, capsys):
+    bad = tmp_path / "deg.wse"
+    bad.write_text("wse v1 4 1 3\n0 1\n2 3\n0 2\n")
+    code, _, err = run_cli(capsys, command, str(bad), "--metrics", str(tmp_path / "m.json"))
+    assert code == 2
+    assert "degree 2 at vertex 0 exceeds the configured bound 1 (seq 2)" in err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["deg.wse"]
+
+
 def test_color_replaces_existing_outputs_on_success(stream_path, tmp_path, capsys):
     out, metrics, trace = tmp_path / "o.colored", tmp_path / "m.json", tmp_path / "t.jsonl"
     real = tmp_path / "real.colored"

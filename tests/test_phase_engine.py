@@ -8,6 +8,7 @@ from wsecolor import (
     Edge,
     MetricsCollector,
     SpaceMeter,
+    StreamColorer,
     StreamInputError,
     TraceRecorder,
     resolve_config,
@@ -129,14 +130,16 @@ def test_buffering_holds_until_interval_full():
 
 
 def test_ingest_validates_edges():
-    cfg = resolve_config(n=8, delta=4)
-    engine, _, _ = make_engine(cfg)
-    with pytest.raises(StreamInputError, match="self-loop"):
-        engine.ingest(Edge(3, 3, 0))
-    with pytest.raises(StreamInputError, match="outside"):
-        engine.ingest(Edge(0, 8, 1))
-    with pytest.raises(StreamInputError, match="outside"):
-        engine.ingest(Edge(-1, 2, 2))
+    # engines trust their input: StreamColorer.feed is the one boundary
+    for mode in ("known", "unknown", "baseline"):
+        cfg = resolve_config(n=8, delta=4, delta_mode="unknown" if mode == "unknown" else "known")
+        colorer = StreamColorer(cfg, baseline=mode == "baseline")
+        with pytest.raises(StreamInputError, match=r"self-loop at vertex 3 \(seq 0\)"):
+            colorer.feed(3, 3)
+        with pytest.raises(StreamInputError, match=r"vertex 8 outside \[0, 8\) \(seq 1\)"):
+            colorer.feed(0, 8)
+        with pytest.raises(StreamInputError, match=r"vertex -1 outside \[0, 8\) \(seq 2\)"):
+            colorer.feed(-1, 2)
 
 
 def test_interval_conserves_edges():
@@ -205,14 +208,20 @@ def test_flush_empty_buffer_is_noop():
     assert engine.flush() == ([], [])
 
 
-def test_drain_buffer_returns_words():
+def test_flush_colors_first_partial_interval_as_base_case():
     cfg = resolve_config(n=8, delta=16)
-    engine, meter, _ = make_engine(cfg)
-    feed_all(engine, make_edges([(0, 1), (1, 2)]))
-    drained = engine.drain_buffer()
-    assert [e.seq for e in drained] == [0, 1]
+    engine, meter, collector = make_engine(cfg)
+    feed_all(engine, make_edges([(0, 1), (1, 2), (0, 1)]))
+    emissions, leftovers = engine.flush()
+    assert leftovers == []
+    assert sorted(e.seq for e, _ in emissions) == [0, 1, 2]
+    assert {c.kind for _, c in emissions} == {"BASE"}
+    assert find_conflicts(emissions) == []
+    engine.close()
     assert engine.buffered == 0
     assert meter.current_total(0, 0) == 0
+    metrics = collector.build(config=cfg, meter=meter, input_edges=3, wall_ms=0.0)
+    assert metrics.base_cases == {(0, 0): 3}
 
 
 def test_overfull_degree_detected_at_interval():

@@ -91,10 +91,39 @@ def test_fallback_rejects_degree_above_bound():
     # five parallel edges inside one buffered interval beat delta = 4
     cfg = resolve_config(n=4, delta=4, max_depth=0, interval_size=8)
     colorer = StreamColorer(cfg)
-    for _ in range(5):
-        colorer.feed(0, 1)
     with pytest.raises(StreamInputError, match="exceeds"):
+        for _ in range(5):
+            colorer.feed(0, 1)
         colorer.finalize()
+
+
+@pytest.mark.parametrize("runner", [run_stream, run_baseline])
+def test_declared_degree_bound_is_enforced(runner):
+    # true max degree well above the declared 16; every interval alone fits
+    edges = gen_multigraph(64, 64, 1024, seed=1)
+    cfg = resolve_config(n=64, delta=16, seed=1, m=1024)
+    first = next(
+        i for i in range(len(edges)) if max(compute_degrees(edges[: i + 1]).values()) > 16
+    )
+    with pytest.raises(
+        StreamInputError, match=rf"exceeds the configured bound 16 \(seq {first}\)"
+    ):
+        runner(cfg, edges)
+
+
+def test_rejected_edge_leaves_no_degree_residue():
+    cfg = resolve_config(n=4, delta=4)
+    colorer = StreamColorer(cfg)
+    emissions = []
+    for _ in range(4):
+        emissions.extend(colorer.feed(0, 1))
+    with pytest.raises(StreamInputError, match="degree 5 at vertex 0"):
+        colorer.feed(0, 2)
+    for _ in range(4):
+        emissions.extend(colorer.feed(2, 3))  # vertex 2 kept degree 0 after the rejection
+    emissions.extend(colorer.finalize())
+    assert sorted(e.seq for e, _ in emissions) == [0, 1, 2, 3, 5, 6, 7, 8]
+    assert find_conflicts(emissions) == []
 
 
 # -- unknown degree bound ----------------------------------------------------
