@@ -91,7 +91,9 @@ class SpaceMeter:
     categories: the interval buffer, slot offsets, palette index sets,
     per-(vertex, index) counters, prior-interval tallies, and the conflict
     window.  Transient per-interval scratch (the degree map, the classified
-    buckets) is not tracked.  Keys are (epoch, level) pairs.
+    buckets) is not tracked.  Keys are (epoch, level) pairs.  The engines
+    charge a whole interval's buffer when they process it, not per edge;
+    the high-water marks come out the same.
     """
 
     def __init__(self) -> None:
@@ -142,6 +144,13 @@ class MeterHandle:
     def add(self, category: str, amount: int) -> None:
         if amount:
             self._meter.add(self.epoch, self.level, category, amount)
+
+    def pulse(self, category: str, amount: int) -> None:
+        """Charge amount words and hand them straight back.  Records the
+        high-water mark of a store, such as the interval buffer, that fills
+        while nothing else at this level changes and empties at once."""
+        self.add(category, amount)
+        self.add(category, -amount)
 
 
 # ---------------------------------------------------------------------------
@@ -253,13 +262,17 @@ class MetricsCollector:
         self._base_cases: dict[tuple[int, int], int] = {}
         self._class_phase_stats: list[ClassPhaseStat] = []
 
-    def note_emission(self, scope: tuple, budget: int, color: ColorId) -> None:
+    def note_emission(self, scope: tuple, budget: int, colors: list[ColorId]) -> None:
+        """Record the colors one scope handed out in one go.  scope[1:3] is
+        the (epoch, level) every one of them was minted at."""
+        if not colors:
+            return
         entry = self._scopes.get(scope)
         if entry is None:
             entry = self._scopes[scope] = (budget, set())
-        entry[1].add(encode_color(color))
-        key = (color.epoch, color.level)
-        self._colored[key] = self._colored.get(key, 0) + 1
+        entry[1].update([c.token for c in colors])
+        key = scope[1:3]
+        self._colored[key] = self._colored.get(key, 0) + len(colors)
 
     def note_leftovers(self, epoch: int, level: int, count: int) -> None:
         key = (epoch, level)

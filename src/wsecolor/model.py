@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 __all__ = [
     "ColorFormatError",
@@ -64,14 +64,16 @@ class Edge:
     seq: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ColorId:
     """A structured color name.
 
     kind selects the namespace: BASE for the whole-buffer base case, LOW for
     per-interval fresh palettes (the under-threshold bucket, the baseline,
     and the depth-cap fallback), and A/B/C for the three per-class palette
-    families.  Fields not used by a kind stay None.
+    families.  Fields not used by a kind stay None.  token is the canonical
+    string, rendered once when the color is built; equality and hashing
+    agree because the token is a function of the compared fields.
     """
 
     epoch: int
@@ -82,20 +84,24 @@ class ColorId:
     interval: int | None = None
     d: int | None = None
     index: int | None = None
+    token: str = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         if self.kind not in _KINDS:
             raise ValueError(f"unknown color kind {self.kind!r}")
         if self.epoch < 0 or self.level < 0 or self.slot < 0:
             raise ValueError("epoch, level, and slot must be non-negative")
+        head = f"E{self.epoch}.L{self.level}"
         if self.kind == KIND_BASE:
             if (self.phase, self.interval, self.d, self.index) != (None, None, None, None):
                 raise ValueError("base colors carry no phase/interval/class fields")
+            token = f"{head}.BASE.{self.slot}"
         elif self.kind == KIND_LOW:
             if self.phase is None or self.interval is None:
                 raise ValueError("interval colors need phase and interval")
             if self.d is not None or self.index is not None:
                 raise ValueError("interval colors carry no class fields")
+            token = f"{head}.P{self.phase}.I{self.interval}.LOW.{self.slot}"
         else:
             if self.phase is None or self.d is None or self.index is None:
                 raise ValueError("palette-family colors need phase, class, and index")
@@ -103,6 +109,11 @@ class ColorId:
                 raise ValueError("palette-family colors carry no interval field")
             if self.index < 1:
                 raise ValueError("palette index is 1-based")
+            token = f"{head}.P{self.phase}.D{self.d}.{self.kind}{self.index}.{self.slot}"
+        object.__setattr__(self, "token", token)
+
+    def __hash__(self) -> int:
+        return hash(self.token)
 
     @classmethod
     def base(cls, epoch: int, level: int, slot: int) -> ColorId:
@@ -121,12 +132,7 @@ class ColorId:
 
 def encode_color(color: ColorId) -> str:
     """Render a ColorId as its canonical dotted string."""
-    head = f"E{color.epoch}.L{color.level}"
-    if color.kind == KIND_BASE:
-        return f"{head}.BASE.{color.slot}"
-    if color.kind == KIND_LOW:
-        return f"{head}.P{color.phase}.I{color.interval}.LOW.{color.slot}"
-    return f"{head}.P{color.phase}.D{color.d}.{color.kind}{color.index}.{color.slot}"
+    return color.token
 
 
 _FAMILY_TOKEN = re.compile(r"([ABC])([0-9]+)\Z")
@@ -144,8 +150,29 @@ def _tagged(token: str, tag: str, field: str) -> int:
     return int(token[len(tag) :])
 
 
+# The shape of every canonical token.  Text that matches parses in one
+# step; anything else goes field by field, so an error names its field.
+_COLOR_TOKEN = re.compile(
+    r"E([0-9]+)\.L([0-9]+)\."
+    r"(?:BASE\.([0-9]+)|P([0-9]+)\.(?:I([0-9]+)\.LOW|D([0-9]+)\.([ABC])([0-9]+))\.([0-9]+))"
+)
+
+
 def decode_color(text: str) -> ColorId:
     """Parse a canonical color string; inverse of encode_color."""
+    match = _COLOR_TOKEN.fullmatch(text)
+    if match is None:
+        return _decode_fields(text)
+    epoch, level, base_slot, phase, interval, d, family, index, slot = match.groups()
+    if base_slot is not None:
+        return ColorId.base(int(epoch), int(level), int(base_slot))
+    if interval is not None:
+        return ColorId.low(int(epoch), int(level), int(phase), int(interval), int(slot))
+    return ColorId.palette(int(epoch), int(level), int(phase), int(d), family, int(index), int(slot))
+
+
+def _decode_fields(text: str) -> ColorId:
+    """decode_color one field at a time, raising on the first bad one."""
     parts = text.split(".")
     if len(parts) < 4:
         raise ColorFormatError(f"color {text!r}: too few fields")

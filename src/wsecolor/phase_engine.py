@@ -12,7 +12,6 @@ already validated by the stream driver.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass, field
 from math import isqrt
 
@@ -33,6 +32,10 @@ __all__ = [
 
 Emissions = list[tuple[Edge, ColorId]]
 
+# ingest's answer while an interval is still filling; immutable, so one
+# shared pair serves every call
+FILLING: tuple[tuple, tuple] = ((), ())
+
 
 def color_greedy(
     edges: list[Edge],
@@ -42,20 +45,20 @@ def color_greedy(
     collector: MetricsCollector,
 ) -> Emissions:
     """First-fit color edges of max degree bound from one fresh palette,
-    noting each emission under scope with the palette size as its budget."""
-    out: Emissions = []
-    for e, color in greedy_edge_color(edges, bound, palette).items():
-        out.append((e, color))
-        collector.note_emission(scope, len(palette), color)
+    noting the emissions under scope with the palette size as its budget."""
+    out = greedy_edge_color(edges, bound, palette)
+    collector.note_emission(scope, len(palette), [color for _, color in out])
     return out
 
 
 def compute_degrees(edges: list[Edge]) -> dict[int, int]:
-    deg: Counter[int] = Counter()
+    """Degree of every endpoint, in order of first appearance."""
+    deg: dict[int, int] = {}
+    get = deg.get
     for e in edges:
-        deg[e.u] += 1
-        deg[e.v] += 1
-    return dict(deg)
+        deg[e.u] = get(e.u, 0) + 1
+        deg[e.v] = get(e.v, 0) + 1
+    return deg
 
 
 @dataclass(frozen=True)
@@ -68,7 +71,7 @@ class IntervalSnapshot:
 
     @classmethod
     def collect(cls, index: int, edges: list[Edge]) -> IntervalSnapshot:
-        return cls(index=index, edges=list(edges), deg=compute_degrees(edges))
+        return cls(index=index, edges=edges, deg=compute_degrees(edges))
 
 
 @dataclass
@@ -82,6 +85,7 @@ class ClassBucket:
 class ClassifiedInterval:
     low_bucket: list[Edge]
     per_class: dict[int, ClassBucket]
+    low_bound: int = 0  # max interval degree at a low-bucket endpoint
 
 
 def degree_classes(delta: int) -> list[int]:
@@ -95,26 +99,34 @@ def classify_interval(snapshot: IntervalSnapshot, delta: int) -> ClassifiedInter
 
     Below the square-root threshold an edge joins the shared low bucket;
     otherwise its class is the power of two d with the max endpoint degree
-    in [d, 2d).  Degrees above delta break the input contract.
+    in [d, 2d).  Degrees above delta break the input contract.  The largest
+    low-bucket top degree bounds the low bucket's own degrees.
     """
     root = isqrt(delta)
-    out = ClassifiedInterval(low_bucket=[], per_class={})
+    deg = snapshot.deg
+    low: list[Edge] = []
+    low_bound = 0
+    per_class: dict[int, ClassBucket] = {}
     for e in snapshot.edges:
-        top = max(snapshot.deg[e.u], snapshot.deg[e.v])
+        du = deg[e.u]
+        dv = deg[e.v]
+        top = du if du > dv else dv
+        if top < root:
+            low.append(e)
+            if top > low_bound:
+                low_bound = top
+            continue
         if top > delta:
             raise StreamInputError(
                 f"interval degree {top} exceeds the configured bound {delta}"
             )
-        if top < root:
-            out.low_bucket.append(e)
-            continue
         d = 1 << (top.bit_length() - 1)
-        bucket = out.per_class.get(d)
+        bucket = per_class.get(d)
         if bucket is None:
-            bucket = out.per_class[d] = ClassBucket(d=d)
-        both = min(snapshot.deg[e.u], snapshot.deg[e.v]) >= d
+            bucket = per_class[d] = ClassBucket(d=d)
+        both = min(du, dv) >= d
         (bucket.h1 if both else bucket.h2).append(e)
-    return out
+    return ClassifiedInterval(low_bucket=low, per_class=per_class, low_bound=low_bound)
 
 
 class PhaseEngine:
@@ -154,11 +166,12 @@ class PhaseEngine:
         return len(self._buffer)
 
     def ingest(self, e: Edge) -> tuple[Emissions, list[Edge]]:
+        """Buffer e; process the interval once it is full.  The buffer is
+        metered when the interval is processed, not per edge."""
         self._buffer.append(e)
-        self._meter.add("buffer", 1)
         if len(self._buffer) >= self.config.interval_size:
             return self._process_interval()
-        return [], []
+        return FILLING
 
     def flush(self) -> tuple[Emissions, list[Edge]]:
         """Process the final partial interval, if any.  When it is also the
@@ -169,8 +182,8 @@ class PhaseEngine:
         if self.interval_index > 0:
             return self._process_interval()
         edges = self._buffer
-        self._meter.add("buffer", -len(edges))
         self._buffer = []
+        self._meter.pulse("buffer", len(edges))
         bound = max(compute_degrees(edges).values())
         palette = [ColorId.base(self.epoch, self.level, s) for s in range(2 * bound - 1)]
         self._collector.note_base_case(self.epoch, self.level, bound)
@@ -240,8 +253,8 @@ class PhaseEngine:
         assert self._phase == phase
 
         snapshot = IntervalSnapshot.collect(index, self._buffer)
-        self._meter.add("buffer", -len(self._buffer))
         self._buffer = []
+        self._meter.pulse("buffer", len(snapshot.edges))
         if self._trace is not None:
             self._trace.emit(
                 "interval-degrees",
@@ -259,10 +272,9 @@ class PhaseEngine:
             ColorId.low(self.epoch, self.level, phase, index, s)
             for s in range(2 * cfg.sqrt_delta - 1)
         ]
-        low_bound = max(compute_degrees(classified.low_bucket).values(), default=0)
         low_scope = ("low", self.epoch, self.level, index)
         emissions = color_greedy(
-            classified.low_bucket, low_bound, low_palette, low_scope, self._collector
+            classified.low_bucket, classified.low_bound, low_palette, low_scope, self._collector
         )
         leftovers: list[Edge] = []
 
@@ -276,9 +288,9 @@ class PhaseEngine:
             state.end_interval()
             scope = ("class", self.epoch, self.level, phase, d)
             budget = 3 * state.palette_count * state.palette_size
-            for e, color in em1 + em2:
-                emissions.append((e, color))
-                self._collector.note_emission(scope, budget, color)
+            colored = em1 + em2
+            emissions.extend(colored)
+            self._collector.note_emission(scope, budget, [c for _, c in colored])
             leftovers.extend(left1)
             leftovers.extend(left2)
 

@@ -18,7 +18,7 @@ from typing import Iterable, Iterator
 
 from .audit import MeterHandle, MetricsCollector, RunMetrics, SpaceMeter, TraceRecorder
 from .model import ColorId, Edge, RunConfig, StreamInputError, resolve_config
-from .phase_engine import PhaseEngine, color_greedy, compute_degrees
+from .phase_engine import FILLING, PhaseEngine, color_greedy, compute_degrees
 from .primitives import RandomSource
 
 __all__ = ["IntervalColorer", "LevelInstance", "StreamColorer", "run_baseline", "run_stream"]
@@ -56,10 +56,9 @@ class IntervalColorer:
 
     def ingest(self, e: Edge) -> tuple[Emissions, list[Edge]]:
         self._buffer.append(e)
-        self._meter.add("buffer", 1)
         if len(self._buffer) >= self.config.interval_size:
             return self._process(), []
-        return [], []
+        return FILLING
 
     def flush(self) -> tuple[Emissions, list[Edge]]:
         if self._buffer:
@@ -72,8 +71,8 @@ class IntervalColorer:
     def _process(self) -> Emissions:
         index = self.interval_index
         edges = self._buffer
-        self._meter.add("buffer", -len(edges))
         self._buffer = []
+        self._meter.pulse("buffer", len(edges))
         self._collector.note_interval(self.epoch, self.level)
         if self.role == "fallback":
             self._collector.note_fallback_interval()
@@ -185,9 +184,9 @@ class StreamColorer:
         n = self.config.n
         if u == v:
             raise StreamInputError(f"self-loop at vertex {u} (seq {seq})")
-        for x in (u, v):
-            if not 0 <= x < n:
-                raise StreamInputError(f"vertex {x} outside [0, {n}) (seq {seq})")
+        if not (0 <= u < n and 0 <= v < n):
+            x = v if 0 <= u < n else u
+            raise StreamInputError(f"vertex {x} outside [0, {n}) (seq {seq})")
         du = self._deg[u] + 1
         dv = self._deg[v] + 1
         if self._bound is None:

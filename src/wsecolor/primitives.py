@@ -10,6 +10,7 @@ from __future__ import annotations
 import hashlib
 import random
 from dataclasses import dataclass
+from operator import attrgetter
 
 from .model import ColorId, Edge, EngineInvariantError
 
@@ -24,6 +25,7 @@ __all__ = [
 ]
 
 _SEED_MASK = 0xFFFFFFFFFFFFFFFF
+_seq = attrgetter("seq")
 
 
 def mod_slot(base: int, offset: int, size: int) -> int:
@@ -45,38 +47,47 @@ def gap_check(r_u: int, r_v: int, d: int, size: int) -> bool:
     return gap < 2 * d or gap > size - 2 * d
 
 
+def _first_fit(edges: list[Edge], slot_limit: int) -> list[int]:
+    """The slot of each edge, in order: the lowest one free at both
+    endpoints.  Each vertex's taken slots are one bit mask, so an edge costs
+    two int lookups and no hashing of the edge itself."""
+    used: dict[int, int] = {}
+    get = used.get
+    out: list[int] = []
+    for e in edges:
+        u, v = e.u, e.v
+        taken = get(u, 0) | get(v, 0)
+        bit = ~taken & (taken + 1)  # lowest clear bit of taken
+        slot = bit.bit_length() - 1
+        if slot >= slot_limit:
+            raise EngineInvariantError(
+                f"palette exhausted: edge ({u},{v},{e.seq}) needs slot {slot} of {slot_limit}"
+            )
+        used[u] = get(u, 0) | bit
+        used[v] = get(v, 0) | bit
+        out.append(slot)
+    return out
+
+
 def first_fit_slots(edges: list[Edge], slot_limit: int) -> dict[Edge, int]:
     """Assign each edge, in the given order, the lowest slot free at both
     endpoints.  Running out of slots is an internal invariant violation:
     callers size the limit at 2D - 1 or better for max degree D.
     """
-    used: dict[int, set[int]] = {}
-    out: dict[Edge, int] = {}
-    for e in edges:
-        taken_u = used.setdefault(e.u, set())
-        taken_v = used.setdefault(e.v, set())
-        slot = 0
-        while slot in taken_u or slot in taken_v:
-            slot += 1
-        if slot >= slot_limit:
-            raise EngineInvariantError(
-                f"palette exhausted: edge ({e.u},{e.v},{e.seq}) needs slot {slot} of {slot_limit}"
-            )
-        out[e] = slot
-        taken_u.add(slot)
-        taken_v.add(slot)
-    return out
+    return dict(zip(edges, _first_fit(edges, slot_limit)))
 
 
 def greedy_slot_assign(edges: list[Edge], slot_limit: int) -> dict[Edge, int]:
     """first_fit_slots over edges in ascending arrival order."""
-    return first_fit_slots(sorted(edges, key=lambda e: e.seq), slot_limit)
+    return first_fit_slots(sorted(edges, key=_seq), slot_limit)
 
 
 def greedy_edge_color(
     edges: list[Edge], degree_bound: int, palette: list[ColorId]
-) -> dict[Edge, ColorId]:
-    """Properly color a multigraph with first-fit over an explicit palette.
+) -> list[tuple[Edge, ColorId]]:
+    """Properly color a multigraph with first-fit over an explicit palette,
+    visiting edges in ascending arrival order; returns (edge, color) pairs
+    in that order.
 
     Requires len(palette) >= 2 * degree_bound - 1, which guarantees a free
     entry always exists; at most 2D - 1 distinct entries are ever used.
@@ -85,8 +96,8 @@ def greedy_edge_color(
         raise ValueError(
             f"palette of {len(palette)} entries cannot cover degree bound {degree_bound}"
         )
-    slots = greedy_slot_assign(edges, len(palette))
-    return {e: palette[s] for e, s in slots.items()}
+    ordered = sorted(edges, key=_seq)
+    return [(e, palette[s]) for e, s in zip(ordered, _first_fit(ordered, len(palette)))]
 
 
 class PaletteWindow:

@@ -160,9 +160,9 @@ def read_stream(fh: IO[str]) -> tuple[StreamHeader, Iterator[Edge]]:
     def body() -> Iterator[Edge]:
         count = 0
         for lineno, line in enumerate(fh, start=2):
-            if not line.strip():
-                continue
             fields = line.split()
+            if not fields:
+                continue
             if len(fields) != 2:
                 raise StreamFormatError(f"line {lineno}: expected '<u> <v>', got {line.rstrip()!r}")
             try:
@@ -171,9 +171,9 @@ def read_stream(fh: IO[str]) -> tuple[StreamHeader, Iterator[Edge]]:
                 raise StreamFormatError(
                     f"line {lineno}: endpoints must be integers, got {line.rstrip()!r}"
                 ) from None
-            for x in (u, v):
-                if not 0 <= x < n:
-                    raise StreamFormatError(f"line {lineno}: vertex {x} outside [0, {n})")
+            if not (0 <= u < n and 0 <= v < n):
+                x = v if 0 <= u < n else u
+                raise StreamFormatError(f"line {lineno}: vertex {x} outside [0, {n})")
             if count >= m:
                 raise StreamFormatError(f"line {lineno}: more than the declared {m} edges")
             yield Edge(u, v, count)
@@ -222,6 +222,7 @@ def read_colored(fh: IO[str]) -> list[tuple[Edge, ColorId]]:
                 color = decode_color(token)
             except ValueError as err:
                 raise StreamFormatError(f"line {lineno}: {err}") from None
-            decoded[token] = color
+            # a canonical token is the color's own string: keep that one
+            decoded[color.token if color.token == token else token] = color
         out.append((Edge(u, v, seq), color))
     return out

@@ -8,6 +8,7 @@ import pytest
 from wsecolor import (
     ColorId,
     Edge,
+    MetricsCollector,
     SpaceMeter,
     TraceRecorder,
     color_budget_check,
@@ -301,6 +302,21 @@ def test_space_meter_rejects_negative_balance():
     meter.add(0, 0, "buffer", 2)
     with pytest.raises(EngineInvariantError):
         meter.add(0, 0, "buffer", -3)
+
+
+def test_note_emission_counts_a_scope_in_one_call():
+    collector = MetricsCollector()
+    cfg = resolve_config(n=4, delta=4)
+    collector.note_emission(("low", 0, 1, 0), 3, [])  # an empty bucket adds no scope
+    empty = collector.build(config=cfg, meter=SpaceMeter(), input_edges=0, wall_ms=0.0)
+    assert empty.scopes == [] and empty.colored_per_level == {}
+
+    colors = [ColorId.low(0, 1, 0, 0, s) for s in (0, 1, 0)]
+    collector.note_emission(("low", 0, 1, 0), 3, colors)
+    metrics = collector.build(config=cfg, meter=SpaceMeter(), input_edges=3, wall_ms=0.0)
+    assert metrics.colored_per_level == {(0, 1): 3}
+    assert metrics.colors_per_level == {(0, 1): 2}
+    assert [(s.kind, s.budget, s.distinct) for s in metrics.scopes] == [("low", 3, 2)]
 
 
 def test_leftover_stats_refuses_small_samples():

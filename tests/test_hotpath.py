@@ -1,0 +1,58 @@
+"""Structural guard on the untraced color path: bookkeeping happens per
+interval or per scope, not per edge.  Counts calls instead of timing them,
+so it holds on any machine."""
+
+import sys
+
+import pytest
+
+import wsecolor
+from wsecolor.audit import MetricsCollector, SpaceMeter
+from wsecolor.cli import main
+
+N, DELTA, M = 256, 64, 4096
+
+
+@pytest.fixture
+def counts(monkeypatch):
+    """Count calls to encode_color (wherever it was imported by name),
+    SpaceMeter.add and MetricsCollector.note_emission."""
+    calls = {"encode_color": 0, "SpaceMeter.add": 0, "note_emission": 0}
+
+    def counted(key, fn):
+        def wrapper(*args, **kwargs):
+            calls[key] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    original = wsecolor.model.encode_color
+    wrapped = counted("encode_color", original)
+    for name, module in list(sys.modules.items()):
+        if name.startswith("wsecolor") and getattr(module, "encode_color", None) is original:
+            monkeypatch.setattr(module, "encode_color", wrapped)
+    monkeypatch.setattr(SpaceMeter, "add", counted("SpaceMeter.add", SpaceMeter.add))
+    monkeypatch.setattr(
+        MetricsCollector,
+        "note_emission",
+        counted("note_emission", MetricsCollector.note_emission),
+    )
+    return calls
+
+
+def test_color_path_does_per_interval_bookkeeping(tmp_path, capsys, counts):
+    stream = tmp_path / "g.wse"
+    gen = ["gen", "--n", str(N), "--delta", str(DELTA), "--m", str(M)]
+    assert main([*gen, "--seed", "1", "--order", "arrival-random", str(stream)]) == 0
+    for key in counts:
+        counts[key] = 0
+
+    out = tmp_path / "g.colored"
+    args = ["color", str(stream), "--out", str(out), "--metrics", str(tmp_path / "m.json")]
+    assert main(args) == 0
+    capsys.readouterr()
+
+    assert len(out.read_text().splitlines()) == M
+    assert counts["encode_color"] == M  # once per output line, nowhere else
+    assert counts["SpaceMeter.add"] < 0.1 * M
+    assert counts["note_emission"] < 0.1 * M

@@ -1,5 +1,7 @@
 """Color identifiers, their wire format, and config resolution."""
 
+import re
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -13,6 +15,7 @@ from wsecolor import (
     normalize_delta,
     resolve_config,
 )
+from wsecolor.model import _decode_fields
 
 # frozen: powers of four, rounded up
 NORMALIZE_CASES = {1: 1, 2: 4, 3: 4, 4: 4, 5: 16, 16: 16, 17: 64, 20: 64, 64: 64, 65: 256, 256: 256}
@@ -116,6 +119,22 @@ def test_codec_roundtrip(color):
 def test_encoding_is_injective(a, b):
     if a != b:
         assert encode_color(a) != encode_color(b)
+
+
+@given(color_ids(), st.integers(min_value=0, max_value=2))
+def test_pattern_parse_matches_field_parse(color, pad):
+    # zero-padded numbers are not canonical but still decode to the same color
+    text = re.sub(r"([0-9]+)", lambda m: "0" * pad + m.group(1), color.token)
+    assert decode_color(text) == _decode_fields(text) == color
+
+
+@given(color_ids())
+def test_token_is_the_encoding_and_stays_out_of_repr(color):
+    assert encode_color(color) == color.token
+    twin = decode_color(color.token)
+    assert twin == color and twin is not color
+    assert hash(twin) == hash(color)
+    assert "token" not in repr(color)
 
 
 # -- config resolution -------------------------------------------------------

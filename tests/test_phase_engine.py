@@ -21,6 +21,7 @@ from wsecolor.phase_engine import (
     compute_degrees,
     degree_classes,
 )
+from wsecolor.pipeline import IntervalColorer
 from wsecolor.primitives import RandomSource
 
 from support import find_conflicts, make_edges
@@ -123,10 +124,53 @@ def test_buffering_holds_until_interval_full():
     emissions, leftovers = feed_all(engine, make_edges(pairs))
     assert emissions == [] and leftovers == []
     assert engine.buffered == 3
-    assert meter.current(0, 0)["buffer"] == 3
+    # the buffer is charged when its interval is processed, not per edge
+    assert meter.current_total(0, 0) == 0
     em, left = engine.ingest(Edge(6, 7, 3))
     assert len(em) + len(left) == 4
     assert engine.buffered == 0
+    assert meter.category_peaks()[(0, 0)]["buffer"] == 4
+    assert meter.current(0, 0)["buffer"] == 0
+
+
+@pytest.mark.parametrize(
+    "count, peak", [(10, 4), (3, 3)], ids=["final-partial-interval", "base-case"]
+)
+def test_buffer_peak_is_the_largest_interval(count, peak):
+    cfg = resolve_config(n=32, delta=16, interval_size=4)
+    engine, meter, _ = make_engine(cfg)
+    pairs = [(i % 16, 16 + (i * 7) % 16) for i in range(count)]
+    emissions, leftovers = feed_all(engine, make_edges(pairs))
+    em, left = engine.flush()
+    engine.close()
+    assert len(emissions) + len(em) + len(leftovers) + len(left) == count
+    assert meter.category_peaks()[(0, 0)]["buffer"] == peak
+    assert meter.current_total(0, 0) == 0
+
+
+@pytest.mark.parametrize("role", ["baseline", "fallback"])
+@pytest.mark.parametrize("count, peak", [(10, 4), (3, 3)], ids=["partial", "single"])
+def test_interval_colorer_buffer_peak_is_the_largest_interval(role, count, peak):
+    cfg = resolve_config(n=32, delta=16, interval_size=4)
+    meter = SpaceMeter()
+    colorer = IntervalColorer(
+        cfg,
+        epoch=0,
+        level=0,
+        role=role,
+        meter=MeterHandle(meter, 0, 0),
+        collector=MetricsCollector(),
+    )
+    colored = 0
+    for e in make_edges([(i % 16, 16 + i % 16) for i in range(count)]):
+        em, left = colorer.ingest(e)
+        assert not left
+        colored += len(em)
+        assert meter.current_total(0, 0) == 0
+    em, _ = colorer.flush()
+    assert colored + len(em) == count
+    assert meter.category_peaks()[(0, 0)]["buffer"] == peak
+    assert meter.current_total(0, 0) == 0
 
 
 def test_ingest_validates_edges():

@@ -103,7 +103,15 @@ def test_greedy_edge_color_small_palette_rejected():
 
 
 def test_greedy_edge_color_empty_input():
-    assert greedy_edge_color([], 0, []) == {}
+    assert greedy_edge_color([], 0, []) == []
+
+
+@given(st.permutations(make_edges([(0, 1), (1, 2), (2, 3), (0, 1), (3, 0), (1, 3)])))
+def test_greedy_edge_color_returns_ascending_seq(edges):
+    palette = [ColorId.low(0, 0, 0, 0, s) for s in range(7)]
+    colored = greedy_edge_color(edges, 4, palette)
+    assert [e.seq for e, _ in colored] == list(range(6))
+    assert colored == greedy_edge_color(sorted(edges, key=lambda e: e.seq), 4, palette)
 
 
 @given(small_edges)
@@ -114,7 +122,7 @@ def test_greedy_edge_color_proper(edges):
         deg[e.v] = deg.get(e.v, 0) + 1
     bound = max(deg.values())
     palette = [ColorId.low(0, 0, 0, 0, s) for s in range(2 * bound - 1)]
-    colored = list(greedy_edge_color(edges, bound, palette).items())
+    colored = greedy_edge_color(edges, bound, palette)
     assert len(colored) == len(edges)
     assert find_conflicts(colored) == []
 
