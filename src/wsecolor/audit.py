@@ -16,7 +16,7 @@ import statistics
 from dataclasses import asdict, dataclass, field, replace
 from typing import IO, Iterable
 
-from .model import ColorId, Edge, EngineInvariantError, RunConfig, encode_color, normalize_delta
+from .model import ColorId, Edge, EngineInvariantError, RunConfig, encode_color, epoch_config
 from .primitives import first_fit_slots
 
 __all__ = [
@@ -489,12 +489,6 @@ def offset_independence_check(
     return False, f"trace lengths differ: {len(traces[0])} vs {len(traces[1])}"
 
 
-def _epoch_delta(config: RunConfig, epoch: int) -> int:
-    if config.delta_mode == "known":
-        return config.delta
-    return normalize_delta(max(1, 1 << epoch))
-
-
 def assignment_structure_audit(records: Iterable[dict], config: RunConfig) -> list[str]:
     """Re-derive the slot structure of every counter-family and block-family
     assignment from the decision trace.
@@ -546,7 +540,7 @@ def assignment_structure_audit(records: Iterable[dict], config: RunConfig) -> li
     for group, events in block_groups.items():
         epoch, level, phase, d, low, _ = group
         size = 2 * config.kappa * d
-        width = math.isqrt(_epoch_delta(config, epoch))
+        width = epoch_config(config, epoch).sqrt_delta
         cap = 2 * d // width
         r_u = offsets.get((epoch, level, phase, d, low))
         if r_u is None:
@@ -590,7 +584,7 @@ def saturated_index_audit(records: Iterable[dict], config: RunConfig) -> list[st
 
     violations: list[str] = []
     for (epoch, level, phase, d), events in class_intervals.items():
-        delta = _epoch_delta(config, epoch)
+        delta = epoch_config(config, epoch).delta
         allowed = delta // (2 * d)
         sums: dict[tuple[int, int], int] = {}
         saturated: dict[int, set[int]] = {}
@@ -645,8 +639,6 @@ class SpaceReport:
 
 def space_check(
     metrics: RunMetrics,
-    n: int,
-    delta: int,
     *,
     paired: RunMetrics | None = None,
     ratio_limit: float = 2.5,

@@ -34,11 +34,11 @@ from .model import EngineInvariantError, RunConfig, StreamInputError, resolve_co
 from .pipeline import StreamColorer, run_baseline, run_stream
 from .workload import (
     ORDER_POLICIES,
-    colored_line,
     gen_multigraph,
     order_stream,
     read_colored,
     read_stream,
+    write_colored,
     write_stream,
 )
 
@@ -172,8 +172,7 @@ def _run_from_file(args: argparse.Namespace, baseline: bool) -> int:
         colorer = StreamColorer(config, trace=trace, baseline=baseline)
         start = time.perf_counter()
         with open_out(out_path) as out_fh:
-            for edge, color in colorer.run(body):
-                out_fh.write(colored_line(edge, color))
+            write_colored(out_fh, colorer.run(body))
         wall_ms = (time.perf_counter() - start) * 1000.0
         metrics = colorer.metrics(wall_ms=wall_ms)
         with open_out(args.metrics) as mfh:
@@ -374,8 +373,7 @@ def _check_space(args: argparse.Namespace, runs: int) -> tuple[bool, str]:
         config_b, edges_b = _check_workload(args, args.seed + i, n=2 * args.n)
         _, small = run_stream(config_a, edges_a)
         _, big = run_stream(config_b, edges_b)
-        for metrics, n in ((small, args.n), (big, 2 * args.n)):
-            report = space_check(metrics, n, args.delta)
+        for report in (space_check(small), space_check(big)):
             for f in report.findings:
                 print(f"run {i}: {f}")
             findings += len(report.findings)

@@ -13,6 +13,7 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass, field
+from typing import NoReturn
 
 __all__ = [
     "ColorFormatError",
@@ -26,6 +27,7 @@ __all__ = [
     "StreamInputError",
     "decode_color",
     "encode_color",
+    "epoch_config",
     "normalize_delta",
     "resolve_config",
 ]
@@ -138,20 +140,20 @@ def encode_color(color: ColorId) -> str:
 _FAMILY_TOKEN = re.compile(r"([ABC])([0-9]+)\Z")
 
 
-def _plain(token: str, field: str) -> int:
-    if not token.isdigit():
+def _plain(token: str, field: str) -> None:
+    if not (token.isascii() and token.isdigit()):
         raise ColorFormatError(f"field {field!r}: expected a decimal integer, got {token!r}")
-    return int(token)
 
 
-def _tagged(token: str, tag: str, field: str) -> int:
-    if not token.startswith(tag) or not token[len(tag) :].isdigit():
+def _tagged(token: str, tag: str, field: str) -> None:
+    rest = token[len(tag) :]
+    if not (token.startswith(tag) and rest.isascii() and rest.isdigit()):
         raise ColorFormatError(f"field {field!r}: expected {tag}<int>, got {token!r}")
-    return int(token[len(tag) :])
 
 
-# The shape of every canonical token.  Text that matches parses in one
-# step; anything else goes field by field, so an error names its field.
+# The shape of every canonical token, and the one parser that returns
+# colors.  Text that does not match is walked field by field only to name
+# the field that breaks the shape.
 _COLOR_TOKEN = re.compile(
     r"E([0-9]+)\.L([0-9]+)\."
     r"(?:BASE\.([0-9]+)|P([0-9]+)\.(?:I([0-9]+)\.LOW|D([0-9]+)\.([ABC])([0-9]+))\.([0-9]+))"
@@ -162,7 +164,7 @@ def decode_color(text: str) -> ColorId:
     """Parse a canonical color string; inverse of encode_color."""
     match = _COLOR_TOKEN.fullmatch(text)
     if match is None:
-        return _decode_fields(text)
+        _reject(text)
     epoch, level, base_slot, phase, interval, d, family, index, slot = match.groups()
     if base_slot is not None:
         return ColorId.base(int(epoch), int(level), int(base_slot))
@@ -171,36 +173,39 @@ def decode_color(text: str) -> ColorId:
     return ColorId.palette(int(epoch), int(level), int(phase), int(d), family, int(index), int(slot))
 
 
-def _decode_fields(text: str) -> ColorId:
-    """decode_color one field at a time, raising on the first bad one."""
+def _reject(text: str) -> NoReturn:
+    """Raise a ColorFormatError naming the first field of text that breaks
+    the canonical shape.  Digits are ASCII only, as in _COLOR_TOKEN."""
     parts = text.split(".")
     if len(parts) < 4:
         raise ColorFormatError(f"color {text!r}: too few fields")
-    epoch = _tagged(parts[0], "E", "epoch")
-    level = _tagged(parts[1], "L", "level")
+    _tagged(parts[0], "E", "epoch")
+    _tagged(parts[1], "L", "level")
     tag = parts[2]
     if tag == KIND_BASE:
         if len(parts) != 4:
             raise ColorFormatError(f"color {text!r}: base colors have exactly one trailing slot field")
-        return ColorId.base(epoch, level, _plain(parts[3], "slot"))
-    if not tag.startswith("P"):
-        raise ColorFormatError(f"field 'kind': expected BASE or P<phase>..., got {tag!r}")
-    phase = _tagged(tag, "P", "phase")
-    if len(parts) != 6:
-        raise ColorFormatError(f"color {text!r}: interval and palette colors have six fields")
-    selector = parts[3]
-    if selector.startswith("I"):
-        interval = _tagged(selector, "I", "interval")
-        if parts[4] != KIND_LOW:
-            raise ColorFormatError(f"field 'kind': expected LOW after an interval field, got {parts[4]!r}")
-        return ColorId.low(epoch, level, phase, interval, _plain(parts[5], "slot"))
-    if selector.startswith("D"):
-        d = _tagged(selector, "D", "class")
-        match = _FAMILY_TOKEN.fullmatch(parts[4])
-        if match is None:
-            raise ColorFormatError(f"field 'family': expected A/B/C plus an index, got {parts[4]!r}")
-        return ColorId.palette(epoch, level, phase, d, match.group(1), int(match.group(2)), _plain(parts[5], "slot"))
-    raise ColorFormatError(f"field 'scope': expected I<interval> or D<class>, got {selector!r}")
+        _plain(parts[3], "slot")
+    else:
+        if not tag.startswith("P"):
+            raise ColorFormatError(f"field 'kind': expected BASE or P<phase>..., got {tag!r}")
+        _tagged(tag, "P", "phase")
+        if len(parts) != 6:
+            raise ColorFormatError(f"color {text!r}: interval and palette colors have six fields")
+        selector = parts[3]
+        if selector.startswith("I"):
+            _tagged(selector, "I", "interval")
+            if parts[4] != KIND_LOW:
+                raise ColorFormatError(f"field 'kind': expected LOW after an interval field, got {parts[4]!r}")
+        elif selector.startswith("D"):
+            _tagged(selector, "D", "class")
+            if _FAMILY_TOKEN.fullmatch(parts[4]) is None:
+                raise ColorFormatError(f"field 'family': expected A/B/C plus an index, got {parts[4]!r}")
+        else:
+            raise ColorFormatError(f"field 'scope': expected I<interval> or D<class>, got {selector!r}")
+        _plain(parts[5], "slot")
+    # every field is well formed, so _COLOR_TOKEN would have matched
+    raise ColorFormatError(f"color {text!r}: not a canonical color")
 
 
 def normalize_delta(raw: int) -> int:
@@ -304,4 +309,24 @@ def resolve_config(
         delta_mode=delta_mode,
         sigma_seed=sigma_seed,
         offset_seed=offset_seed,
+    )
+
+
+def epoch_config(config: RunConfig, epoch: int) -> RunConfig:
+    """The configuration an epoch runs under.  A known delta is one epoch
+    at config itself; with an unknown delta, epoch e holds the edges that
+    arrive while the running max degree is in (2**(e-1), 2**e] and runs at
+    the normalized 2**e."""
+    if config.delta_mode == "known":
+        return config
+    return resolve_config(
+        n=config.n,
+        delta=1 << epoch,
+        kappa=config.kappa,
+        seed=config.seed,
+        interval_size=config.interval_size,
+        max_depth=config.max_depth,
+        delta_mode="unknown",
+        sigma_seed=config.sigma_seed,
+        offset_seed=config.offset_seed,
     )

@@ -6,8 +6,10 @@ split by max endpoint degree: edges below the square-root threshold get a
 fresh per-interval palette, the rest are routed to their degree class.
 Classes keep per-phase state; a phase ends after phase_len intervals and
 discards everything it held.  A level whose whole input fits in its first
-interval is the base case: flush colors it outright.  Edges arrive here
-already validated by the stream driver.
+interval is the base case: flush colors it outright.  The baseline and a
+level at the depth cap run the same buffer with a fresh palette per
+interval and no classes.  Edges arrive here already validated by the
+stream driver.
 """
 
 from __future__ import annotations
@@ -23,7 +25,6 @@ from .primitives import RandomSource, greedy_edge_color
 __all__ = [
     "ClassBucket",
     "ClassifiedInterval",
-    "IntervalSnapshot",
     "PhaseEngine",
     "classify_interval",
     "compute_degrees",
@@ -61,19 +62,6 @@ def compute_degrees(edges: list[Edge]) -> dict[int, int]:
     return deg
 
 
-@dataclass(frozen=True)
-class IntervalSnapshot:
-    """A full or final-partial interval buffer with its subgraph degrees."""
-
-    index: int
-    edges: list[Edge]
-    deg: dict[int, int]
-
-    @classmethod
-    def collect(cls, index: int, edges: list[Edge]) -> IntervalSnapshot:
-        return cls(index=index, edges=edges, deg=compute_degrees(edges))
-
-
 @dataclass
 class ClassBucket:
     d: int
@@ -94,8 +82,9 @@ def degree_classes(delta: int) -> list[int]:
     return [root << k for k in range((delta // root).bit_length())]
 
 
-def classify_interval(snapshot: IntervalSnapshot, delta: int) -> ClassifiedInterval:
-    """Split an interval's edges by max endpoint degree.
+def classify_interval(edges: list[Edge], deg: dict[int, int], delta: int) -> ClassifiedInterval:
+    """Split an interval's edges, whose subgraph degrees are deg, by max
+    endpoint degree.
 
     Below the square-root threshold an edge joins the shared low bucket;
     otherwise its class is the power of two d with the max endpoint degree
@@ -103,11 +92,10 @@ def classify_interval(snapshot: IntervalSnapshot, delta: int) -> ClassifiedInter
     low-bucket top degree bounds the low bucket's own degrees.
     """
     root = isqrt(delta)
-    deg = snapshot.deg
     low: list[Edge] = []
     low_bound = 0
     per_class: dict[int, ClassBucket] = {}
-    for e in snapshot.edges:
+    for e in edges:
         du = deg[e.u]
         dv = deg[e.v]
         top = du if du > dv else dv
@@ -132,7 +120,11 @@ def classify_interval(snapshot: IntervalSnapshot, delta: int) -> ClassifiedInter
 class PhaseEngine:
     """Drives one recursion level: ingest, interval processing, phase turns.
 
-    The caller owns the recursion; this engine only reports leftovers.
+    role None runs the degree classes.  "baseline" and "fallback" color
+    every interval, the final partial one included, from a fresh palette of
+    2 * delta - 1 LOW colors and defer nothing: the baseline scheme, and
+    the terminal level once the recursion depth cap is reached.  The caller
+    owns the recursion; this engine only reports leftovers.
     """
 
     def __init__(
@@ -141,15 +133,18 @@ class PhaseEngine:
         *,
         epoch: int,
         level: int,
+        role: str | None = None,
         sigma_source: RandomSource,
         offset_source: RandomSource,
         meter: MeterHandle,
         collector: MetricsCollector,
         trace: TraceRecorder | None = None,
     ) -> None:
+        assert role in (None, "baseline", "fallback")
         self.config = config
         self.epoch = epoch
         self.level = level
+        self.role = role
         self._sigma = sigma_source
         self._offset = offset_source
         self._meter = meter
@@ -174,16 +169,14 @@ class PhaseEngine:
         return FILLING
 
     def flush(self) -> tuple[Emissions, list[Edge]]:
-        """Process the final partial interval, if any.  When it is also the
-        first interval, the level's whole input is buffered: color it
-        outright from BASE colors and defer nothing."""
+        """Process the final partial interval, if any.  When a class level's
+        first interval is also its last, the level's whole input is
+        buffered: color it outright from BASE colors and defer nothing."""
         if not self._buffer:
             return [], []
-        if self.interval_index > 0:
+        if self.interval_index > 0 or self.role is not None:
             return self._process_interval()
-        edges = self._buffer
-        self._buffer = []
-        self._meter.pulse("buffer", len(edges))
+        edges = self._take()
         bound = max(compute_degrees(edges).values())
         palette = [ColorId.base(self.epoch, self.level, s) for s in range(2 * bound - 1)]
         self._collector.note_base_case(self.epoch, self.level, bound)
@@ -195,6 +188,28 @@ class PhaseEngine:
             self._end_phase()
 
     # -- internals ----------------------------------------------------------
+
+    def _take(self) -> list[Edge]:
+        """Empty the buffer, charging it to the meter at its full size."""
+        edges = self._buffer
+        self._buffer = []
+        self._meter.pulse("buffer", len(edges))
+        return edges
+
+    def _fresh_interval(self) -> tuple[Emissions, list[Edge]]:
+        index = self.interval_index
+        edges = self._take()
+        self._collector.note_interval(self.epoch, self.level)
+        if self.role == "fallback":
+            self._collector.note_fallback_interval()
+        self.interval_index = index + 1
+        bound = max(compute_degrees(edges).values())
+        palette = [
+            ColorId.low(self.epoch, self.level, 0, index, s)
+            for s in range(2 * self.config.delta - 1)
+        ]
+        scope = ("fresh", self.epoch, self.level, index)
+        return color_greedy(edges, bound, palette, scope, self._collector), []
 
     def _start_phase(self, phase: int) -> None:
         self._phase = phase
@@ -245,6 +260,8 @@ class PhaseEngine:
         return out
 
     def _process_interval(self) -> tuple[Emissions, list[Edge]]:
+        if self.role is not None:
+            return self._fresh_interval()
         cfg = self.config
         index = self.interval_index
         phase = index // cfg.phase_len
@@ -252,21 +269,21 @@ class PhaseEngine:
             self._start_phase(phase)
         assert self._phase == phase
 
-        snapshot = IntervalSnapshot.collect(index, self._buffer)
-        self._buffer = []
-        self._meter.pulse("buffer", len(snapshot.edges))
+        edges = self._take()
+        deg = compute_degrees(edges)
         if self._trace is not None:
+            # deg is never mutated after this, so the record can hold it
             self._trace.emit(
                 "interval-degrees",
                 epoch=self.epoch,
                 level=self.level,
                 interval=index,
-                deg=dict(snapshot.deg),
+                deg=deg,
             )
         self._collector.note_interval(self.epoch, self.level)
 
-        classified = classify_interval(snapshot, cfg.delta)
-        high_by_class = self._high_by_class(snapshot.deg)
+        classified = classify_interval(edges, deg, cfg.delta)
+        high_by_class = self._high_by_class(deg)
 
         low_palette = [
             ColorId.low(self.epoch, self.level, phase, index, s)
@@ -284,7 +301,7 @@ class PhaseEngine:
             state.begin_interval(index)
             high = high_by_class.get(d, set())
             em1, left1, usable = step1_high_high(bucket.h1, bucket.h2, high, state)
-            em2, left2 = step2_high_low(bucket.h2, usable, high, snapshot.deg, state)
+            em2, left2 = step2_high_low(bucket.h2, usable, high, deg, state)
             state.end_interval()
             scope = ("class", self.epoch, self.level, phase, d)
             budget = 3 * state.palette_count * state.palette_size
@@ -298,15 +315,15 @@ class PhaseEngine:
         self._collector.note_leftovers(self.epoch, self.level, len(leftovers))
 
         seen = {e.seq for e, _ in emissions} | {e.seq for e in leftovers}
-        expect = {e.seq for e in snapshot.edges}
-        if seen != expect or len(emissions) + len(leftovers) != len(snapshot.edges):
+        expect = {e.seq for e in edges}
+        if seen != expect or len(emissions) + len(leftovers) != len(edges):
             raise EngineInvariantError(
                 f"interval {index} at level {self.level}: "
                 f"{len(emissions)} colored + {len(leftovers)} deferred "
-                f"!= {len(snapshot.edges)} buffered"
+                f"!= {len(edges)} buffered"
             )
 
-        self._phase_edges += len(snapshot.edges)
+        self._phase_edges += len(edges)
         self.interval_index = index + 1
         if self.interval_index % cfg.phase_len == 0:
             self._end_phase()

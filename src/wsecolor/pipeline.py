@@ -4,11 +4,11 @@ routing, the recursion cascade and the depth cap.
 StreamColorer is the engine's one input boundary.  It checks each edge
 once, counts degrees to enforce a known bound or to pick the degree regime
 (epoch) when the bound is unknown, and hands the edge to that epoch's
-level-0 instance.  Every deferred edge flows to the next level, which runs
+level-0 engine.  Every deferred edge flows to the next level, which runs
 the same machinery with its own randomness and colors; a level at the
-depth cap switches to a per-interval fresh-palette colorer that never
-defers, so runs always terminate.  run_baseline drives that same colorer
-over the raw stream for comparison runs.
+depth cap colors each interval from a fresh palette and never defers, so
+runs always terminate.  run_baseline colors the raw stream that same way
+for comparison runs.
 """
 
 from __future__ import annotations
@@ -17,142 +17,23 @@ import time
 from typing import Iterable, Iterator
 
 from .audit import MeterHandle, MetricsCollector, RunMetrics, SpaceMeter, TraceRecorder
-from .model import ColorId, Edge, RunConfig, StreamInputError, resolve_config
-from .phase_engine import FILLING, PhaseEngine, color_greedy, compute_degrees
+from .model import ColorId, Edge, RunConfig, StreamInputError, epoch_config
+from .phase_engine import Emissions, PhaseEngine
 from .primitives import RandomSource
 
-__all__ = ["IntervalColorer", "LevelInstance", "StreamColorer", "run_baseline", "run_stream"]
-
-Emissions = list[tuple[Edge, ColorId]]
-
-
-class IntervalColorer:
-    """Buffered greedy coloring with a fresh palette per interval.
-
-    Twice the degree bound minus one fresh colors per interval, zero
-    leftovers.  Serves as the baseline algorithm and as the terminal engine
-    once the recursion depth cap is reached.
-    """
-
-    def __init__(
-        self,
-        config: RunConfig,
-        *,
-        epoch: int,
-        level: int,
-        role: str,
-        meter: MeterHandle,
-        collector: MetricsCollector,
-    ) -> None:
-        assert role in ("baseline", "fallback")
-        self.config = config
-        self.epoch = epoch
-        self.level = level
-        self.role = role
-        self._meter = meter
-        self._collector = collector
-        self._buffer: list[Edge] = []
-        self.interval_index = 0
-
-    def ingest(self, e: Edge) -> tuple[Emissions, list[Edge]]:
-        self._buffer.append(e)
-        if len(self._buffer) >= self.config.interval_size:
-            return self._process(), []
-        return FILLING
-
-    def flush(self) -> tuple[Emissions, list[Edge]]:
-        if self._buffer:
-            return self._process(), []
-        return [], []
-
-    def close(self) -> None:
-        pass
-
-    def _process(self) -> Emissions:
-        index = self.interval_index
-        edges = self._buffer
-        self._buffer = []
-        self._meter.pulse("buffer", len(edges))
-        self._collector.note_interval(self.epoch, self.level)
-        if self.role == "fallback":
-            self._collector.note_fallback_interval()
-        self.interval_index = index + 1
-        bound = max(compute_degrees(edges).values())
-        palette = [
-            ColorId.low(self.epoch, self.level, 0, index, s)
-            for s in range(2 * self.config.delta - 1)
-        ]
-        scope = ("fresh", self.epoch, self.level, index)
-        return color_greedy(edges, bound, palette, scope, self._collector)
-
-
-class LevelInstance:
-    """One recursion level plus the lazily created level below it.
-
-    Run-wide state (meter, metrics, trace, random roots, baseline mode)
-    is read from the owning StreamColorer.
-    """
-
-    def __init__(self, owner: StreamColorer, config: RunConfig, epoch: int, level: int) -> None:
-        self.owner = owner
-        self.config = config
-        self.epoch = epoch
-        self.level = level
-        self.child: LevelInstance | None = None
-        meter = MeterHandle(owner.meter, epoch, level)
-        if owner.baseline or level >= config.max_depth:
-            self.engine: PhaseEngine | IntervalColorer = IntervalColorer(
-                config,
-                epoch=epoch,
-                level=level,
-                role="baseline" if owner.baseline else "fallback",
-                meter=meter,
-                collector=owner.collector,
-            )
-        else:
-            self.engine = PhaseEngine(
-                config,
-                epoch=epoch,
-                level=level,
-                sigma_source=owner.sigma_root.child("e", epoch, "l", level),
-                offset_source=owner.offset_root.child("e", epoch, "l", level),
-                meter=meter,
-                collector=owner.collector,
-                trace=owner.trace,
-            )
-
-    def submit(self, e: Edge) -> Emissions:
-        emissions, leftovers = self.engine.ingest(e)
-        if leftovers:
-            emissions = emissions + self._forward(leftovers)
-        return emissions
-
-    def finalize(self) -> Emissions:
-        """Flush this level only; callers then finalize self.child in turn."""
-        emissions, leftovers = self.engine.flush()
-        self.engine.close()
-        return emissions + self._forward(leftovers)
-
-    def _forward(self, leftovers: list[Edge]) -> Emissions:
-        if not leftovers:
-            return []
-        if self.child is None:
-            self.child = LevelInstance(self.owner, self.config, self.epoch, self.level + 1)
-        out: Emissions = []
-        for e in leftovers:
-            out.extend(self.child.submit(e))
-        return out
+__all__ = ["StreamColorer", "run_baseline", "run_stream"]
 
 
 class StreamColorer:
     """Single-pass driver: assigns arrival sequence numbers, validates and
-    degree-counts each edge, routes it to its epoch's level-0 instance, and
-    owns the run's meter, metrics, trace and random roots.
+    degree-counts each edge, routes it to its epoch's level-0 engine, and
+    owns each epoch's chain of levels and the run's meter, metrics, trace
+    and random roots.
 
     A known degree bound, and the baseline, use epoch 0 and reject the first
     edge that lifts an endpoint above config.delta.  An unknown bound routes
     each edge to the epoch of the running max degree, (top - 1).bit_length(),
-    whose instance is configured for delta 2**epoch.
+    whose engines run at epoch_config(config, epoch).
     """
 
     def __init__(
@@ -176,7 +57,8 @@ class StreamColorer:
         self._bound = (
             None if config.delta_mode == "unknown" and not baseline else config.delta
         )
-        self._epochs: dict[int, LevelInstance] = {}
+        # each epoch's chain of engines, indexed by level
+        self._epochs: dict[int, list[PhaseEngine]] = {}
 
     def feed(self, u: int, v: int) -> Emissions:
         seq = self._seq
@@ -201,21 +83,24 @@ class StreamColorer:
             epoch = 0
         self._deg[u] = du
         self._deg[v] = dv
-        inst = self._epochs.get(epoch)
-        if inst is None:
-            inst = self._epochs[epoch] = LevelInstance(self, self._epoch_config(epoch), epoch, 0)
-        return inst.submit(Edge(u, v, seq))
+        chain = self._epochs.get(epoch)
+        if chain is None:
+            config = self.config if self.baseline else epoch_config(self.config, epoch)
+            chain = self._epochs[epoch] = [self._engine(config, epoch, 0)]
+        return self._submit(chain, 0, Edge(u, v, seq))
 
     def finalize(self) -> Emissions:
         # every epoch still holds buffered edges; drain them in epoch order,
-        # and walk each chain top-down, since flushing a level can push new
-        # edges into its child
+        # and walk each chain top-down: flush, close, forward.  enumerate
+        # reads the live list, so it reaches the levels a flush appends.
         out: Emissions = []
         for epoch in sorted(self._epochs):
-            node: LevelInstance | None = self._epochs[epoch]
-            while node is not None:
-                out.extend(node.finalize())
-                node = node.child
+            chain = self._epochs[epoch]
+            for level, engine in enumerate(chain):
+                emissions, leftovers = engine.flush()
+                engine.close()
+                out.extend(emissions)
+                out.extend(self._forward(chain, level, leftovers))
         return out
 
     def run(self, edges: Iterable[Edge]) -> Iterator[tuple[Edge, ColorId]]:
@@ -229,21 +114,37 @@ class StreamColorer:
             config=self.config, meter=self.meter, input_edges=self._seq, wall_ms=wall_ms
         )
 
-    def _epoch_config(self, epoch: int) -> RunConfig:
-        base = self.config
-        if self._bound is not None:
-            return base
-        return resolve_config(
-            n=base.n,
-            delta=1 << epoch,
-            kappa=base.kappa,
-            seed=base.seed,
-            interval_size=base.interval_size,
-            max_depth=base.max_depth,
-            delta_mode="unknown",
-            sigma_seed=base.sigma_seed,
-            offset_seed=base.offset_seed,
+    def _engine(self, config: RunConfig, epoch: int, level: int) -> PhaseEngine:
+        fresh = self.baseline or level >= config.max_depth
+        role = ("baseline" if self.baseline else "fallback") if fresh else None
+        return PhaseEngine(
+            config,
+            epoch=epoch,
+            level=level,
+            role=role,
+            sigma_source=self.sigma_root.child("e", epoch, "l", level),
+            offset_source=self.offset_root.child("e", epoch, "l", level),
+            meter=MeterHandle(self.meter, epoch, level),
+            collector=self.collector,
+            trace=self.trace,
         )
+
+    def _submit(self, chain: list[PhaseEngine], level: int, e: Edge) -> Emissions:
+        emissions, leftovers = chain[level].ingest(e)
+        if leftovers:
+            emissions = emissions + self._forward(chain, level, leftovers)
+        return emissions
+
+    def _forward(self, chain: list[PhaseEngine], level: int, leftovers: list[Edge]) -> Emissions:
+        """Submit the edges deferred at level to the level below it."""
+        if not leftovers:
+            return []
+        if len(chain) == level + 1:
+            chain.append(self._engine(chain[level].config, chain[level].epoch, level + 1))
+        out: Emissions = []
+        for e in leftovers:
+            out.extend(self._submit(chain, level + 1, e))
+        return out
 
 
 def _run(

@@ -20,7 +20,6 @@ __all__ = [
     "first_fit_slots",
     "gap_check",
     "greedy_edge_color",
-    "greedy_slot_assign",
     "mod_slot",
 ]
 
@@ -75,11 +74,6 @@ def first_fit_slots(edges: list[Edge], slot_limit: int) -> dict[Edge, int]:
     callers size the limit at 2D - 1 or better for max degree D.
     """
     return dict(zip(edges, _first_fit(edges, slot_limit)))
-
-
-def greedy_slot_assign(edges: list[Edge], slot_limit: int) -> dict[Edge, int]:
-    """first_fit_slots over edges in ascending arrival order."""
-    return first_fit_slots(sorted(edges, key=_seq), slot_limit)
 
 
 def greedy_edge_color(

@@ -220,8 +220,8 @@ def test_07_space_scaling(paired_runs, capsys):
     mean = statistics.fmean(ratios)
     findings = []
     for small, big in paired_runs:
-        findings += space_check(small, 128, 64).findings
-        findings += space_check(big, 256, 64).findings
+        findings += space_check(small).findings
+        findings += space_check(big).findings
     ok = mean <= 2.5 and not findings
     detail = (
         f"mean level-0 peak ratio {mean:.3f} at doubled n (limit 2.5), "

@@ -280,9 +280,9 @@ def test_color_budget_flags_overflow():
 
 def test_space_check_clean_and_paired():
     _, _, metrics, _ = color_run(64, 16, 256, seed=0)
-    report = space_check(metrics, 64, 16)
+    report = space_check(metrics)
     assert report.ok and report.ratio is None
-    paired = space_check(metrics, 64, 16, paired=metrics)
+    paired = space_check(metrics, paired=metrics)
     assert paired.ratio == pytest.approx(1.0)
     assert paired.ok
 
@@ -292,7 +292,7 @@ def test_space_check_flags_ratio_blowup():
     bloated = dataclasses.replace(
         metrics, peak_words_per_level={(0, 0): metrics.level0_peak() * 5}
     )
-    report = space_check(metrics, 64, 16, paired=bloated)
+    report = space_check(metrics, paired=bloated)
     assert not report.ok
     assert any("ratio" in f for f in report.findings)
 

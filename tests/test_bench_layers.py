@@ -1,0 +1,44 @@
+"""The benchmark's layer-timing run wraps engine functions by name and fails
+when a name it expects calls on is gone.  This checks those names without
+running it, so a refactor that drops one fails here first."""
+
+import importlib
+import inspect
+import sys
+from pathlib import Path
+
+import pytest
+
+BENCH = Path(__file__).resolve().parents[1] / "wsebench"
+
+
+@pytest.fixture(scope="module")
+def layers():
+    """wsebench/layers.py, imported without writing bytecode next to it."""
+    sys.path.insert(0, str(BENCH))
+    writes = sys.dont_write_bytecode
+    sys.dont_write_bytecode = True
+    try:
+        yield importlib.import_module("layers")
+    finally:
+        sys.dont_write_bytecode = writes
+        sys.path.remove(str(BENCH))
+        sys.modules.pop("layers", None)
+        sys.modules.pop("workloads", None)
+
+
+def test_expected_layer_names_resolve(layers):
+    assert layers.EXPECT_CALLS
+    for key in layers.EXPECT_CALLS:
+        short, *qual = key.split(".")
+        mod = importlib.import_module(f"wsecolor.{short}")
+        if len(qual) == 1:
+            (name,) = qual
+            assert name in mod.__all__, f"{key}: not in {mod.__name__}.__all__"
+            fn = getattr(mod, name, None)
+            assert inspect.isfunction(fn) and fn.__module__ == mod.__name__, (
+                f"{key}: not a function defined in {mod.__name__}"
+            )
+        else:
+            cls_name, meth = qual
+            assert meth in vars(getattr(mod, cls_name)), f"{key}: not defined on {cls_name}"

@@ -15,7 +15,6 @@ from wsecolor import (
     normalize_delta,
     resolve_config,
 )
-from wsecolor.model import _decode_fields
 
 # frozen: powers of four, rounded up
 NORMALIZE_CASES = {1: 1, 2: 4, 3: 4, 4: 4, 5: 16, 16: 16, 17: 64, 20: 64, 64: 64, 65: 256, 256: 256}
@@ -88,6 +87,14 @@ def test_decode_error_names_the_field():
         decode_color("E0.Lx.BASE.1")
 
 
+def test_decode_accepts_ascii_digits_only():
+    # str.isdigit also accepts these; a color is never read from them
+    with pytest.raises(ColorFormatError, match="field 'epoch': expected E<int>"):
+        decode_color("E\uff13.L0.BASE.0")  # fullwidth 3
+    with pytest.raises(ColorFormatError, match="field 'slot': expected a decimal integer"):
+        decode_color("E1.L0.BASE.\u00b2")  # superscript 2
+
+
 nonneg = st.integers(min_value=0, max_value=10_000)
 
 
@@ -125,7 +132,7 @@ def test_encoding_is_injective(a, b):
 def test_pattern_parse_matches_field_parse(color, pad):
     # zero-padded numbers are not canonical but still decode to the same color
     text = re.sub(r"([0-9]+)", lambda m: "0" * pad + m.group(1), color.token)
-    assert decode_color(text) == _decode_fields(text) == color
+    assert decode_color(text) == color
 
 
 @given(color_ids())

@@ -15,13 +15,11 @@ from wsecolor import (
 )
 from wsecolor.audit import MeterHandle
 from wsecolor.phase_engine import (
-    IntervalSnapshot,
     PhaseEngine,
     classify_interval,
     compute_degrees,
     degree_classes,
 )
-from wsecolor.pipeline import IntervalColorer
 from wsecolor.primitives import RandomSource
 
 from support import find_conflicts, make_edges
@@ -39,27 +37,23 @@ def test_compute_degrees_counts_multiplicity():
     assert compute_degrees(edges) == {0: 2, 1: 3, 2: 1}
 
 
-def snapshot(deg, pairs):
-    return IntervalSnapshot(index=0, edges=make_edges(pairs), deg=deg)
-
-
 def test_classify_frozen_examples():
     # delta 16, threshold 4: classes 4, 8, 16
-    hi_lo = classify_interval(snapshot({1: 5, 2: 2}, [(1, 2)]), 16)
+    hi_lo = classify_interval(make_edges([(1, 2)]), {1: 5, 2: 2}, 16)
     assert list(hi_lo.per_class) == [4]
     assert len(hi_lo.per_class[4].h2) == 1 and hi_lo.per_class[4].h1 == []
 
-    low = classify_interval(snapshot({1: 3, 2: 3}, [(1, 2)]), 16)
+    low = classify_interval(make_edges([(1, 2)]), {1: 3, 2: 3}, 16)
     assert low.per_class == {} and len(low.low_bucket) == 1
 
-    hi_hi = classify_interval(snapshot({1: 9, 2: 12}, [(1, 2)]), 16)
+    hi_hi = classify_interval(make_edges([(1, 2)]), {1: 9, 2: 12}, 16)
     assert list(hi_hi.per_class) == [8]
     assert len(hi_hi.per_class[8].h1) == 1 and hi_hi.per_class[8].h2 == []
 
 
 def test_classify_rejects_degree_above_bound():
     with pytest.raises(StreamInputError):
-        classify_interval(snapshot({1: 17, 2: 1}, [(1, 2)]), 16)
+        classify_interval(make_edges([(1, 2)]), {1: 17, 2: 1}, 16)
 
 
 @given(
@@ -71,34 +65,35 @@ def test_classify_rejects_degree_above_bound():
 )
 def test_classify_partitions_every_edge(pairs):
     edges = make_edges(pairs)
-    snap = IntervalSnapshot.collect(0, edges)
-    classified = classify_interval(snap, 16)
+    deg = compute_degrees(edges)
+    classified = classify_interval(edges, deg, 16)
     routed = list(classified.low_bucket)
     for bucket in classified.per_class.values():
         routed.extend(bucket.h1)
         routed.extend(bucket.h2)
     assert sorted(e.seq for e in routed) == sorted(e.seq for e in edges)
     for e in edges:
-        top = max(snap.deg[e.u], snap.deg[e.v])
+        top = max(deg[e.u], deg[e.v])
         if top < 4:
             assert e in classified.low_bucket
         else:
             d = 1 << (top.bit_length() - 1)
             bucket = classified.per_class[d]
-            both_high = min(snap.deg[e.u], snap.deg[e.v]) >= d
+            both_high = min(deg[e.u], deg[e.v]) >= d
             assert e in (bucket.h1 if both_high else bucket.h2)
 
 
 # -- engine harness ----------------------------------------------------------
 
 
-def make_engine(config, trace=None):
+def make_engine(config, trace=None, role=None):
     meter = SpaceMeter()
     collector = MetricsCollector()
     engine = PhaseEngine(
         config,
         epoch=0,
         level=0,
+        role=role,
         sigma_source=RandomSource(config.seed, ("sigma",)).child("e", 0, "l", 0),
         offset_source=RandomSource(config.seed, ("offsets",)).child("e", 0, "l", 0),
         meter=MeterHandle(meter, 0, 0),
@@ -151,16 +146,9 @@ def test_buffer_peak_is_the_largest_interval(count, peak):
 @pytest.mark.parametrize("role", ["baseline", "fallback"])
 @pytest.mark.parametrize("count, peak", [(10, 4), (3, 3)], ids=["partial", "single"])
 def test_interval_colorer_buffer_peak_is_the_largest_interval(role, count, peak):
+    # the fresh-palette roles color every interval, the partial one included
     cfg = resolve_config(n=32, delta=16, interval_size=4)
-    meter = SpaceMeter()
-    colorer = IntervalColorer(
-        cfg,
-        epoch=0,
-        level=0,
-        role=role,
-        meter=MeterHandle(meter, 0, 0),
-        collector=MetricsCollector(),
-    )
+    colorer, meter, _ = make_engine(cfg, role=role)
     colored = 0
     for e in make_edges([(i % 16, 16 + i % 16) for i in range(count)]):
         em, left = colorer.ingest(e)
@@ -266,6 +254,23 @@ def test_flush_colors_first_partial_interval_as_base_case():
     assert meter.current_total(0, 0) == 0
     metrics = collector.build(config=cfg, meter=meter, input_edges=3, wall_ms=0.0)
     assert metrics.base_cases == {(0, 0): 3}
+
+
+@pytest.mark.parametrize("role", ["baseline", "fallback"])
+def test_fresh_role_colors_first_partial_interval_from_low_palette(role):
+    cfg = resolve_config(n=8, delta=16)
+    engine, meter, collector = make_engine(cfg, role=role)
+    feed_all(engine, make_edges([(0, 1), (1, 2), (0, 1)]))
+    emissions, leftovers = engine.flush()
+    engine.close()
+    assert leftovers == []
+    assert sorted(e.seq for e, _ in emissions) == [0, 1, 2]
+    assert {(c.kind, c.interval, c.phase) for _, c in emissions} == {("LOW", 0, 0)}
+    assert find_conflicts(emissions) == []
+    metrics = collector.build(config=cfg, meter=meter, input_edges=3, wall_ms=0.0)
+    assert metrics.base_cases == {}
+    assert metrics.phase_count == {}
+    assert metrics.fallback_intervals == (1 if role == "fallback" else 0)
 
 
 def test_overfull_degree_detected_at_interval():

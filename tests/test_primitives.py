@@ -12,7 +12,6 @@ from wsecolor.primitives import (
     first_fit_slots,
     gap_check,
     greedy_edge_color,
-    greedy_slot_assign,
     mod_slot,
 )
 
@@ -87,12 +86,6 @@ def test_first_fit_exhaustion_raises():
     edges = make_edges([(0, 1), (0, 2), (0, 3)])
     with pytest.raises(EngineInvariantError, match="palette exhausted"):
         first_fit_slots(edges, 2)
-
-
-def test_greedy_slot_assign_ignores_list_order():
-    edges = make_edges([(0, 1), (1, 2), (2, 3)])
-    shuffled = [edges[2], edges[0], edges[1]]
-    assert greedy_slot_assign(shuffled, 5) == greedy_slot_assign(edges, 5)
 
 
 def test_greedy_edge_color_small_palette_rejected():
