@@ -74,16 +74,6 @@ class TraceRecorder:
 # ---------------------------------------------------------------------------
 # space accounting
 
-METER_CATEGORIES = (
-    "buffer",
-    "offsets",
-    "index_sets",
-    "counters",
-    "prior_counts",
-    "window",
-)
-
-
 class SpaceMeter:
     """Tracked-word accounting for the persistent per-level stores.
 
@@ -434,10 +424,10 @@ def oracle_min_greedy(edges: list[Edge], tries: int, seed: int) -> dict[Edge, in
     best_count = limit + 1
     for _ in range(tries):
         rng.shuffle(order)
-        assignment = first_fit_slots(order, limit)
-        count = len(set(assignment.values()))
+        slots = first_fit_slots(order, limit)
+        count = len(set(slots))
         if count < best_count:
-            best, best_count = dict(assignment), count
+            best, best_count = dict(zip(order, slots)), count
     assert best is not None
     return best
 
@@ -626,10 +616,13 @@ def color_budget_check(metrics: RunMetrics) -> tuple[int, int, list[str]]:
     return metrics.colors_used, budget, violations
 
 
+# the largest level-0 peak ratio allowed when n doubles
+SPACE_RATIO_LIMIT = 2.5
+
+
 @dataclass(frozen=True)
 class SpaceReport:
     findings: list[str]
-    peaks: dict[tuple[int, int], int]
     ratio: float | None
 
     @property
@@ -637,18 +630,13 @@ class SpaceReport:
         return not self.findings
 
 
-def space_check(
-    metrics: RunMetrics,
-    *,
-    paired: RunMetrics | None = None,
-    ratio_limit: float = 2.5,
-) -> SpaceReport:
+def space_check(metrics: RunMetrics, *, paired: RunMetrics | None = None) -> SpaceReport:
     """Structural space assertions plus optional paired-run scaling.
 
     Index-set growth needs a high-degree vertex per entry and counter
     creation needs an over-threshold degree, so both are bounded by the
     phase's edge volume.  With a paired run at doubled n, the level-0 peak
-    ratio must stay under ratio_limit.
+    ratio must stay under SPACE_RATIO_LIMIT.
     """
     findings: list[str] = []
     for s in metrics.class_phase_stats:
@@ -670,9 +658,9 @@ def space_check(
             findings.append("no level-0 peak recorded for the smaller run")
         else:
             ratio = other / own
-            if ratio > ratio_limit:
-                findings.append(f"level-0 peak ratio {ratio:.3f} exceeds {ratio_limit}")
-    return SpaceReport(findings=findings, peaks=metrics.peak_words_per_level, ratio=ratio)
+            if ratio > SPACE_RATIO_LIMIT:
+                findings.append(f"level-0 peak ratio {ratio:.3f} exceeds {SPACE_RATIO_LIMIT}")
+    return SpaceReport(findings=findings, ratio=ratio)
 
 
 @dataclass(frozen=True)

@@ -14,7 +14,7 @@ from math import isqrt
 
 from .audit import MeterHandle, TraceRecorder
 from .model import ColorId, Edge
-from .primitives import PaletteWindow, RandomSource, first_fit_slots, gap_check, mod_slot
+from .primitives import RandomSource, first_fit_slots, gap_check, mod_slot
 
 __all__ = ["ClassState", "step1_high_high", "step2_high_low"]
 
@@ -26,7 +26,9 @@ class ClassState:
     remember which palette indices already colored edges at a vertex;
     counters exist only for (vertex, index) pairs that crossed the degree
     threshold; prior tallies count earlier intervals per index.  The window
-    tracks slots taken at high vertices within the current interval only.
+    is the set of (anchor, family, slot) triples taken at high vertices
+    within the current interval only; later intervals are protected by the
+    index sets and counters instead.
     """
 
     def __init__(
@@ -40,7 +42,7 @@ class ClassState:
         kappa: int,
         sigma_source: RandomSource,
         offset_source: RandomSource,
-        meter: MeterHandle | None = None,
+        meter: MeterHandle,
         trace: TraceRecorder | None = None,
     ) -> None:
         self.epoch = epoch
@@ -62,7 +64,7 @@ class ClassState:
         self.index_sets: dict[int, set[int]] = {}
         self.counters: dict[tuple[int, int], int] = {}
         self.prior_counts: dict[int, int] = {}
-        self.window = PaletteWindow()
+        self.window: set[tuple[int, str, int]] = set()
         self.sigma: int | None = None
         self.interval: int | None = None
         self.index_inserts = 0
@@ -76,16 +78,12 @@ class ClassState:
                 kind, epoch=self.epoch, level=self.level, phase=self.phase, d=self.d, **fields
             )
 
-    def _count(self, category: str, amount: int) -> None:
-        if self._meter is not None:
-            self._meter.add(category, amount)
-
     def offset_of(self, v: int) -> int:
         r = self.offsets.get(v)
         if r is None:
             r = self._offset_source.child("v", v).randrange(self.palette_size)
             self.offsets[v] = r
-            self._count("offsets", 1)
+            self._meter.add("offsets", 1)
             self._emit("offset-draw", vertex=v, offset=r)
         return r
 
@@ -111,14 +109,14 @@ class ClassState:
         used = self.index_sets.setdefault(v, set())
         if self.sigma not in used:
             used.add(self.sigma)
-            self._count("index_sets", 1)
+            self._meter.add("index_sets", 1)
             self.index_inserts += 1
 
     def init_counter(self, u: int) -> None:
         key = (u, self.sigma)
         if key not in self.counters:
             self.counters[key] = 0
-            self._count("counters", 1)
+            self._meter.add("counters", 1)
             self.counter_creates += 1
             self._emit("counter-init", interval=self.interval, vertex=u, index=self.sigma)
 
@@ -144,25 +142,27 @@ class ClassState:
         )
 
     def record_slot(self, anchor: int, family: str, slot: int) -> None:
-        self.window.record(anchor, family, slot)
-        self._count("window", 1)
+        self.window.add((anchor, family, slot))
+        self._meter.add("window", 1)
 
     def end_interval(self) -> None:
         assert self.sigma is not None
         if self.sigma not in self.prior_counts:
-            self._count("prior_counts", 1)
+            self._meter.add("prior_counts", 1)
         self.prior_counts[self.sigma] = self.prior_counts.get(self.sigma, 0) + 1
-        self._count("window", -self.window.clear())
+        self._meter.add("window", -len(self.window))
+        self.window.clear()
         self.sigma = None
         self.interval = None
 
     def release(self) -> None:
         """Phase end: hand every tracked word back to the meter."""
-        self._count("offsets", -len(self.offsets))
-        self._count("index_sets", -sum(len(s) for s in self.index_sets.values()))
-        self._count("counters", -len(self.counters))
-        self._count("prior_counts", -len(self.prior_counts))
-        self._count("window", -self.window.clear())
+        self._meter.add("offsets", -len(self.offsets))
+        self._meter.add("index_sets", -sum(len(s) for s in self.index_sets.values()))
+        self._meter.add("counters", -len(self.counters))
+        self._meter.add("prior_counts", -len(self.prior_counts))
+        self._meter.add("window", -len(self.window))
+        self.window.clear()
         self.offsets.clear()
         self.index_sets.clear()
         self.counters.clear()
@@ -189,10 +189,8 @@ def step1_high_high(
     """
     usable = {v for v in high if state.index_fresh(v)}
     kept = [e for e in h1 if e.u in usable and e.v in usable]
-    assignments = first_fit_slots(kept, state.palette_size)
     emissions: list[tuple[Edge, ColorId]] = []
-    for e in kept:
-        slot = assignments[e]
+    for e, slot in zip(kept, first_fit_slots(kept, state.palette_size)):
         emissions.append((e, state.color("A", slot)))
         state._emit(
             "high-assign", interval=state.interval, u=e.u, v=e.v, seq=e.seq, slot=slot
@@ -233,10 +231,11 @@ def step2_high_low(
     shifted by the prior-interval tally (B family).  Counters advance on
     every enumerated edge, assigned or not.
     """
-    per_low: dict[int, list[Edge]] = {}
+    # (high endpoint, seq, edge) per low endpoint, in enumeration order once sorted
+    per_low: dict[int, list[tuple[int, int, Edge]]] = {}
     for e in h2:
-        low, _ = _split(e, high)
-        per_low.setdefault(low, []).append(e)
+        low, hi = (e.v, e.u) if e.u in high else (e.u, e.v)
+        per_low.setdefault(low, []).append((hi, e.seq, e))
 
     emissions: list[tuple[Edge, ColorId]] = []
     leftovers: list[Edge] = []
@@ -256,11 +255,9 @@ def step2_high_low(
         )
 
     for u in sorted(per_low):
-        edges = sorted(per_low[u], key=lambda e: (_split(e, high)[1], e.seq))
         if deg[u] > state.block_width:
             state.init_counter(u)
-        for b, e in enumerate(edges):
-            _, v = _split(e, high)
+        for b, (v, _, e) in enumerate(sorted(per_low[u])):
             assigned = False
             if v not in usable:
                 # already deferred by step 1; enumerate it anyway so the
@@ -277,7 +274,7 @@ def step2_high_low(
                     decide(e, u, v, b, "cap-leftover", counter=counter)
                 elif counter is not None:
                     slot = mod_slot(r_u, counter, size)
-                    if state.window.taken(v, "C", slot):
+                    if (v, "C", slot) in state.window:
                         leftovers.append(e)
                         decide(e, u, v, b, "counter-conflict", counter=counter, slot=slot)
                     else:
@@ -292,7 +289,7 @@ def step2_high_low(
                     offset = b + state.block_width * state.prior()
                     assert offset < state.counter_cap  # b < block width when no counter exists
                     slot = mod_slot(r_u, offset, size)
-                    if state.window.taken(v, "B", slot):
+                    if (v, "B", slot) in state.window:
                         leftovers.append(e)
                         decide(e, u, v, b, "block-conflict", prior=state.prior(), slot=slot)
                     else:
@@ -302,10 +299,3 @@ def step2_high_low(
                         decide(e, u, v, b, "block-assign", prior=state.prior(), slot=slot)
             state.bump_counter(u, assigned=assigned)
     return emissions, leftovers
-
-
-def _split(e: Edge, high: set[int]) -> tuple[int, int]:
-    """Return (low endpoint, high endpoint) of a high-low edge."""
-    if e.u in high:
-        return e.v, e.u
-    return e.u, e.v

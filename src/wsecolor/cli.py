@@ -22,6 +22,7 @@ from dataclasses import asdict
 from typing import IO, Callable, ContextManager, Iterator
 
 from .audit import (
+    SPACE_RATIO_LIMIT,
     TraceRecorder,
     assignment_structure_audit,
     leftover_stats,
@@ -30,7 +31,7 @@ from .audit import (
     space_check,
     verify_proper,
 )
-from .model import EngineInvariantError, RunConfig, StreamInputError, resolve_config
+from .model import Edge, EngineInvariantError, RunConfig, StreamInputError, resolve_config
 from .pipeline import StreamColorer, run_baseline, run_stream
 from .workload import (
     ORDER_POLICIES,
@@ -146,7 +147,7 @@ def cmd_gen(args: argparse.Namespace) -> int:
         order_seed=args.order_seed,
         out=args.out,
     )
-    with _open_out(args.out) as fh:
+    with _staged_outputs() as open_out, open_out(args.out) as fh:
         write_stream(fh, args.n, args.delta, edges)
     return EXIT_OK
 
@@ -252,7 +253,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
         seed=args.seed,
         out=args.out,
     )
-    with _open_out(args.out) as fh:
+    with _staged_outputs() as open_out, open_out(args.out) as fh:
         writer = csv.writer(fh)
         writer.writerow(BENCH_COLUMNS)
         for n in sizes:
@@ -261,11 +262,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
                 for policy in orders:
                     for s in range(args.seeds):
                         seed = args.seed + s
-                        edges = gen_multigraph(n, delta, m, seed=seed)
-                        edges = order_stream(edges, policy, seed=seed + 10_007)
-                        config = resolve_config(
-                            n=n, delta=delta, kappa=args.kappa, seed=seed, m=m
-                        )
+                        config, edges = _workload(n, delta, m, policy, seed, args.kappa)
                         for algorithm in algorithms:
                             runner = run_baseline if algorithm == "baseline" else run_stream
                             _, metrics = runner(config, edges)
@@ -288,13 +285,18 @@ def cmd_bench(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+def _workload(
+    n: int, delta: int, m: int, policy: str, seed: int, kappa: int
+) -> tuple[RunConfig, list[Edge]]:
+    """A generated stream in the given arrival order, and its run config."""
+    edges = order_stream(gen_multigraph(n, delta, m, seed=seed), policy, seed=seed + 10_007)
+    return resolve_config(n=n, delta=delta, kappa=kappa, seed=seed, m=m), edges
+
+
 def _check_workload(args: argparse.Namespace, seed: int, n: int | None = None):
     n = args.n if n is None else n
     m = int(n * args.delta * args.edge_factor)
-    edges = gen_multigraph(n, args.delta, m, seed=seed)
-    edges = order_stream(edges, "arrival-random", seed=seed + 10_007)
-    config = resolve_config(n=n, delta=args.delta, kappa=args.kappa, seed=seed, m=m)
-    return config, edges
+    return _workload(n, args.delta, m, "arrival-random", seed, args.kappa)
 
 
 def cmd_check(args: argparse.Namespace) -> int:
@@ -380,8 +382,8 @@ def _check_space(args: argparse.Namespace, runs: int) -> tuple[bool, str]:
         ratios.append(big.level0_peak() / small.level0_peak())
         print(f"run {i}: peak ratio {ratios[-1]:.3f}")
     mean = sum(ratios) / len(ratios)
-    ok = findings == 0 and mean <= 2.5
-    return ok, f"mean peak ratio {mean:.3f} (limit 2.5), {findings} structural findings"
+    ok = findings == 0 and mean <= SPACE_RATIO_LIMIT
+    return ok, f"mean peak ratio {mean:.3f} (limit {SPACE_RATIO_LIMIT}), {findings} structural findings"
 
 
 def _check_depth(args: argparse.Namespace, runs: int) -> tuple[bool, str]:

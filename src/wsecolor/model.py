@@ -137,7 +137,7 @@ def encode_color(color: ColorId) -> str:
     return color.token
 
 
-_FAMILY_TOKEN = re.compile(r"([ABC])([0-9]+)\Z")
+_FAMILY_TOKEN = re.compile(r"([ABC])(0*[1-9][0-9]*)\Z")  # palette indices are 1-based
 
 
 def _plain(token: str, field: str) -> None:
@@ -156,7 +156,7 @@ def _tagged(token: str, tag: str, field: str) -> None:
 # the field that breaks the shape.
 _COLOR_TOKEN = re.compile(
     r"E([0-9]+)\.L([0-9]+)\."
-    r"(?:BASE\.([0-9]+)|P([0-9]+)\.(?:I([0-9]+)\.LOW|D([0-9]+)\.([ABC])([0-9]+))\.([0-9]+))"
+    r"(?:BASE\.([0-9]+)|P([0-9]+)\.(?:I([0-9]+)\.LOW|D([0-9]+)\.([ABC])(0*[1-9][0-9]*))\.([0-9]+))"
 )
 
 
@@ -200,7 +200,7 @@ def _reject(text: str) -> NoReturn:
         elif selector.startswith("D"):
             _tagged(selector, "D", "class")
             if _FAMILY_TOKEN.fullmatch(parts[4]) is None:
-                raise ColorFormatError(f"field 'family': expected A/B/C plus an index, got {parts[4]!r}")
+                raise ColorFormatError(f"field 'family': expected A/B/C plus a 1-based index, got {parts[4]!r}")
         else:
             raise ColorFormatError(f"field 'scope': expected I<interval> or D<class>, got {selector!r}")
         _plain(parts[5], "slot")
@@ -272,7 +272,6 @@ def resolve_config(
     m: int | None = None,
     interval_size: int | None = None,
     interval_factor: str | float | int | None = None,
-    phase_len: int | None = None,
     max_depth: int | None = None,
     delta_mode: str = "known",
     sigma_seed: int | None = None,
@@ -290,10 +289,6 @@ def resolve_config(
         interval_size = _resolve_interval_size(n, interval_factor)
     if interval_size < 1:
         raise StreamInputError(f"interval size must be >= 1, got {interval_size}")
-    if phase_len is None:
-        phase_len = math.isqrt(norm)
-    if phase_len < 1:
-        raise StreamInputError(f"phase length must be >= 1, got {phase_len}")
     if max_depth is None:
         max_depth = 4 * (max(m, 2) - 1).bit_length() + 10 if m is not None else 64
     if max_depth < 0:
@@ -303,7 +298,7 @@ def resolve_config(
         delta=norm,
         kappa=kappa,
         interval_size=interval_size,
-        phase_len=phase_len,
+        phase_len=math.isqrt(norm),
         max_depth=max_depth,
         seed=seed & 0xFFFFFFFFFFFFFFFF,
         delta_mode=delta_mode,

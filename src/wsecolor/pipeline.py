@@ -169,8 +169,6 @@ def run_stream(
     return _run(config, edges, trace=trace, baseline=False)
 
 
-def run_baseline(
-    config: RunConfig, edges: Iterable[Edge], *, trace: TraceRecorder | None = None
-) -> tuple[Emissions, RunMetrics]:
+def run_baseline(config: RunConfig, edges: Iterable[Edge]) -> tuple[Emissions, RunMetrics]:
     """Color a stream with the per-interval fresh-palette reference scheme."""
-    return _run(config, edges, trace=trace, baseline=True)
+    return _run(config, edges, trace=None, baseline=True)

@@ -1,8 +1,8 @@
 """Low-level machinery shared across the engine.
 
 First-fit multigraph edge coloring inside a bounded palette, modular slot
-arithmetic, the circular offset-distance rule, the per-interval conflict
-window, and deterministic label-scoped randomness.
+arithmetic, the circular offset-distance rule, and deterministic
+label-scoped randomness.
 """
 
 from __future__ import annotations
@@ -15,7 +15,6 @@ from operator import attrgetter
 from .model import ColorId, Edge, EngineInvariantError
 
 __all__ = [
-    "PaletteWindow",
     "RandomSource",
     "first_fit_slots",
     "gap_check",
@@ -46,10 +45,12 @@ def gap_check(r_u: int, r_v: int, d: int, size: int) -> bool:
     return gap < 2 * d or gap > size - 2 * d
 
 
-def _first_fit(edges: list[Edge], slot_limit: int) -> list[int]:
+def first_fit_slots(edges: list[Edge], slot_limit: int) -> list[int]:
     """The slot of each edge, in order: the lowest one free at both
     endpoints.  Each vertex's taken slots are one bit mask, so an edge costs
-    two int lookups and no hashing of the edge itself."""
+    two int lookups and no hashing of the edge itself.  Running out of slots
+    is an internal invariant violation: callers size the limit at 2D - 1 or
+    better for max degree D."""
     used: dict[int, int] = {}
     get = used.get
     out: list[int] = []
@@ -68,14 +69,6 @@ def _first_fit(edges: list[Edge], slot_limit: int) -> list[int]:
     return out
 
 
-def first_fit_slots(edges: list[Edge], slot_limit: int) -> dict[Edge, int]:
-    """Assign each edge, in the given order, the lowest slot free at both
-    endpoints.  Running out of slots is an internal invariant violation:
-    callers size the limit at 2D - 1 or better for max degree D.
-    """
-    return dict(zip(edges, _first_fit(edges, slot_limit)))
-
-
 def greedy_edge_color(
     edges: list[Edge], degree_bound: int, palette: list[ColorId]
 ) -> list[tuple[Edge, ColorId]]:
@@ -91,34 +84,7 @@ def greedy_edge_color(
             f"palette of {len(palette)} entries cannot cover degree bound {degree_bound}"
         )
     ordered = sorted(edges, key=_seq)
-    return [(e, palette[s]) for e, s in zip(ordered, _first_fit(ordered, len(palette)))]
-
-
-class PaletteWindow:
-    """Slots already handed out at high-degree anchor vertices during the
-    current interval, keyed (anchor, family, slot).  Cleared on the interval
-    boundary: later intervals are protected by index sets and counters, not
-    by this window.
-    """
-
-    __slots__ = ("_used",)
-
-    def __init__(self) -> None:
-        self._used: set[tuple[int, str, int]] = set()
-
-    def taken(self, anchor: int, family: str, slot: int) -> bool:
-        return (anchor, family, slot) in self._used
-
-    def record(self, anchor: int, family: str, slot: int) -> None:
-        self._used.add((anchor, family, slot))
-
-    def clear(self) -> int:
-        released = len(self._used)
-        self._used.clear()
-        return released
-
-    def __len__(self) -> int:
-        return len(self._used)
+    return [(e, palette[s]) for e, s in zip(ordered, first_fit_slots(ordered, len(palette)))]
 
 
 @dataclass(frozen=True)

@@ -15,6 +15,8 @@ from wsecolor.primitives import RandomSource
 
 
 def make_state(d=4, delta=16, kappa=32, *, trace=None, meter=None, sigma_seed=123, offset_seed=456):
+    if meter is None:
+        meter = MeterHandle(SpaceMeter(), 0, 0)
     return ClassState(
         epoch=0,
         level=0,
@@ -202,6 +204,37 @@ def test_block_conflict_at_shared_anchor():
     assert len(emissions) == 1 and len(leftovers) == 1
     cases = [r["case"] for r in trace.records if r["kind"] == "mixed-decision"]
     assert cases == ["block-assign", "block-conflict"]
+
+
+def test_counter_conflict_at_shared_anchor():
+    trace = TraceRecorder()
+    s = make_state(trace=trace)
+    s.begin_interval(0)
+    s.offsets.update({1: 7, 2: 7, 9: 15})  # both counters start at 0: slot 7 at v=9 twice
+    h2 = [Edge(1, 9, 0), Edge(2, 9, 1)]
+    emissions, leftovers = run_step2(s, h2, {9}, {9}, {1: 5, 2: 5, 9: 8})
+    assert [(e.seq, c.kind, c.slot) for e, c in emissions] == [(0, "C", 7)]
+    assert [e.seq for e in leftovers] == [1]
+    cases = [r["case"] for r in trace.records if r["kind"] == "mixed-decision"]
+    assert cases == ["counter-assign", "counter-conflict"]
+    assert s.counter_of(1) == 1 and s.counter_of(2) == 1  # the conflict still bumps
+    assert s.window == {(9, "C", 7)}
+
+
+def test_b_and_c_slots_of_one_number_share_an_anchor():
+    meter = SpaceMeter()
+    s = make_state(meter=MeterHandle(meter, 0, 0))
+    s.begin_interval(0)
+    s.offsets.update({1: 7, 2: 7, 9: 15})
+    h2 = [Edge(1, 9, 0), Edge(2, 9, 1)]
+    # vertex 1 holds a counter (C slot 7 + 0), vertex 2 packs a block (B slot 7 + 0)
+    emissions, leftovers = run_step2(s, h2, {9}, {9}, {1: 5, 2: 1, 9: 8})
+    assert leftovers == []
+    assert [(e.seq, c.kind, c.slot) for e, c in emissions] == [(0, "C", 7), (1, "B", 7)]
+    assert s.window == {(9, "C", 7), (9, "B", 7)}
+    assert meter.current(0, 0)["window"] == 2
+    s.end_interval()
+    assert s.window == set() and meter.current(0, 0)["window"] == 0
 
 
 def test_exiled_edges_enumerate_for_counters():

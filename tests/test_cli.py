@@ -61,6 +61,7 @@ def test_gen_rejects_overfull_request(capsys, tmp_path):
     )
     assert code == 2
     assert "error:" in err
+    assert list(tmp_path.iterdir()) == []
 
 
 # -- color / verify ----------------------------------------------------------
@@ -264,6 +265,23 @@ def test_bench_grid_shape(tmp_path, capsys):
     assert algorithms == {"wse", "baseline"}
     for row in rows[1:]:
         assert row[0] == "8" and row[1] == "4" and row[2] == "8"
+
+
+def test_failed_bench_leaves_no_partial_csv(tmp_path, capsys):
+    # the n=64 row is written before n=1 is rejected
+    argv = ("bench", "--n", "64,1", "--delta", "16", "--seeds", "1",
+            "--orders", "arrival-random", "--algorithms", "wse")
+    code, _, err = run_cli(capsys, *argv, "--out", str(tmp_path / "x.csv"))
+    assert code == 2
+    assert "error:" in err
+    assert list(tmp_path.iterdir()) == []
+
+    kept = tmp_path / "kept.csv"
+    kept.write_text("earlier output\n")
+    code, _, _ = run_cli(capsys, *argv, "--out", str(kept))
+    assert code == 2
+    assert kept.read_text() == "earlier output\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["kept.csv"]
 
 
 def test_bench_rejects_unknown_algorithm(capsys):

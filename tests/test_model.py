@@ -95,6 +95,13 @@ def test_decode_accepts_ascii_digits_only():
         decode_color("E1.L0.BASE.\u00b2")  # superscript 2
 
 
+@pytest.mark.parametrize("token", ["E0.L0.P0.D4.A0.1", "E0.L0.P0.D4.C00.1"])
+def test_decode_rejects_palette_index_zero(token):
+    # the right shape, but palette indices start at 1
+    with pytest.raises(ColorFormatError, match="field 'family': expected A/B/C plus a 1-based index"):
+        decode_color(token)
+
+
 nonneg = st.integers(min_value=0, max_value=10_000)
 
 
@@ -202,8 +209,6 @@ def test_rejects_bad_shapes():
         resolve_config(n=8, delta=0)
     with pytest.raises(StreamInputError):
         resolve_config(n=8, delta=4, interval_size=0)
-    with pytest.raises(StreamInputError):
-        resolve_config(n=8, delta=4, phase_len=0)
     with pytest.raises(StreamInputError):
         resolve_config(n=8, delta=4, max_depth=-1)
     with pytest.raises(StreamInputError):
