@@ -46,29 +46,41 @@ __all__ = [
 # decision traces
 
 
+# held records at which a recorder with a sink writes them out
+TRACE_BATCH = 4096
+
+
 class TraceRecorder:
     """Collects structured decision records emitted by the engine.
 
     Record kinds: interval-degrees, class-interval, offset-draw,
     counter-init, counter-bump, high-assign, exile, and mixed-decision.
     Records are dicts with a 'kind' key, appended in processing order, and
-    can be dumped as JSON lines.
+    dumped as JSON lines.  Without a sink every record stays in .records
+    until dump; with one, emit dumps to it whenever TRACE_BATCH records are
+    held, so memory stays bounded and the caller dumps once more for the
+    tail.
     """
 
-    __slots__ = ("records",)
+    __slots__ = ("records", "_sink")
 
-    def __init__(self) -> None:
+    def __init__(self, sink: IO[str] | None = None) -> None:
         self.records: list[dict] = []
+        self._sink = sink
 
     def emit(self, kind: str, **fields: object) -> None:
         record: dict = {"kind": kind}
         record.update(fields)
         self.records.append(record)
+        if self._sink is not None and len(self.records) >= TRACE_BATCH:
+            self.dump(self._sink)
 
     def dump(self, fh: IO[str]) -> None:
+        """Write the held records as JSON lines, then forget them."""
         for record in self.records:
             fh.write(json.dumps(record, sort_keys=False))
             fh.write("\n")
+        self.records.clear()
 
 
 # ---------------------------------------------------------------------------
@@ -240,10 +252,20 @@ class RunMetrics:
 
 class MetricsCollector:
     """Accumulates run statistics as the engine emits colors and defers
-    edges; build() freezes them into a RunMetrics."""
+    edges; build() freezes them into a RunMetrics.
+
+    No two palette scopes share a color token (every token embeds its
+    scope's epoch and level, plus its phase and class or its interval), so
+    distinct colors add up over scopes.  A scope therefore keeps only
+    (budget, distinct) once its palette is done: LOW, fresh and base scopes
+    at once, since each is noted in one call, and a class scope when
+    note_class_phase closes its phase.  Until then a class scope holds its
+    token set.
+    """
 
     def __init__(self) -> None:
-        self._scopes: dict[tuple, tuple[int, set[str]]] = {}
+        self._counts: dict[tuple, tuple[int, int]] = {}
+        self._open: dict[tuple, tuple[int, set[str]]] = {}
         self._colored: dict[tuple[int, int], int] = {}
         self._leftover: dict[tuple[int, int], int] = {}
         self._intervals: dict[tuple[int, int], int] = {}
@@ -257,12 +279,15 @@ class MetricsCollector:
         the (epoch, level) every one of them was minted at."""
         if not colors:
             return
-        entry = self._scopes.get(scope)
-        if entry is None:
-            entry = self._scopes[scope] = (budget, set())
-        entry[1].update([c.token for c in colors])
         key = scope[1:3]
         self._colored[key] = self._colored.get(key, 0) + len(colors)
+        if scope[0] != "class":
+            self._counts[scope] = (budget, len({c.token for c in colors}))
+            return
+        entry = self._open.get(scope)
+        if entry is None:
+            entry = self._open[scope] = (budget, set())
+        entry[1].update([c.token for c in colors])
 
     def note_leftovers(self, epoch: int, level: int, count: int) -> None:
         key = (epoch, level)
@@ -283,15 +308,21 @@ class MetricsCollector:
         self._base_cases[(epoch, level)] = delta_prime
 
     def note_class_phase(self, stat: ClassPhaseStat) -> None:
+        """Record a finished (phase, class) and close its palette scope."""
         self._class_phase_stats.append(stat)
+        scope = ("class", stat.epoch, stat.level, stat.phase, stat.d)
+        entry = self._open.pop(scope, None)
+        if entry is not None:
+            self._counts[scope] = (entry[0], len(entry[1]))
 
     def build(
         self, *, config: RunConfig, meter: SpaceMeter, input_edges: int, wall_ms: float
     ) -> RunMetrics:
+        counts = dict(self._counts)
+        counts.update((scope, (budget, len(colors))) for scope, (budget, colors) in self._open.items())
         scope_stats: list[ScopeStat] = []
-        per_level_colors: dict[tuple[int, int], set[str]] = {}
-        all_colors: set[str] = set()
-        for scope, (budget, colors) in sorted(self._scopes.items(), key=lambda kv: repr(kv[0])):
+        per_level_colors: dict[tuple[int, int], int] = {}
+        for scope, (budget, distinct) in sorted(counts.items(), key=lambda kv: repr(kv[0])):
             kind, epoch, level = scope[0], scope[1], scope[2]
             extra: dict = {}
             if kind == "class":
@@ -299,16 +330,15 @@ class MetricsCollector:
             elif kind in ("low", "fresh"):
                 extra = {"interval": scope[3]}
             scope_stats.append(
-                ScopeStat(kind=kind, epoch=epoch, level=level, budget=budget, distinct=len(colors), **extra)
+                ScopeStat(kind=kind, epoch=epoch, level=level, budget=budget, distinct=distinct, **extra)
             )
-            per_level_colors.setdefault((epoch, level), set()).update(colors)
-            all_colors.update(colors)
+            per_level_colors[(epoch, level)] = per_level_colors.get((epoch, level), 0) + distinct
         depth = max((lvl for (_, lvl) in self._colored), default=0)
         return RunMetrics(
             config=config,
             input_edges=input_edges,
-            colors_used=len(all_colors),
-            colors_per_level={k: len(v) for k, v in per_level_colors.items()},
+            colors_used=sum(per_level_colors.values()),
+            colors_per_level=per_level_colors,
             colored_per_level=dict(self._colored),
             leftover_per_level=dict(self._leftover),
             depth=depth,
@@ -488,24 +518,25 @@ def assignment_structure_audit(records: Iterable[dict], config: RunConfig) -> li
     family slots must decompose as offset + enumeration index + block
     width * prior-interval tally, with the index under the block width, the
     tally under its cap, one tally per interval, and tallies distinct across
-    intervals.  Returns human-readable violations; empty means clean.
+    intervals.  Reads records once, so a one-shot iterator, such as a trace
+    file read line by line, works.  Returns human-readable violations;
+    empty means clean.
     """
     offsets: dict[tuple, int] = {}
-    for r in records:
-        if r["kind"] == "offset-draw":
-            offsets[(r["epoch"], r["level"], r["phase"], r["d"], r["vertex"])] = r["offset"]
-
-    violations: list[str] = []
     counter_groups: dict[tuple, list[dict]] = {}
     block_groups: dict[tuple, list[dict]] = {}
     for r in records:
-        if r["kind"] != "mixed-decision":
-            continue
-        group = (r["epoch"], r["level"], r["phase"], r["d"], r["low"], r["index"])
-        if r["case"] == "counter-assign":
-            counter_groups.setdefault(group, []).append(r)
-        elif r["case"] == "block-assign":
-            block_groups.setdefault(group, []).append(r)
+        kind = r["kind"]
+        if kind == "offset-draw":
+            offsets[(r["epoch"], r["level"], r["phase"], r["d"], r["vertex"])] = r["offset"]
+        elif kind == "mixed-decision":
+            group = (r["epoch"], r["level"], r["phase"], r["d"], r["low"], r["index"])
+            if r["case"] == "counter-assign":
+                counter_groups.setdefault(group, []).append(r)
+            elif r["case"] == "block-assign":
+                block_groups.setdefault(group, []).append(r)
+
+    violations: list[str] = []
 
     for group, events in counter_groups.items():
         epoch, level, phase, d, low, _ = group

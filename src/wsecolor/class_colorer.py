@@ -142,16 +142,23 @@ class ClassState:
         )
 
     def record_slot(self, anchor: int, family: str, slot: int) -> None:
+        # The window is metered per interval: its first word here, so the
+        # category appears on the meter when it first holds anything, and
+        # the rest in end_interval.  Nothing metered shrinks in between, so
+        # the peaks come out as if every slot were charged as it is taken.
+        if not self.window:
+            self._meter.add("window", 1)
         self.window.add((anchor, family, slot))
-        self._meter.add("window", 1)
 
     def end_interval(self) -> None:
         assert self.sigma is not None
         if self.sigma not in self.prior_counts:
             self._meter.add("prior_counts", 1)
         self.prior_counts[self.sigma] = self.prior_counts.get(self.sigma, 0) + 1
-        self._meter.add("window", -len(self.window))
-        self.window.clear()
+        if self.window:
+            self._meter.add("window", len(self.window) - 1)
+            self._meter.add("window", -len(self.window))
+            self.window.clear()
         self.sigma = None
         self.interval = None
 
@@ -161,8 +168,6 @@ class ClassState:
         self._meter.add("index_sets", -sum(len(s) for s in self.index_sets.values()))
         self._meter.add("counters", -len(self.counters))
         self._meter.add("prior_counts", -len(self.prior_counts))
-        self._meter.add("window", -len(self.window))
-        self.window.clear()
         self.offsets.clear()
         self.index_sets.clear()
         self.counters.clear()
@@ -240,6 +245,8 @@ def step2_high_low(
     emissions: list[tuple[Edge, ColorId]] = []
     leftovers: list[Edge] = []
     size = state.palette_size
+    prior = state.prior()  # the tallies only move in end_interval
+    traced = state._trace is not None
 
     def decide(e: Edge, low: int, hi: int, b: int, case: str, **fields: object) -> None:
         state._emit(
@@ -262,40 +269,48 @@ def step2_high_low(
             if v not in usable:
                 # already deferred by step 1; enumerate it anyway so the
                 # counter keeps pace with the edge order
-                decide(e, u, v, b, "skip-exiled")
+                if traced:
+                    decide(e, u, v, b, "skip-exiled")
             elif gap_check(state.offset_of(u), state.offset_of(v), state.d, size):
                 leftovers.append(e)
-                decide(e, u, v, b, "gap-leftover")
+                if traced:
+                    decide(e, u, v, b, "gap-leftover")
             else:
                 counter = state.counter_of(u)
                 r_u = state.offset_of(u)
                 if counter is not None and counter >= state.counter_cap:
                     leftovers.append(e)
-                    decide(e, u, v, b, "cap-leftover", counter=counter)
+                    if traced:
+                        decide(e, u, v, b, "cap-leftover", counter=counter)
                 elif counter is not None:
                     slot = mod_slot(r_u, counter, size)
                     if (v, "C", slot) in state.window:
                         leftovers.append(e)
-                        decide(e, u, v, b, "counter-conflict", counter=counter, slot=slot)
+                        if traced:
+                            decide(e, u, v, b, "counter-conflict", counter=counter, slot=slot)
                     else:
                         emissions.append((e, state.color("C", slot)))
                         state.record_slot(v, "C", slot)
                         assigned = True
-                        decide(e, u, v, b, "counter-assign", counter=counter, slot=slot)
-                elif state.prior() >= state.prior_cap:
+                        if traced:
+                            decide(e, u, v, b, "counter-assign", counter=counter, slot=slot)
+                elif prior >= state.prior_cap:
                     leftovers.append(e)
-                    decide(e, u, v, b, "index-cap-leftover", prior=state.prior())
+                    if traced:
+                        decide(e, u, v, b, "index-cap-leftover", prior=prior)
                 else:
-                    offset = b + state.block_width * state.prior()
+                    offset = b + state.block_width * prior
                     assert offset < state.counter_cap  # b < block width when no counter exists
                     slot = mod_slot(r_u, offset, size)
                     if (v, "B", slot) in state.window:
                         leftovers.append(e)
-                        decide(e, u, v, b, "block-conflict", prior=state.prior(), slot=slot)
+                        if traced:
+                            decide(e, u, v, b, "block-conflict", prior=prior, slot=slot)
                     else:
                         emissions.append((e, state.color("B", slot)))
                         state.record_slot(v, "B", slot)
                         assigned = True
-                        decide(e, u, v, b, "block-assign", prior=state.prior(), slot=slot)
+                        if traced:
+                            decide(e, u, v, b, "block-assign", prior=prior, slot=slot)
             state.bump_counter(u, assigned=assigned)
     return emissions, leftovers

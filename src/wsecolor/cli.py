@@ -158,7 +158,7 @@ def _run_from_file(args: argparse.Namespace, baseline: bool) -> int:
         if args.stream == "-":
             raise StreamInputError("reading from stdin requires an explicit --out path")
         out_path = args.stream + ".colored"
-    trace = TraceRecorder() if getattr(args, "trace", None) else None
+    trace_path = getattr(args, "trace", None)
     with _staged_outputs() as open_out, _open_in(args.stream) as fh:
         header, body = read_stream(fh)
         config = _resolve_from_args(args, header.n, header.delta, header.m)
@@ -167,21 +167,23 @@ def _run_from_file(args: argparse.Namespace, baseline: bool) -> int:
             stream=args.stream,
             out=out_path,
             metrics=args.metrics,
-            trace=getattr(args, "trace", None),
+            trace=trace_path,
             config=asdict(config),
         )
-        colorer = StreamColorer(config, trace=trace, baseline=baseline)
-        start = time.perf_counter()
-        with open_out(out_path) as out_fh:
-            write_colored(out_fh, colorer.run(body))
-        wall_ms = (time.perf_counter() - start) * 1000.0
+        # the trace streams into its staged file as the run goes
+        with open_out(trace_path) if trace_path else contextlib.nullcontext() as tfh:
+            trace = TraceRecorder(sink=tfh) if tfh is not None else None
+            colorer = StreamColorer(config, trace=trace, baseline=baseline)
+            start = time.perf_counter()
+            with open_out(out_path) as out_fh:
+                write_colored(out_fh, colorer.run(body))
+            wall_ms = (time.perf_counter() - start) * 1000.0
+            if trace is not None:
+                trace.dump(tfh)
         metrics = colorer.metrics(wall_ms=wall_ms)
         with open_out(args.metrics) as mfh:
             mfh.write(metrics.to_json())
             mfh.write("\n")
-        if trace is not None:
-            with open_out(args.trace) as tfh:
-                trace.dump(tfh)
     return EXIT_OK
 
 

@@ -60,7 +60,10 @@ class StreamColorer:
         # each epoch's chain of engines, indexed by level
         self._epochs: dict[int, list[PhaseEngine]] = {}
 
-    def feed(self, u: int, v: int) -> Emissions:
+    def feed(self, u: int, v: int, edge: Edge | None = None) -> Emissions:
+        """Take the next arrival (u, v).  edge, an Edge of u and v, is
+        passed on as is when its seq is this arrival's; otherwise the edge
+        is rebuilt with the arrival seq."""
         seq = self._seq
         self._seq += 1
         n = self.config.n
@@ -87,7 +90,9 @@ class StreamColorer:
         if chain is None:
             config = self.config if self.baseline else epoch_config(self.config, epoch)
             chain = self._epochs[epoch] = [self._engine(config, epoch, 0)]
-        return self._submit(chain, 0, Edge(u, v, seq))
+        if edge is None or edge.seq != seq or type(edge) is not Edge:
+            edge = Edge(u, v, seq)
+        return self._submit(chain, 0, edge)
 
     def finalize(self) -> Emissions:
         # every epoch still holds buffered edges; drain them in epoch order,
@@ -106,7 +111,7 @@ class StreamColorer:
     def run(self, edges: Iterable[Edge]) -> Iterator[tuple[Edge, ColorId]]:
         """Feed every edge, then finalize, yielding emissions as they appear."""
         for e in edges:
-            yield from self.feed(e.u, e.v)
+            yield from self.feed(e.u, e.v, e)
         yield from self.finalize()
 
     def metrics(self, *, wall_ms: float) -> RunMetrics:

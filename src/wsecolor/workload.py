@@ -51,7 +51,8 @@ def gen_multigraph(
 
     Uniform endpoint pairs, rejecting self-loops, saturated endpoints, and
     (optionally) repeated pairs.  Degree caps can strand capacity on one
-    vertex near the m = n*delta/2 ceiling, so sampling gives up after a
+    vertex near the m = n*delta/2 ceiling: sampling gives up as soon as
+    fewer than two vertices have free degree, and otherwise after a
     generous attempt budget instead of spinning forever.
     """
     if n < 1:
@@ -73,7 +74,13 @@ def gen_multigraph(
     edges: list[Edge] = []
     attempts = 0
     budget = 1000 * m + 100_000
+    unsaturated = n  # vertices below the degree bound
     while len(edges) < m:
+        if unsaturated < 2:
+            raise StreamInputError(
+                f"gave up after {attempts} attempts with {len(edges)}/{m} edges placed; "
+                "no two vertices have free degree left"
+            )
         attempts += 1
         if attempts > budget:
             raise StreamInputError(
@@ -90,6 +97,7 @@ def gen_multigraph(
         used.add(pair)
         deg[u] += 1
         deg[v] += 1
+        unsaturated -= (deg[u] == delta) + (deg[v] == delta)
         edges.append(Edge(u, v, len(edges)))
     return edges
 

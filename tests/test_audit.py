@@ -2,6 +2,7 @@
 dual-run counter check with its regression canary."""
 
 import dataclasses
+import io
 
 import pytest
 
@@ -10,6 +11,7 @@ from wsecolor import (
     Edge,
     MetricsCollector,
     SpaceMeter,
+    StreamColorer,
     TraceRecorder,
     color_budget_check,
     counter_trace,
@@ -23,7 +25,12 @@ from wsecolor import (
     space_check,
     verify_proper,
 )
-from wsecolor.audit import EngineInvariantError, assignment_structure_audit, saturated_index_audit
+from wsecolor.audit import (
+    TRACE_BATCH,
+    EngineInvariantError,
+    assignment_structure_audit,
+    saturated_index_audit,
+)
 from wsecolor.class_colorer import ClassState
 
 from support import color_run, fake_metrics, find_conflicts, make_edges
@@ -237,6 +244,49 @@ def test_structure_audit_detects_counter_out_of_range():
         pytest.fail("workload produced no counter assignment to tamper with")
     violations = assignment_structure_audit(tampered, config)
     assert any("outside" in v for v in violations)
+
+
+def test_structure_audit_reads_a_one_shot_iterator():
+    # offsets and decisions come from one pass, so a trace read line by line
+    # is audited like a list
+    trace, _, _, _, config = traced_run()
+    tampered = [dict(r) for r in trace.records]
+    for r in tampered:
+        if r["kind"] == "mixed-decision" and r["case"] == "block-assign":
+            r["slot"] = (r["slot"] + 1) % (2 * config.kappa * r["d"])
+    expected = assignment_structure_audit(tampered, config)
+    assert expected
+    assert assignment_structure_audit((r for r in tampered), config) == expected
+
+
+def test_trace_recorder_with_sink_writes_in_batches():
+    held, streamed = TraceRecorder(), io.StringIO()
+    recorder = TraceRecorder(sink=streamed)
+    for i in range(2 * TRACE_BATCH + 5):
+        held.emit("exile", seq=i)
+        recorder.emit("exile", seq=i)
+        assert len(recorder.records) < TRACE_BATCH
+    assert len(recorder.records) == 5 and len(held.records) == 2 * TRACE_BATCH + 5
+    recorder.dump(streamed)
+    assert recorder.records == []
+    whole = io.StringIO()
+    held.dump(whole)
+    assert held.records == []
+    assert streamed.getvalue() == whole.getvalue()
+
+
+def test_collector_closes_every_scope_by_finalize():
+    edges = order_stream(gen_multigraph(256, 64, 4096, seed=3), "vertex-sorted", seed=3)
+    colorer = StreamColorer(resolve_config(n=256, delta=64, m=4096, seed=3))
+    emissions = list(colorer.run(edges))
+    assert colorer.collector._open == {}  # only (budget, distinct) counts remain
+    metrics = colorer.metrics(wall_ms=0.0)
+    tokens = {c.token for _, c in emissions}
+    assert metrics.colors_used == len(tokens)
+    assert sum(s.distinct for s in metrics.scopes) == len(tokens)
+    for key, count in metrics.colors_per_level.items():
+        assert count == len({c.token for _, c in emissions if (c.epoch, c.level) == key})
+    assert any(s.kind == "class" for s in metrics.scopes)
 
 
 def test_saturation_audit_clean_on_real_runs():

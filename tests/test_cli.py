@@ -1,10 +1,21 @@
 """End-to-end command-line coverage, run in process through main()."""
 
 import csv
+import io
 import json
+import tracemalloc
 
 import pytest
 
+from wsecolor import (
+    TraceRecorder,
+    gen_multigraph,
+    order_stream,
+    resolve_config,
+    run_stream,
+    write_stream,
+)
+from wsecolor.audit import TRACE_BATCH
 from wsecolor.cli import BENCH_COLUMNS, main
 
 
@@ -116,6 +127,73 @@ def test_color_writes_trace_jsonl(stream_path, tmp_path, capsys):
     assert code == 0
     records = [json.loads(line) for line in trace.read_text().splitlines()]
     assert records and all("kind" in r for r in records)
+
+
+def burst_stream(path, n, delta, m, seed=1):
+    edges = order_stream(gen_multigraph(n, delta, m, seed=seed), "degree-burst", seed=seed)
+    with open(path, "w", encoding="ascii") as fh:
+        write_stream(fh, n, delta, edges)
+    return edges
+
+
+def test_streamed_trace_matches_in_memory_dump(tmp_path, capsys):
+    n, delta, m = 512, 64, 8192
+    stream = tmp_path / "b.wse"
+    edges = burst_stream(stream, n, delta, m)
+    trace = tmp_path / "t.jsonl"
+    code, _, _ = run_cli(
+        capsys, "color", str(stream), "--out", str(tmp_path / "o.colored"),
+        "--metrics", str(tmp_path / "m.json"), "--unknown-delta", "--trace", str(trace),
+    )
+    assert code == 0
+    recorder = TraceRecorder()
+    config = resolve_config(n=n, delta=delta, m=m, delta_mode="unknown")
+    run_stream(config, edges, trace=recorder)
+    assert len(recorder.records) > 2 * TRACE_BATCH  # the CLI wrote several batches
+    held = io.StringIO()
+    recorder.dump(held)
+    assert trace.read_text(encoding="ascii") == held.getvalue()
+
+
+def test_failed_color_leaves_no_trace_file(tmp_path, capsys):
+    stream = tmp_path / "b.wse"
+    burst_stream(stream, 512, 64, 8192)
+    with open(stream, "a", encoding="ascii") as fh:
+        fh.write("0 1\n")  # one edge past the declared count, after every batch
+    trace = tmp_path / "t.jsonl"
+    code, _, err = run_cli(
+        capsys, "color", str(stream), "--out", str(tmp_path / "o.colored"),
+        "--metrics", str(tmp_path / "m.json"), "--unknown-delta", "--trace", str(trace),
+    )
+    assert code == 2 and "more than the declared" in err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["b.wse"]
+
+
+def _traced_color_peak(tmp_path, capsys, m):
+    stream = tmp_path / f"b{m}.wse"
+    burst_stream(stream, 1024, 64, m)
+    args = [
+        "color", str(stream), "--out", str(tmp_path / f"o{m}.colored"),
+        "--metrics", str(tmp_path / f"m{m}.json"), "--unknown-delta",
+        "--trace", str(tmp_path / f"t{m}.jsonl"),
+    ]
+    tracemalloc.start()
+    try:
+        code = main(args)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    capsys.readouterr()
+    assert code == 0
+    return peak
+
+
+def test_traced_color_memory_does_not_grow_with_the_stream(tmp_path, capsys):
+    # trace records and closed palette scopes are not held for the whole
+    # run, so four times the edges may not cost four times the memory
+    small = _traced_color_peak(tmp_path, capsys, 4096)
+    large = _traced_color_peak(tmp_path, capsys, 16384)
+    assert large <= 1.6 * small, (small, large)
 
 
 def test_color_from_stdin_needs_out(capsys):

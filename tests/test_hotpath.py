@@ -56,3 +56,22 @@ def test_color_path_does_per_interval_bookkeeping(tmp_path, capsys, counts):
     assert counts["encode_color"] == M  # once per output line, nowhere else
     assert counts["SpaceMeter.add"] < 0.1 * M
     assert counts["note_emission"] < 0.1 * M
+
+
+def test_class_path_meters_per_interval(tmp_path, capsys, counts):
+    # vertex-sorted order drives families A, B and C; the conflict window is
+    # metered per interval, not per colored edge
+    n, delta, m = 512, 256, 32768
+    stream = tmp_path / "v.wse"
+    gen = ["gen", "--n", str(n), "--delta", str(delta), "--m", str(m)]
+    assert main([*gen, "--seed", "1", "--order", "vertex-sorted", str(stream)]) == 0
+    for key in counts:
+        counts[key] = 0
+
+    out = tmp_path / "v.colored"
+    args = ["color", str(stream), "--out", str(out), "--metrics", str(tmp_path / "m.json")]
+    assert main(args) == 0
+    capsys.readouterr()
+
+    assert counts["encode_color"] == m
+    assert counts["SpaceMeter.add"] < 0.2 * m

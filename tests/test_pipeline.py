@@ -217,3 +217,18 @@ def test_feed_validates_before_buffering():
         colorer.feed(0, 8)
     with pytest.raises(StreamInputError):
         colorer.feed(2, 2)
+
+
+def test_run_hands_through_edges_already_in_arrival_order():
+    edges = gen_multigraph(64, 16, 256, seed=3)
+    emitted = {e.seq: e for e, _ in StreamColorer(resolve_config(n=64, delta=16, m=256)).run(edges)}
+    assert all(emitted[e.seq] is e for e in edges)
+
+
+def test_run_resequences_other_carriers():
+    # seqs that disagree with arrival order are rebuilt, not trusted
+    shifted = [Edge(e.u, e.v, e.seq + 100) for e in gen_multigraph(64, 16, 256, seed=3)]
+    emissions, _ = run_stream(resolve_config(n=64, delta=16, m=256), shifted)
+    assert emitted_seqs(emissions) == list(range(256))
+    by_seq = {e.seq: e for e, _ in emissions}
+    assert all((by_seq[i].u, by_seq[i].v) == (e.u, e.v) for i, e in enumerate(shifted))

@@ -1,6 +1,7 @@
 """Generator guarantees, the three stream orderings, and both text formats."""
 
 import io
+import time
 
 import pytest
 from hypothesis import given
@@ -85,6 +86,14 @@ def test_gen_simple_mode_gives_up_when_impossible():
     # two vertices admit a single simple edge; asking for two must abort
     with pytest.raises(StreamInputError, match="gave up"):
         gen_multigraph(2, 3, 2, allow_parallel=False, seed=0)
+
+
+def test_gen_stops_once_one_vertex_holds_all_free_degree():
+    # the last free degree strands on one vertex; no draw can place an edge
+    start = time.perf_counter()
+    with pytest.raises(StreamInputError, match="no two vertices have free degree"):
+        gen_multigraph(256, 64, 8192, seed=5)
+    assert time.perf_counter() - start < 1.0
 
 
 @pytest.mark.parametrize(
