@@ -13,6 +13,7 @@ import json
 import math
 import random
 import statistics
+from array import array
 from dataclasses import asdict, dataclass, field, replace
 from typing import IO, Iterable
 
@@ -375,64 +376,95 @@ class VerifyResult:
 
 
 def verify_proper(
-    colored: list[tuple[Edge, ColorId]], input_edges: Iterable[Edge]
+    colored: Iterable[tuple[Edge, ColorId]], input_edges: Iterable[Edge]
 ) -> VerifyResult:
     """Check conservation and properness of a colored stream.
 
     Ok iff the multiset of colored (u, v, seq) triples equals the input
     multiset and no two distinct edge instances sharing an endpoint carry
-    equal colors.  input_edges may be any iterable, a one-shot stream
-    reader included; it is read to the end before any verdict.  Scans
-    ascending seq, so the first witness reported is deterministic.
+    equal colors.  Both arguments may be one-shot iterables.  input_edges
+    is read to the end first and must be positional: the edge at position
+    i has seq i, as read_stream, order_stream and run_stream produce;
+    anything else raises ValueError.  colored is then read once.  Per edge
+    only four int columns are held: the endpoints, a color index and a link
+    to the next edge of that color.  The conflict reported is the one an
+    ascending-seq scan meets first.
     """
-    mismatch = _conservation_mismatch(colored, input_edges)
-    if mismatch is not None:
-        return VerifyResult(status="mismatch", detail=mismatch)
-
-    # Colors are compared by value: each distinct one gets a small index,
-    # so differently spelled tokens of one color still conflict.  A vertex
-    # and a color index pack into one int key; every index is below span,
-    # so the packing is one-to-one and costs less memory than a tuple.
-    index_of: dict[ColorId, int] = {}
-    span = len(colored) + 1
-    seen: dict[int, Edge] = {}
-    for e, color in sorted(colored, key=lambda pair: pair[0].seq):
-        index = index_of.setdefault(color, len(index_of))
-        for x in (e.u, e.v):
-            key = x * span + index
-            other = seen.get(key)
-            if other is not None and other.seq != e.seq:
-                return VerifyResult(
-                    status="conflict",
-                    detail=f"color {encode_color(color)} repeats at vertex {x}",
-                    first=other,
-                    second=e,
-                    color=color,
-                )
-            seen[key] = e
-    return VerifyResult(status="ok")
-
-
-def _conservation_mismatch(
-    colored: list[tuple[Edge, ColorId]], input_edges: Iterable[Edge]
-) -> str | None:
-    """Count colored (u, v, seq) triples up and input triples down in one
-    balance; describe the smallest missing and unexpected triple, if any."""
-    balance: dict[tuple[int, int, int], int] = {}
-    for e, _ in colored:
-        key = (e.u, e.v, e.seq)
-        balance[key] = balance.get(key, 0) + 1
+    us, vs = array("q"), array("q")
     for e in input_edges:
-        key = (e.u, e.v, e.seq)
-        balance[key] = balance.get(key, 0) - 1
-    missing = min((k for k, c in balance.items() if c < 0), default=None)
-    surplus = min((k for k, c in balance.items() if c > 0), default=None)
+        if e.seq != len(us):
+            raise ValueError(f"input edge {e} at position {len(us)}: seq must equal position")
+        us.append(e.u)
+        vs.append(e.v)
+    m = len(us)
+    if m and min(min(us), min(vs)) < 0:
+        raise ValueError("input vertices must be non-negative")
+
+    # Colors are compared by value: each canonical token gets a small index,
+    # so differently spelled tokens of one color share it.  An input seq is
+    # matched by the first colored line with its exact triple; every other
+    # line is surplus, and only the smallest surplus triple is kept.
+    color_of = array("q", [-1]) * m
+    index_of: dict[str, int] = {}
+    colors: list[ColorId] = []
+    surplus = None
+    for e, color in colored:
+        s = e.seq
+        if 0 <= s < m and color_of[s] < 0 and e.u == us[s] and e.v == vs[s]:
+            index = index_of.get(color.token)
+            if index is None:
+                index = index_of[color.token] = len(colors)
+                colors.append(color)
+            color_of[s] = index
+        elif surplus is None or (e.u, e.v, s) < surplus:
+            surplus = (e.u, e.v, s)
     bits = []
-    if missing is not None:
+    if -1 in color_of:
+        missing = min((us[s], vs[s], s) for s in range(m) if color_of[s] < 0)
         bits.append(f"missing {missing}")
     if surplus is not None:
         bits.append(f"unexpected {surplus}")
-    return "; ".join(bits) or None
+    if bits:
+        return VerifyResult(status="mismatch", detail="; ".join(bits))
+
+    # Each color's edges are chained in ascending seq: head[c] is the first
+    # and after[s] the next.  Scanning a chain, held[x] is the last color
+    # seen at vertex x and holder[x] its seq, so a chain's first repeat at u
+    # (then v) is its earliest conflict.  The smallest second seq over all
+    # chains is the conflict an ascending-seq scan of the stream meets first.
+    head = array("q", [-1]) * len(colors)
+    after = array("q", [-1]) * m
+    for s in range(m - 1, -1, -1):
+        after[s] = head[color_of[s]]
+        head[color_of[s]] = s
+    n = max(max(us), max(vs)) + 1 if m else 0
+    held = array("q", [-1]) * n
+    holder = array("q", [0]) * n
+    witness = None
+    limit = m
+    for c in range(len(colors)):
+        s = head[c]
+        while 0 <= s < limit:
+            u, v = us[s], vs[s]
+            if held[u] == c:
+                witness, limit = (s, holder[u], u, c), s
+                break
+            held[u], holder[u] = c, s
+            if held[v] == c and holder[v] != s:
+                witness, limit = (s, holder[v], v, c), s
+                break
+            held[v], holder[v] = c, s
+            s = after[s]
+    if witness is None:
+        return VerifyResult(status="ok")
+    second, first, x, c = witness
+    return VerifyResult(
+        status="conflict",
+        detail=f"color {encode_color(colors[c])} repeats at vertex {x}",
+        first=Edge(us[first], vs[first], first),
+        second=Edge(us[second], vs[second], second),
+        color=colors[c],
+    )
 
 
 def oracle_min_greedy(edges: list[Edge], tries: int, seed: int) -> dict[Edge, int]:

@@ -196,14 +196,14 @@ def cmd_baseline(args: argparse.Namespace) -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    with _open_in(args.colored) as fh:
-        colored = read_colored(fh)
-    with _open_in(args.stream) as fh:
-        _, body = read_stream(fh)
-        result = verify_proper(colored, body)
+    if args.colored == args.stream == "-":
+        raise StreamInputError("verify can read only one of its two files from stdin")
+    with _open_in(args.colored) as cfh, _open_in(args.stream) as sfh:
+        header, body = read_stream(sfh)
+        result = verify_proper(read_colored(cfh), body)
     _effective("verify", colored=args.colored, stream=args.stream)
     if result.ok:
-        print(f"ok: {len(colored)} edges, coloring is proper")
+        print(f"ok: {header.m} edges, coloring is proper")
         return EXIT_OK
     if result.status == "conflict":
         print(

@@ -91,10 +91,11 @@ def gen_multigraph(
         v = rng.randrange(n)
         if u == v or deg[u] >= delta or deg[v] >= delta:
             continue
-        pair = (min(u, v), max(u, v))
-        if not allow_parallel and pair in used:
-            continue
-        used.add(pair)
+        if not allow_parallel:
+            pair = (min(u, v), max(u, v))
+            if pair in used:
+                continue
+            used.add(pair)
         deg[u] += 1
         deg[v] += 1
         unsaturated -= (deg[u] == delta) + (deg[v] == delta)
@@ -201,13 +202,14 @@ def write_colored(fh: IO[str], emissions: Iterable[tuple[Edge, ColorId]]) -> Non
         fh.write(colored_line(e, color))
 
 
-def read_colored(fh: IO[str]) -> list[tuple[Edge, ColorId]]:
-    """Parse a colored file into (edge, color) pairs.
+def read_colored(fh: IO[str]) -> Iterator[tuple[Edge, ColorId]]:
+    """Parse a colored file lazily into (edge, color) pairs, one per line.
 
-    Each distinct color token is decoded and validated once, where it first
-    appears; later lines with the same token share its ColorId.
+    A bad line raises a line-numbered StreamFormatError when it is reached,
+    after every good line before it has been yielded.  Each distinct color
+    token is decoded and validated once, where it first appears; later
+    lines with the same token share its ColorId.
     """
-    out: list[tuple[Edge, ColorId]] = []
     decoded: dict[str, ColorId] = {}
     for lineno, line in enumerate(fh, start=1):
         fields = line.split()
@@ -232,5 +234,4 @@ def read_colored(fh: IO[str]) -> list[tuple[Edge, ColorId]]:
                 raise StreamFormatError(f"line {lineno}: {err}") from None
             # a canonical token is the color's own string: keep that one
             decoded[color.token if color.token == token else token] = color
-        out.append((Edge(u, v, seq), color))
-    return out
+        yield Edge(u, v, seq), color

@@ -7,6 +7,7 @@ from __future__ import annotations
 from wsecolor import (
     Edge,
     RunMetrics,
+    VerifyResult,
     encode_color,
     gen_multigraph,
     order_stream,
@@ -32,6 +33,34 @@ def find_conflicts(colored):
                 if e1.seq != e2.seq and t1 == t2:
                     conflicts.append((v, t1, e1.seq, e2.seq))
     return conflicts
+
+
+def reference_verify(colored, input_edges):
+    """The verifier as a plain ascending-seq scan over materialized pairs:
+    a (u, v, seq) balance for conservation, then one dict from (vertex,
+    color) to the last edge seen there.  verify_proper must agree with it
+    on the whole VerifyResult."""
+    colored = list(colored)
+    balance: dict[tuple[int, int, int], int] = {}
+    for e, _ in colored:
+        balance[(e.u, e.v, e.seq)] = balance.get((e.u, e.v, e.seq), 0) + 1
+    for e in input_edges:
+        balance[(e.u, e.v, e.seq)] = balance.get((e.u, e.v, e.seq), 0) - 1
+    missing = min((k for k, c in balance.items() if c < 0), default=None)
+    surplus = min((k for k, c in balance.items() if c > 0), default=None)
+    bits = [f"missing {missing}"] * (missing is not None)
+    bits += [f"unexpected {surplus}"] * (surplus is not None)
+    if bits:
+        return VerifyResult(status="mismatch", detail="; ".join(bits))
+    seen: dict[tuple[int, object], Edge] = {}
+    for e, color in sorted(colored, key=lambda pair: pair[0].seq):
+        for x in (e.u, e.v):
+            other = seen.get((x, color))
+            if other is not None and other.seq != e.seq:
+                detail = f"color {encode_color(color)} repeats at vertex {x}"
+                return VerifyResult("conflict", detail, other, e, color)
+            seen[(x, color)] = e
+    return VerifyResult(status="ok")
 
 
 def color_run(n, delta, m, *, order="arrival-random", seed=0, trace=None, **overrides):

@@ -5,6 +5,8 @@ import dataclasses
 import io
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wsecolor import (
     ColorId,
@@ -33,7 +35,7 @@ from wsecolor.audit import (
 )
 from wsecolor.class_colorer import ClassState
 
-from support import color_run, fake_metrics, find_conflicts, make_edges
+from support import color_run, fake_metrics, find_conflicts, make_edges, reference_verify
 
 
 def painted(edges, tokens):
@@ -123,6 +125,44 @@ def test_verify_compares_colors_by_value_not_by_object():
     result = verify_proper(colored, edges)
     assert result.status == "conflict"
     assert result.detail == "color E1.L0.BASE.3 repeats at vertex 1"
+
+
+@pytest.mark.parametrize(
+    "edges", [[Edge(0, 1, 1)], [Edge(0, 1, 0), Edge(1, 2, 0)], [Edge(0, -1, 0)]]
+)
+def test_verify_rejects_input_it_cannot_index(edges):
+    # seqs must equal positions, and vertices index the per-vertex columns
+    with pytest.raises(ValueError):
+        verify_proper([], edges)
+
+
+_PALETTE = [ColorId.base(0, 0, 0), ColorId.base(0, 0, 1), ColorId.low(0, 0, 0, 0, 0)]
+
+
+@st.composite
+def _damaged_colorings(draw):
+    """Small streams with self-loops and parallel edges, painted from a
+    three-color palette; some lines dropped or doubled, surplus triples
+    added, and the lines shuffled."""
+    n = draw(st.integers(1, 4))
+    vertex = st.integers(0, n - 1)
+    edges = make_edges(draw(st.lists(st.tuples(vertex, vertex), max_size=8)))
+    color = st.sampled_from(_PALETTE)
+    colored = []
+    for e in edges:
+        copies = draw(st.sampled_from([1] * 8 + [0, 2]))
+        colored += [(e, draw(color)) for _ in range(copies)]
+    extra = st.tuples(st.integers(0, n), st.integers(0, n), st.integers(-1, len(edges)))
+    for u, v, seq in draw(st.lists(extra, max_size=1)):
+        colored.append((Edge(u, v, seq), draw(color)))
+    return draw(st.permutations(colored)), edges
+
+
+@settings(max_examples=400)
+@given(_damaged_colorings())
+def test_verify_matches_the_ascending_seq_reference(case):
+    colored, edges = case
+    assert verify_proper(iter(colored), iter(edges)) == reference_verify(colored, edges)
 
 
 def test_verify_agrees_with_pairwise_oracle():

@@ -255,6 +255,47 @@ def test_verify_reads_the_whole_stream_before_its_verdict(stream_path, capsys):
     assert out == ""
 
 
+def test_verify_reads_the_colored_file_from_stdin(stream_path, capsys, monkeypatch):
+    run_cli(capsys, "color", str(stream_path))
+    colored = stream_path.with_suffix(".wse.colored")
+    _, from_path, _ = run_cli(capsys, "verify", str(colored), str(stream_path))
+    monkeypatch.setattr("sys.stdin", io.StringIO(colored.read_text()))
+    code, from_stdin, _ = run_cli(capsys, "verify", "-", str(stream_path))
+    assert code == 0
+    assert from_stdin == from_path == "ok: 256 edges, coloring is proper\n"
+
+
+def test_verify_reads_at_most_one_file_from_stdin(capsys, monkeypatch):
+    monkeypatch.setattr("sys.stdin", io.StringIO("wse v1 2 1 1\n0 1\n"))
+    code, out, err = run_cli(capsys, "verify", "-", "-")
+    assert code == 2 and out == ""
+    assert "only one of its two files from stdin" in err
+
+
+def test_verify_memory_per_edge_is_bounded(tmp_path, capsys):
+    # verify keeps int columns per edge, not every parsed (Edge, ColorId)
+    # pair: materializing the pairs costs about 370 B/edge at this size,
+    # the columns about 40.  m is half of n*delta/2, as in the uniform
+    # benchmark workload, so generation does not run into the degree cap.
+    m = 32768
+    stream = tmp_path / "u.wse"
+    code, _, _ = run_cli(
+        capsys, "gen", "--n", "1024", "--delta", "128", "--m", str(m),
+        "--seed", "1", "--order", "arrival-random", str(stream),
+    )
+    assert code == 0
+    assert run_cli(capsys, "color", str(stream))[0] == 0
+    tracemalloc.start()
+    try:
+        code = main(["verify", str(stream.with_suffix(".wse.colored")), str(stream)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    assert capsys.readouterr().out == f"ok: {m} edges, coloring is proper\n"
+    assert peak / m < 150, peak / m
+
+
 def test_verify_compares_canonical_colors(tmp_path, capsys):
     stream = tmp_path / "s.wse"
     stream.write_text("wse v1 3 2 2\n0 1\n1 2\n")

@@ -239,13 +239,13 @@ def test_colored_roundtrip():
     write_colored(fh, emissions)
     lines = fh.getvalue().splitlines()
     assert lines[0] == "0 1 0 E0.L0.BASE.3"
-    assert read_colored(io.StringIO(fh.getvalue())) == emissions
+    assert list(read_colored(io.StringIO(fh.getvalue()))) == emissions
 
 
 def test_colored_lines_with_one_token_share_one_color():
     tokens = ["E0.L0.BASE.3", "E0.L1.P2.I5.LOW.7", "E2.L0.P1.D8.B17.42"]
     text = "".join(f"{i % 9} {i % 9 + 1} {i} {tokens[i % 3]}\n" for i in range(300))
-    parsed = read_colored(io.StringIO(text))
+    parsed = list(read_colored(io.StringIO(text)))
     assert len({id(color) for _, color in parsed}) == 3
     by_line = [
         (Edge(int(u), int(v), int(seq)), decode_color(token))
@@ -257,22 +257,31 @@ def test_colored_lines_with_one_token_share_one_color():
 def test_colored_reports_a_repeated_bad_token_at_its_first_line():
     text = "0 1 0 E0.L0.BASE.3\n1 2 1 E0.L0.NOPE.3\n2 3 2 E0.L0.NOPE.3\n"
     with pytest.raises(StreamFormatError, match="line 2"):
-        read_colored(io.StringIO(text))
+        list(read_colored(io.StringIO(text)))
 
 
 def test_colored_rejects_short_lines():
     with pytest.raises(StreamFormatError, match="line 1: expected"):
-        read_colored(io.StringIO("0 1 E0.L0.BASE.3\n"))
+        list(read_colored(io.StringIO("0 1 E0.L0.BASE.3\n")))
 
 
 def test_colored_rejects_bad_integers():
     with pytest.raises(StreamFormatError, match="line 2: endpoints and seq"):
-        read_colored(io.StringIO("0 1 0 E0.L0.BASE.3\n0 1 x E0.L0.BASE.4\n"))
+        list(read_colored(io.StringIO("0 1 0 E0.L0.BASE.3\n0 1 x E0.L0.BASE.4\n")))
 
 
 def test_colored_wraps_color_decode_errors_with_the_line():
     with pytest.raises(StreamFormatError, match="line 1"):
-        read_colored(io.StringIO("0 1 0 E0.L0.NOPE.3\n"))
+        list(read_colored(io.StringIO("0 1 0 E0.L0.NOPE.3\n")))
+
+
+def test_colored_yields_good_lines_before_raising_at_a_bad_one():
+    text = "0 1 0 E0.L0.BASE.3\n1 2 1 E0.L0.BASE.4\n2 3 x E0.L0.BASE.5\n3 4 3 E0.L0.BASE.6\n"
+    lines = read_colored(io.StringIO(text))
+    assert next(lines) == (Edge(0, 1, 0), ColorId.base(0, 0, 3))
+    assert next(lines) == (Edge(1, 2, 1), ColorId.base(0, 0, 4))
+    with pytest.raises(StreamFormatError, match="line 3: endpoints and seq"):
+        next(lines)
 
 
 def test_colored_file_supports_the_verifier(tmp_path):
