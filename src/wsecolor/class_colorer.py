@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from math import isqrt
 
-from .audit import MeterHandle, TraceRecorder
+from .audit import SpaceMeter, TraceRecorder
 from .model import ColorId, Edge
 from .primitives import RandomSource, first_fit_slots, gap_check, mod_slot
 
@@ -42,7 +42,7 @@ class ClassState:
         kappa: int,
         sigma_source: RandomSource,
         offset_source: RandomSource,
-        meter: MeterHandle,
+        meter: SpaceMeter,
         trace: TraceRecorder | None = None,
     ) -> None:
         self.epoch = epoch

@@ -121,8 +121,6 @@ def _resolve_from_args(args: argparse.Namespace, n: int, delta: int, m: int | No
         interval_factor=args.interval_factor,
         max_depth=args.max_depth,
         delta_mode="unknown" if getattr(args, "unknown_delta", False) else "known",
-        sigma_seed=getattr(args, "sigma_seed", None),
-        offset_seed=getattr(args, "offset_seed", None),
     )
 
 
@@ -447,8 +445,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--metrics", default="-", help="metrics JSON path (default: stdout)")
     p.add_argument("--trace", default=None, help="write decision trace JSON lines here")
     p.add_argument("--unknown-delta", action="store_true", help="ignore the declared max degree")
-    p.add_argument("--sigma-seed", type=int, default=None, help="palette index seed override")
-    p.add_argument("--offset-seed", type=int, default=None, help="slot offset seed override")
     _add_engine_flags(p)
     p.set_defaults(func=cmd_color)
 

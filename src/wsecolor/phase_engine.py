@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from math import isqrt
 
-from .audit import ClassPhaseStat, MeterHandle, MetricsCollector, TraceRecorder
+from .audit import ClassPhaseStat, MetricsCollector, SpaceMeter, TraceRecorder
 from .class_colorer import ClassState, step1_high_high, step2_high_low
 from .model import ColorId, Edge, EngineInvariantError, RunConfig, StreamInputError
 from .primitives import RandomSource, greedy_edge_color
@@ -125,6 +125,11 @@ class PhaseEngine:
     2 * delta - 1 LOW colors and defer nothing: the baseline scheme, and
     the terminal level once the recursion depth cap is reached.  The caller
     owns the recursion; this engine only reports leftovers.
+
+    The engine keeps its level's accounting: meter, its SpaceMeter;
+    interval_index, the intervals processed; phases, the phases started;
+    deferred, the edges its class intervals deferred; and base_bound, the
+    degree bound of its base case, or None.
     """
 
     def __init__(
@@ -136,7 +141,6 @@ class PhaseEngine:
         role: str | None = None,
         sigma_source: RandomSource,
         offset_source: RandomSource,
-        meter: MeterHandle,
         collector: MetricsCollector,
         trace: TraceRecorder | None = None,
     ) -> None:
@@ -147,11 +151,14 @@ class PhaseEngine:
         self.role = role
         self._sigma = sigma_source
         self._offset = offset_source
-        self._meter = meter
+        self.meter = SpaceMeter()
         self._collector = collector
         self._trace = trace
         self._buffer: list[Edge] = []
         self.interval_index = 0
+        self.phases = 0
+        self.deferred = 0
+        self.base_bound: int | None = None
         self._phase: int | None = None
         self._states: dict[int, ClassState] = {}
         self._phase_edges = 0
@@ -179,7 +186,7 @@ class PhaseEngine:
         edges = self._take()
         bound = max(compute_degrees(edges).values())
         palette = [ColorId.base(self.epoch, self.level, s) for s in range(2 * bound - 1)]
-        self._collector.note_base_case(self.epoch, self.level, bound)
+        self.base_bound = bound
         scope = ("base", self.epoch, self.level)
         return color_greedy(edges, bound, palette, scope, self._collector), []
 
@@ -193,15 +200,12 @@ class PhaseEngine:
         """Empty the buffer, charging it to the meter at its full size."""
         edges = self._buffer
         self._buffer = []
-        self._meter.pulse("buffer", len(edges))
+        self.meter.pulse("buffer", len(edges))
         return edges
 
     def _fresh_interval(self) -> tuple[Emissions, list[Edge]]:
         index = self.interval_index
         edges = self._take()
-        self._collector.note_interval(self.epoch, self.level)
-        if self.role == "fallback":
-            self._collector.note_fallback_interval()
         self.interval_index = index + 1
         bound = max(compute_degrees(edges).values())
         palette = [
@@ -214,7 +218,7 @@ class PhaseEngine:
     def _start_phase(self, phase: int) -> None:
         self._phase = phase
         self._phase_edges = 0
-        self._collector.note_phase(self.epoch, self.level)
+        self.phases += 1
         cfg = self.config
         self._states = {
             d: ClassState(
@@ -226,7 +230,7 @@ class PhaseEngine:
                 kappa=cfg.kappa,
                 sigma_source=self._sigma.child("p", phase, "d", d),
                 offset_source=self._offset.child("p", phase, "d", d),
-                meter=self._meter,
+                meter=self.meter,
                 trace=self._trace,
             )
             for d in degree_classes(cfg.delta)
@@ -280,7 +284,6 @@ class PhaseEngine:
                 interval=index,
                 deg=deg,
             )
-        self._collector.note_interval(self.epoch, self.level)
 
         classified = classify_interval(edges, deg, cfg.delta)
         high_by_class = self._high_by_class(deg)
@@ -312,7 +315,7 @@ class PhaseEngine:
             leftovers.extend(left2)
 
         leftovers.sort(key=lambda e: e.seq)
-        self._collector.note_leftovers(self.epoch, self.level, len(leftovers))
+        self.deferred += len(leftovers)
 
         seen = {e.seq for e, _ in emissions} | {e.seq for e in leftovers}
         expect = {e.seq for e in edges}

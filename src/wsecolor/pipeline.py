@@ -16,7 +16,7 @@ from __future__ import annotations
 import time
 from typing import Iterable, Iterator
 
-from .audit import MeterHandle, MetricsCollector, RunMetrics, SpaceMeter, TraceRecorder
+from .audit import MetricsCollector, RunMetrics, TraceRecorder
 from .model import ColorId, Edge, RunConfig, StreamInputError, epoch_config
 from .phase_engine import Emissions, PhaseEngine
 from .primitives import RandomSource
@@ -27,8 +27,8 @@ __all__ = ["StreamColorer", "run_baseline", "run_stream"]
 class StreamColorer:
     """Single-pass driver: assigns arrival sequence numbers, validates and
     degree-counts each edge, routes it to its epoch's level-0 engine, and
-    owns each epoch's chain of levels and the run's meter, metrics, trace
-    and random roots.
+    owns each epoch's chain of levels and the run's metrics, trace and
+    random roots.
 
     A known degree bound, and the baseline, use epoch 0 and reject the first
     edge that lifts an endpoint above config.delta.  An unknown bound routes
@@ -42,7 +42,6 @@ class StreamColorer:
         self.config = config
         self.trace = trace
         self.baseline = baseline
-        self.meter = SpaceMeter()
         self.collector = MetricsCollector()
         self.sigma_root = RandomSource(
             config.seed if config.sigma_seed is None else config.sigma_seed, ("sigma",)
@@ -114,9 +113,13 @@ class StreamColorer:
             yield from self.feed(e.u, e.v, e)
         yield from self.finalize()
 
+    def engines(self) -> list[PhaseEngine]:
+        """Every level's engine, in epoch and level order."""
+        return [x for epoch in sorted(self._epochs) for x in self._epochs[epoch]]
+
     def metrics(self, *, wall_ms: float) -> RunMetrics:
         return self.collector.build(
-            config=self.config, meter=self.meter, input_edges=self._seq, wall_ms=wall_ms
+            config=self.config, engines=self.engines(), input_edges=self._seq, wall_ms=wall_ms
         )
 
     def _engine(self, config: RunConfig, epoch: int, level: int) -> PhaseEngine:
@@ -129,7 +132,6 @@ class StreamColorer:
             role=role,
             sigma_source=self.sigma_root.child("e", epoch, "l", level),
             offset_source=self.offset_root.child("e", epoch, "l", level),
-            meter=MeterHandle(self.meter, epoch, level),
             collector=self.collector,
             trace=self.trace,
         )

@@ -27,7 +27,7 @@ from wsecolor import (
     space_check,
     verify_proper,
 )
-from wsecolor.audit import assignment_structure_audit, saturated_index_audit
+from wsecolor.audit import SPACE_RATIO_LIMIT, assignment_structure_audit, saturated_index_audit
 
 KAPPA = 32
 GRID_NS = (64, 256)
@@ -222,9 +222,9 @@ def test_07_space_scaling(paired_runs, capsys):
     for small, big in paired_runs:
         findings += space_check(small).findings
         findings += space_check(big).findings
-    ok = mean <= 2.5 and not findings
+    ok = mean <= SPACE_RATIO_LIMIT and not findings
     detail = (
-        f"mean level-0 peak ratio {mean:.3f} at doubled n (limit 2.5), "
+        f"mean level-0 peak ratio {mean:.3f} at doubled n (limit {SPACE_RATIO_LIMIT}), "
         f"{len(findings)} structural findings"
     )
     report(capsys, 7, "space-scaling", ok, detail)

@@ -9,14 +9,11 @@ the degree bound.
 import pytest
 
 from wsecolor import Edge, SpaceMeter, TraceRecorder
-from wsecolor.audit import MeterHandle
 from wsecolor.class_colorer import ClassState, step1_high_high, step2_high_low
 from wsecolor.primitives import RandomSource
 
 
 def make_state(d=4, delta=16, kappa=32, *, trace=None, meter=None, sigma_seed=123, offset_seed=456):
-    if meter is None:
-        meter = MeterHandle(SpaceMeter(), 0, 0)
     return ClassState(
         epoch=0,
         level=0,
@@ -26,7 +23,7 @@ def make_state(d=4, delta=16, kappa=32, *, trace=None, meter=None, sigma_seed=12
         kappa=kappa,
         sigma_source=RandomSource(sigma_seed, ("sigma",)).child("p", 0, "d", d),
         offset_source=RandomSource(offset_seed, ("offsets",)).child("p", 0, "d", d),
-        meter=meter,
+        meter=SpaceMeter() if meter is None else meter,
         trace=trace,
     )
 
@@ -112,7 +109,7 @@ def test_window_cleared_on_interval_end():
 
 def test_release_returns_every_word():
     meter = SpaceMeter()
-    s = make_state(meter=MeterHandle(meter, 0, 0))
+    s = make_state(meter=meter)
     s.begin_interval(0)
     s.offset_of(1)
     s.offset_of(2)
@@ -120,9 +117,9 @@ def test_release_returns_every_word():
     s.init_counter(7)
     s.record_slot(1, "C", 5)
     s.end_interval()
-    assert meter.current_total(0, 0) > 0
+    assert meter.total > 0
     s.release()
-    assert meter.current_total(0, 0) == 0
+    assert meter.total == 0
 
 
 # -- step 2 scenarios (d=4, delta=16, kappa=32: K=256, width=4) --------------
@@ -223,7 +220,7 @@ def test_counter_conflict_at_shared_anchor():
 
 def test_b_and_c_slots_of_one_number_share_an_anchor():
     meter = SpaceMeter()
-    s = make_state(meter=MeterHandle(meter, 0, 0))
+    s = make_state(meter=meter)
     s.begin_interval(0)
     s.offsets.update({1: 7, 2: 7, 9: 15})
     h2 = [Edge(1, 9, 0), Edge(2, 9, 1)]
@@ -234,8 +231,8 @@ def test_b_and_c_slots_of_one_number_share_an_anchor():
     assert s.window == {(9, "C", 7), (9, "B", 7)}
     s.end_interval()
     # the window is metered per interval, so its size shows as the peak
-    assert meter.category_peaks()[(0, 0)]["window"] == 2
-    assert s.window == set() and meter.current(0, 0)["window"] == 0
+    assert meter.category_peaks["window"] == 2
+    assert s.window == set() and meter.current["window"] == 0
 
 
 def test_exiled_edges_enumerate_for_counters():

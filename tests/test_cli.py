@@ -15,6 +15,7 @@ from wsecolor import (
     run_stream,
     write_stream,
 )
+from wsecolor import cli
 from wsecolor.audit import TRACE_BATCH
 from wsecolor.cli import BENCH_COLUMNS, main
 
@@ -426,3 +427,11 @@ def test_check_targets_pass_on_small_grids(argv, capsys):
     code, out, _ = run_cli(capsys, *argv)
     assert code == 0
     assert f"check {argv[1]}: PASS" in out
+
+
+def test_check_space_fails_above_ratio_limit(capsys, monkeypatch):
+    # check space owns the peak-ratio gate; every measured ratio exceeds 0
+    monkeypatch.setattr(cli, "SPACE_RATIO_LIMIT", 0.0)
+    code, out, _ = run_cli(capsys, "check", "space", "--n", "64", "--delta", "16", "--runs", "2")
+    assert code == 1
+    assert "check space: FAIL" in out and "0 structural findings" in out

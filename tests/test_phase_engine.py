@@ -7,13 +7,11 @@ from hypothesis import strategies as st
 from wsecolor import (
     Edge,
     MetricsCollector,
-    SpaceMeter,
     StreamColorer,
     StreamInputError,
     TraceRecorder,
     resolve_config,
 )
-from wsecolor.audit import MeterHandle
 from wsecolor.phase_engine import (
     PhaseEngine,
     classify_interval,
@@ -87,7 +85,6 @@ def test_classify_partitions_every_edge(pairs):
 
 
 def make_engine(config, trace=None, role=None):
-    meter = SpaceMeter()
     collector = MetricsCollector()
     engine = PhaseEngine(
         config,
@@ -96,11 +93,10 @@ def make_engine(config, trace=None, role=None):
         role=role,
         sigma_source=RandomSource(config.seed, ("sigma",)).child("e", 0, "l", 0),
         offset_source=RandomSource(config.seed, ("offsets",)).child("e", 0, "l", 0),
-        meter=MeterHandle(meter, 0, 0),
         collector=collector,
         trace=trace,
     )
-    return engine, meter, collector
+    return engine, engine.meter, collector
 
 
 def feed_all(engine, edges):
@@ -120,12 +116,12 @@ def test_buffering_holds_until_interval_full():
     assert emissions == [] and leftovers == []
     assert engine.buffered == 3
     # the buffer is charged when its interval is processed, not per edge
-    assert meter.current_total(0, 0) == 0
+    assert meter.total == 0
     em, left = engine.ingest(Edge(6, 7, 3))
     assert len(em) + len(left) == 4
     assert engine.buffered == 0
-    assert meter.category_peaks()[(0, 0)]["buffer"] == 4
-    assert meter.current(0, 0)["buffer"] == 0
+    assert meter.category_peaks["buffer"] == 4
+    assert meter.current["buffer"] == 0
 
 
 @pytest.mark.parametrize(
@@ -139,8 +135,8 @@ def test_buffer_peak_is_the_largest_interval(count, peak):
     em, left = engine.flush()
     engine.close()
     assert len(emissions) + len(em) + len(leftovers) + len(left) == count
-    assert meter.category_peaks()[(0, 0)]["buffer"] == peak
-    assert meter.current_total(0, 0) == 0
+    assert meter.category_peaks["buffer"] == peak
+    assert meter.total == 0
 
 
 @pytest.mark.parametrize("role", ["baseline", "fallback"])
@@ -154,11 +150,11 @@ def test_interval_colorer_buffer_peak_is_the_largest_interval(role, count, peak)
         em, left = colorer.ingest(e)
         assert not left
         colored += len(em)
-        assert meter.current_total(0, 0) == 0
+        assert meter.total == 0
     em, _ = colorer.flush()
     assert colored + len(em) == count
-    assert meter.category_peaks()[(0, 0)]["buffer"] == peak
-    assert meter.current_total(0, 0) == 0
+    assert meter.category_peaks["buffer"] == peak
+    assert meter.total == 0
 
 
 def test_ingest_validates_edges():
@@ -209,7 +205,7 @@ def test_phase_rollover_resets_class_state():
     trace = TraceRecorder()
     # delta 4: phase_len = 2 intervals; 3 intervals span two phases
     cfg = resolve_config(n=4, delta=4, interval_size=2)
-    engine, meter, collector = make_engine(cfg, trace=trace)
+    engine, _, collector = make_engine(cfg, trace=trace)
     feed_all(engine, make_edges([(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]))
     engine.close()
     class_records = [r for r in trace.records if r["kind"] == "class-interval"]
@@ -220,7 +216,7 @@ def test_phase_rollover_resets_class_state():
     for r in sorted(class_records, key=lambda r: r["interval"]):
         first_of_phase.setdefault((r["phase"], r["d"]), r)
     assert all(r["prior"] == 0 for r in first_of_phase.values())
-    metrics = collector.build(config=cfg, meter=meter, input_edges=6, wall_ms=0.0)
+    metrics = collector.build(config=cfg, engines=[engine], input_edges=6, wall_ms=0.0)
     assert metrics.phase_count[(0, 0)] == 2
 
 
@@ -231,7 +227,7 @@ def test_flush_handles_partial_interval():
     emissions, leftovers = engine.flush()
     assert len(emissions) + len(leftovers) == 3
     engine.close()
-    assert meter.current_total(0, 0) == 0
+    assert meter.total == 0
 
 
 def test_flush_empty_buffer_is_noop():
@@ -251,15 +247,15 @@ def test_flush_colors_first_partial_interval_as_base_case():
     assert find_conflicts(emissions) == []
     engine.close()
     assert engine.buffered == 0
-    assert meter.current_total(0, 0) == 0
-    metrics = collector.build(config=cfg, meter=meter, input_edges=3, wall_ms=0.0)
+    assert meter.total == 0
+    metrics = collector.build(config=cfg, engines=[engine], input_edges=3, wall_ms=0.0)
     assert metrics.base_cases == {(0, 0): 3}
 
 
 @pytest.mark.parametrize("role", ["baseline", "fallback"])
 def test_fresh_role_colors_first_partial_interval_from_low_palette(role):
     cfg = resolve_config(n=8, delta=16)
-    engine, meter, collector = make_engine(cfg, role=role)
+    engine, _, collector = make_engine(cfg, role=role)
     feed_all(engine, make_edges([(0, 1), (1, 2), (0, 1)]))
     emissions, leftovers = engine.flush()
     engine.close()
@@ -267,7 +263,7 @@ def test_fresh_role_colors_first_partial_interval_from_low_palette(role):
     assert sorted(e.seq for e, _ in emissions) == [0, 1, 2]
     assert {(c.kind, c.interval, c.phase) for _, c in emissions} == {("LOW", 0, 0)}
     assert find_conflicts(emissions) == []
-    metrics = collector.build(config=cfg, meter=meter, input_edges=3, wall_ms=0.0)
+    metrics = collector.build(config=cfg, engines=[engine], input_edges=3, wall_ms=0.0)
     assert metrics.base_cases == {}
     assert metrics.phase_count == {}
     assert metrics.fallback_intervals == (1 if role == "fallback" else 0)
@@ -288,5 +284,5 @@ def test_close_releases_phase_state():
     feed_all(engine, make_edges(pairs))
     engine.flush()
     engine.close()
-    assert meter.current_total(0, 0) == 0
-    assert meter.peaks()[(0, 0)] > 0
+    assert meter.total == 0
+    assert meter.peak > 0

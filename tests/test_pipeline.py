@@ -11,6 +11,7 @@ from wsecolor import (
     StreamInputError,
     encode_color,
     gen_multigraph,
+    order_stream,
     resolve_config,
     run_baseline,
     run_stream,
@@ -140,6 +141,18 @@ def test_epoch_routing_follows_running_max_degree():
     by_seq = {e.seq: c.epoch for e, c in emissions}
     assert by_seq == {0: 0, 1: 1, 2: 2, 3: 2, 4: 3}
     assert find_conflicts(emissions) == []
+
+
+def test_every_level_meter_returns_to_zero():
+    # the golden unknown-delta recipe spans several epochs and levels
+    edges = order_stream(gen_multigraph(64, 256, 4096, seed=1), "vertex-sorted", seed=2)
+    cfg = resolve_config(n=64, delta=256, seed=1, m=4096, delta_mode="unknown")
+    colorer = StreamColorer(cfg)
+    assert len(list(colorer.run(edges))) == 4096
+    engines = colorer.engines()
+    assert len({x.epoch for x in engines}) > 1 and max(x.level for x in engines) > 0
+    assert all(x.meter.peak > 0 for x in engines)
+    assert [x.meter.total for x in engines] == [0] * len(engines)
 
 
 def test_unknown_mode_proper_on_real_stream():
