@@ -15,7 +15,8 @@ import random
 import statistics
 from array import array
 from dataclasses import asdict, dataclass, replace
-from typing import IO, Iterable
+from operator import itemgetter
+from typing import IO, Callable, Iterable
 
 from .model import ColorId, Edge, EngineInvariantError, RunConfig, encode_color, epoch_config
 from .primitives import first_fit_slots
@@ -50,6 +51,28 @@ __all__ = [
 TRACE_BATCH = 4096
 
 
+def _json_plain(text: str) -> bool:
+    """True when json.dumps renders text as '"' + text + '"'."""
+    return text.isascii() and text.isprintable() and '"' not in text and "\\" not in text
+
+
+def _line_template(keys: tuple, types: tuple) -> tuple[str, Callable | None] | None:
+    """A %-template that renders a record with these keys and value types,
+    newline included, as json.dumps does, with a getter of the record's str
+    values, which must be _json_plain for the template to apply.  None unless
+    every key is a plain str and every value an int or a str."""
+    if not all(type(k) is str and _json_plain(k) for k in keys):
+        return None
+    if not all(t is int or t is str for t in types):
+        return None
+    fields = (
+        '"' + k.replace("%", "%%") + ('": %s' if t is int else '": "%s"') for k, t in zip(keys, types)
+    )
+    template = "{" + ", ".join(fields) + "}\n"
+    text = [i for i, t in enumerate(types) if t is str]
+    return template, itemgetter(*text) if text else None
+
+
 class TraceRecorder:
     """Collects structured decision records emitted by the engine.
 
@@ -62,24 +85,43 @@ class TraceRecorder:
     tail.
     """
 
-    __slots__ = ("records", "_sink")
+    __slots__ = ("records", "_sink", "_templates")
 
     def __init__(self, sink: IO[str] | None = None) -> None:
         self.records: list[dict] = []
         self._sink = sink
+        # keys + value types -> _line_template of that record shape
+        self._templates: dict[tuple, tuple[str, Callable | None] | None] = {}
 
-    def emit(self, kind: str, **fields: object) -> None:
-        record: dict = {"kind": kind}
-        record.update(fields)
+    def emit(self, record: dict) -> None:
+        """Hold one record; its first key is 'kind'."""
         self.records.append(record)
         if self._sink is not None and len(self.records) >= TRACE_BATCH:
             self.dump(self._sink)
 
     def dump(self, fh: IO[str]) -> None:
-        """Write the held records as JSON lines, then forget them."""
+        """Write the held records as JSON lines, then forget them.  Each line
+        is the bytes json.dumps gives: a record is rendered through the
+        template of its shape when no value needs escaping, and by
+        json.dumps otherwise."""
+        templates = self._templates
         for record in self.records:
-            fh.write(json.dumps(record, sort_keys=False))
-            fh.write("\n")
+            values = tuple(record.values())
+            # keys then value types, in one tuple of exact size: a tuple()
+            # of a map is built by resizing, and each one freed would stay
+            # on CPython's free list of its size, up to 2,000 of them
+            shape = (*record, *map(type, values))
+            try:
+                entry = templates[shape]
+            except KeyError:
+                entry = templates[shape] = _line_template(tuple(record), shape[len(record) :])
+            if entry is not None:
+                template, text = entry
+                # joins a tuple of strs, or the chars of the one str
+                if text is None or _json_plain("".join(text(values))):
+                    fh.write(template % values)
+                    continue
+            fh.write(json.dumps(record) + "\n")
         self.records.clear()
 
 
@@ -470,14 +512,17 @@ def offset_independence_check(
     offset_seed_b: int,
 ) -> tuple[bool, str]:
     """Run the colorer twice with identical index draws and different offset
-    seeds; pass iff the level-0 counter traces match event for event."""
+    seeds; pass iff the level-0 counter traces of every epoch match event
+    for event.  Epoch routing reads only arrival degrees, so each epoch's
+    level 0 sees the same edges in both runs."""
     from .pipeline import run_stream  # deferred: pipeline imports this module
 
     traces = []
     for offset_seed in (offset_seed_a, offset_seed_b):
         recorder = TraceRecorder()
         run_stream(replace(config, offset_seed=offset_seed), edges, trace=recorder)
-        traces.append(counter_trace(recorder.records))
+        epochs = sorted({r["epoch"] for r in recorder.records})
+        traces.append([(e, *ev) for e in epochs for ev in counter_trace(recorder.records, epoch=e)])
     if traces[0] == traces[1]:
         return True, f"{len(traces[0])} counter events identical"
     length = min(len(traces[0]), len(traces[1]))

@@ -13,7 +13,7 @@ from __future__ import annotations
 from math import isqrt
 
 from .audit import SpaceMeter, TraceRecorder
-from .model import ColorId, Edge
+from .model import FAMILIES, ColorId, Edge, trusted_palette_color
 from .primitives import RandomSource, first_fit_slots, gap_check, mod_slot
 
 __all__ = ["ClassState", "step1_high_high", "step2_high_low"]
@@ -60,6 +60,8 @@ class ClassState:
         self._offset_source = offset_source
         self._meter = meter
         self._trace = trace
+        # the fields every record of this state carries after its kind
+        self._head = {"epoch": epoch, "level": level, "phase": phase, "d": d}
         self.offsets: dict[int, int] = {}
         self.index_sets: dict[int, set[int]] = {}
         self.counters: dict[tuple[int, int], int] = {}
@@ -67,16 +69,12 @@ class ClassState:
         self.window: set[tuple[int, str, int]] = set()
         self.sigma: int | None = None
         self.interval: int | None = None
+        # per-interval token prefix of each family, E.L.P.D.<family><sigma>.
+        self._prefixes: dict[str, str] = {}
         self.index_inserts = 0
         self.counter_creates = 0
 
     # -- bookkeeping helpers ------------------------------------------------
-
-    def _emit(self, kind: str, **fields: object) -> None:
-        if self._trace is not None:
-            self._trace.emit(
-                kind, epoch=self.epoch, level=self.level, phase=self.phase, d=self.d, **fields
-            )
 
     def offset_of(self, v: int) -> int:
         r = self.offsets.get(v)
@@ -84,19 +82,19 @@ class ClassState:
             r = self._offset_source.child("v", v).randrange(self.palette_size)
             self.offsets[v] = r
             self._meter.add("offsets", 1)
-            self._emit("offset-draw", vertex=v, offset=r)
+            if self._trace is not None:
+                self._trace.emit({"kind": "offset-draw", **self._head, "vertex": v, "offset": r})
         return r
 
     def begin_interval(self, interval: int) -> int:
         self.interval = interval
-        self.sigma = self._sigma_source.child("i", interval).randrange(self.palette_count) + 1
-        self._emit(
-            "class-interval",
-            interval=interval,
-            sigma=self.sigma,
-            prior=self.prior_counts.get(self.sigma, 0),
-        )
-        return self.sigma
+        self.sigma = sigma = self._sigma_source.child("i", interval).randrange(self.palette_count) + 1
+        head = f"E{self.epoch}.L{self.level}.P{self.phase}.D{self.d}."
+        self._prefixes = {family: f"{head}{family}{sigma}." for family in FAMILIES}
+        if self._trace is not None:
+            self._trace.emit({"kind": "class-interval", **self._head, "interval": interval,
+                              "sigma": sigma, "prior": self.prior_counts.get(sigma, 0)})
+        return sigma
 
     def prior(self) -> int:
         assert self.sigma is not None
@@ -118,7 +116,9 @@ class ClassState:
             self.counters[key] = 0
             self._meter.add("counters", 1)
             self.counter_creates += 1
-            self._emit("counter-init", interval=self.interval, vertex=u, index=self.sigma)
+            if self._trace is not None:
+                self._trace.emit({"kind": "counter-init", **self._head, "interval": self.interval,
+                                  "vertex": u, "index": self.sigma})
 
     def counter_of(self, u: int) -> int | None:
         return self.counters.get((u, self.sigma))
@@ -132,14 +132,9 @@ class ClassState:
         if value is None:
             return
         self.counters[key] = value + 1
-        self._emit(
-            "counter-bump",
-            interval=self.interval,
-            vertex=u,
-            index=self.sigma,
-            value=value + 1,
-            assigned=assigned,
-        )
+        if self._trace is not None:
+            self._trace.emit({"kind": "counter-bump", **self._head, "interval": self.interval,
+                              "vertex": u, "index": self.sigma, "value": value + 1, "assigned": assigned})
 
     def record_slot(self, anchor: int, family: str, slot: int) -> None:
         # The window is metered per interval: its first word here, so the
@@ -175,9 +170,9 @@ class ClassState:
 
     def color(self, family: str, slot: int) -> ColorId:
         assert self.sigma is not None
-        return ColorId.palette(
-            self.epoch, self.level, self.phase, self.d, family, self.sigma, slot
-        )
+        token = f"{self._prefixes[family]}{slot}"
+        return trusted_palette_color(self.epoch, self.level, family, slot, self.phase, self.d,
+                                     self.sigma, token)
 
 
 def step1_high_high(
@@ -194,25 +189,20 @@ def step1_high_high(
     """
     usable = {v for v in high if state.index_fresh(v)}
     kept = [e for e in h1 if e.u in usable and e.v in usable]
+    trace = state._trace
+    if trace is not None:
+        head = {**state._head, "interval": state.interval}
     emissions: list[tuple[Edge, ColorId]] = []
     for e, slot in zip(kept, first_fit_slots(kept, state.palette_size)):
         emissions.append((e, state.color("A", slot)))
-        state._emit(
-            "high-assign", interval=state.interval, u=e.u, v=e.v, seq=e.seq, slot=slot
-        )
+        if trace is not None:
+            trace.emit({"kind": "high-assign", **head, "u": e.u, "v": e.v, "seq": e.seq, "slot": slot})
 
-    leftovers: list[Edge] = []
-
-    def exile(e: Edge) -> None:
-        leftovers.append(e)
-        state._emit("exile", interval=state.interval, u=e.u, v=e.v, seq=e.seq)
-
-    for e in h1:
-        if e.u not in usable or e.v not in usable:
-            exile(e)
-    for e in h2:
-        if (e.u in high and e.u not in usable) or (e.v in high and e.v not in usable):
-            exile(e)
+    leftovers = [e for e in h1 if e.u not in usable or e.v not in usable]
+    leftovers += [e for e in h2 if (e.u in high and e.u not in usable) or (e.v in high and e.v not in usable)]
+    if trace is not None:
+        for e in leftovers:
+            trace.emit({"kind": "exile", **head, "u": e.u, "v": e.v, "seq": e.seq})
     for v in high:
         state.mark_index_used(v)
     return emissions, leftovers, usable
@@ -244,73 +234,74 @@ def step2_high_low(
 
     emissions: list[tuple[Edge, ColorId]] = []
     leftovers: list[Edge] = []
-    size = state.palette_size
+    size, d, width = state.palette_size, state.d, state.block_width
     prior = state.prior()  # the tallies only move in end_interval
-    traced = state._trace is not None
-
-    def decide(e: Edge, low: int, hi: int, b: int, case: str, **fields: object) -> None:
-        state._emit(
-            "mixed-decision",
-            interval=state.interval,
-            index=state.sigma,
-            low=low,
-            high=hi,
-            seq=e.seq,
-            b=b,
-            case=case,
-            **fields,
-        )
+    prior_full = prior >= state.prior_cap
+    offsets, window = state.offsets, state.window
+    trace = state._trace
+    if trace is not None:
+        emit = trace.emit
+        head = {"kind": "mixed-decision", **state._head, "interval": state.interval, "index": state.sigma}
 
     for u in sorted(per_low):
-        if deg[u] > state.block_width:
+        if deg[u] > width:
             state.init_counter(u)
+        has_counter = state.counter_of(u) is not None
+        r_u = offsets.get(u)
         for b, (v, _, e) in enumerate(sorted(per_low[u])):
             assigned = False
+            # the record's tail after its case: the counter or prior tally
+            # the decision read, then the slot it tried
+            tally_key = slot = None
             if v not in usable:
                 # already deferred by step 1; enumerate it anyway so the
                 # counter keeps pace with the edge order
-                if traced:
-                    decide(e, u, v, b, "skip-exiled")
-            elif gap_check(state.offset_of(u), state.offset_of(v), state.d, size):
-                leftovers.append(e)
-                if traced:
-                    decide(e, u, v, b, "gap-leftover")
+                case = "skip-exiled"
             else:
-                counter = state.counter_of(u)
-                r_u = state.offset_of(u)
-                if counter is not None and counter >= state.counter_cap:
-                    leftovers.append(e)
-                    if traced:
-                        decide(e, u, v, b, "cap-leftover", counter=counter)
-                elif counter is not None:
-                    slot = mod_slot(r_u, counter, size)
-                    if (v, "C", slot) in state.window:
-                        leftovers.append(e)
-                        if traced:
-                            decide(e, u, v, b, "counter-conflict", counter=counter, slot=slot)
+                # offsets are drawn on first use only, u before v
+                if r_u is None:
+                    r_u = state.offset_of(u)
+                r_v = offsets.get(v)
+                if r_v is None:
+                    r_v = state.offset_of(v)
+                if gap_check(r_u, r_v, d, size):
+                    case = "gap-leftover"
+                elif has_counter:
+                    tally_key, tally = "counter", state.counter_of(u)
+                    if tally >= state.counter_cap:
+                        case = "cap-leftover"
                     else:
-                        emissions.append((e, state.color("C", slot)))
-                        state.record_slot(v, "C", slot)
-                        assigned = True
-                        if traced:
-                            decide(e, u, v, b, "counter-assign", counter=counter, slot=slot)
-                elif prior >= state.prior_cap:
-                    leftovers.append(e)
-                    if traced:
-                        decide(e, u, v, b, "index-cap-leftover", prior=prior)
+                        slot = mod_slot(r_u, tally, size)
+                        if (v, "C", slot) in window:
+                            case = "counter-conflict"
+                        else:
+                            emissions.append((e, state.color("C", slot)))
+                            state.record_slot(v, "C", slot)
+                            assigned = True
+                            case = "counter-assign"
+                elif prior_full:
+                    tally_key, tally, case = "prior", prior, "index-cap-leftover"
                 else:
-                    offset = b + state.block_width * prior
+                    tally_key, tally = "prior", prior
+                    offset = b + width * prior
                     assert offset < state.counter_cap  # b < block width when no counter exists
                     slot = mod_slot(r_u, offset, size)
-                    if (v, "B", slot) in state.window:
-                        leftovers.append(e)
-                        if traced:
-                            decide(e, u, v, b, "block-conflict", prior=prior, slot=slot)
+                    if (v, "B", slot) in window:
+                        case = "block-conflict"
                     else:
                         emissions.append((e, state.color("B", slot)))
                         state.record_slot(v, "B", slot)
                         assigned = True
-                        if traced:
-                            decide(e, u, v, b, "block-assign", prior=prior, slot=slot)
-            state.bump_counter(u, assigned=assigned)
+                        case = "block-assign"
+                if not assigned:
+                    leftovers.append(e)
+            if trace is not None:
+                record = {**head, "low": u, "high": v, "seq": e.seq, "b": b, "case": case}
+                if tally_key is not None:
+                    record[tally_key] = tally
+                if slot is not None:
+                    record["slot"] = slot
+                emit(record)
+            if has_counter:
+                state.bump_counter(u, assigned=assigned)
     return emissions, leftovers

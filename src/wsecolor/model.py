@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import NoReturn
 
 __all__ = [
@@ -130,6 +130,31 @@ class ColorId:
         cls, epoch: int, level: int, phase: int, d: int, family: str, index: int, slot: int
     ) -> ColorId:
         return cls(epoch, level, family, slot, phase=phase, d=d, index=index)
+
+
+# Each field's slot descriptor writes it past the frozen __setattr__, and
+# nothing calls __post_init__.
+(_set_epoch, _set_level, _set_kind, _set_slot, _set_phase, _set_interval, _set_d, _set_index,
+ _set_token) = (ColorId.__dict__[f.name].__set__ for f in fields(ColorId))
+
+
+def trusted_palette_color(
+    epoch: int, level: int, family: str, slot: int, phase: int, d: int, index: int, token: str
+) -> ColorId:
+    """Build a palette-family color without validating it.  Only for the
+    engine, whose fields are in range by construction; token must be the
+    canonical rendering, which is what ColorId.palette would compute."""
+    color = object.__new__(ColorId)
+    _set_epoch(color, epoch)
+    _set_level(color, level)
+    _set_kind(color, family)
+    _set_slot(color, slot)
+    _set_phase(color, phase)
+    _set_interval(color, None)
+    _set_d(color, d)
+    _set_index(color, index)
+    _set_token(color, token)
+    return color
 
 
 def encode_color(color: ColorId) -> str:

@@ -277,13 +277,8 @@ class PhaseEngine:
         deg = compute_degrees(edges)
         if self._trace is not None:
             # deg is never mutated after this, so the record can hold it
-            self._trace.emit(
-                "interval-degrees",
-                epoch=self.epoch,
-                level=self.level,
-                interval=index,
-                deg=deg,
-            )
+            self._trace.emit({"kind": "interval-degrees", "epoch": self.epoch, "level": self.level,
+                              "interval": index, "deg": deg})
 
         classified = classify_interval(edges, deg, cfg.delta)
         high_by_class = self._high_by_class(deg)

@@ -3,6 +3,7 @@ dual-run counter check with its regression canary."""
 
 import dataclasses
 import io
+import json
 
 import pytest
 from hypothesis import given, settings
@@ -230,10 +231,8 @@ def test_counters_blind_to_offset_seed():
     assert len(counter_trace(recorder.records)) > 0
 
 
-def test_counter_canary_catches_lazy_bumps(monkeypatch):
-    """An engine that only advances counters on assigned edges must be
-    caught: its counter values start depending on the offset draws."""
-    config, edges = vertex_sorted_workload()
+def bump_lazily(monkeypatch):
+    """Make counters advance on assigned edges only."""
     original = ClassState.bump_counter
 
     def lazy_bump(self, u, *, assigned):
@@ -241,6 +240,13 @@ def test_counter_canary_catches_lazy_bumps(monkeypatch):
             original(self, u, assigned=assigned)
 
     monkeypatch.setattr(ClassState, "bump_counter", lazy_bump)
+
+
+def test_counter_canary_catches_lazy_bumps(monkeypatch):
+    """An engine that only advances counters on assigned edges must be
+    caught: its counter values start depending on the offset draws."""
+    config, edges = vertex_sorted_workload()
+    bump_lazily(monkeypatch)
     ok, detail = offset_independence_check(config, edges, offset_seed_a=7001, offset_seed_b=9103)
     assert not ok
     assert "divergence" in detail or "lengths differ" in detail
@@ -299,12 +305,73 @@ def test_structure_audit_reads_a_one_shot_iterator():
     assert assignment_structure_audit((r for r in tampered), config) == expected
 
 
+def unknown_delta_burst_run(trace):
+    # the degree-burst stream fills intervals in epochs 7 and 8, and the
+    # counters fire in epoch 8
+    return color_run(64, 256, 4096, order="degree-burst", trace=trace, delta_mode="unknown")
+
+
+def test_audits_clean_on_unknown_delta_burst():
+    trace = TraceRecorder()
+    edges, _, _, config = unknown_delta_burst_run(trace)
+    records = trace.records
+    decisions = [r for r in records if r["kind"] == "mixed-decision"]
+    assert len({r["epoch"] for r in decisions}) >= 2
+    assert {"block-assign", "counter-assign", "gap-leftover"} <= {r["case"] for r in decisions}
+    assert assignment_structure_audit(records, config) == []
+    assert saturated_index_audit(records, config) == []
+    ok, detail = offset_independence_check(config, edges, offset_seed_a=7001, offset_seed_b=9103)
+    assert ok, detail
+    assert int(detail.split()[0]) > 0  # counter events were compared, past epoch 0
+
+
+def test_counter_canary_catches_lazy_bumps_past_epoch_zero(monkeypatch):
+    edges, _, _, config = unknown_delta_burst_run(None)
+    bump_lazily(monkeypatch)
+    ok, detail = offset_independence_check(config, edges, offset_seed_a=7001, offset_seed_b=9103)
+    assert not ok
+    assert "divergence" in detail or "lengths differ" in detail
+
+
+_trace_scalars = st.one_of(
+    st.integers(),
+    st.integers(min_value=-(2**200), max_value=2**200),
+    st.booleans(),
+    st.none(),
+    st.text(),
+    st.sampled_from(['a"b', "a\\b", "tab\there", "\x7f", "caf\u00e9", "%s", "%d"]),
+)
+_trace_values = st.one_of(_trace_scalars, st.dictionaries(st.integers(), st.integers(), max_size=4))
+# one key shape whose values change type from record to record
+_fixed_shape = st.fixed_dictionaries({"kind": st.sampled_from(["exile", "x"]), "value": _trace_values})
+_any_shape = st.dictionaries(
+    st.one_of(st.text(max_size=6), st.sampled_from(["kind", "seq", "a%s", '"', "\\"])), _trace_values, max_size=5
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.one_of(_fixed_shape, _any_shape), max_size=20))
+def test_trace_dump_renders_json_dumps_bytes(records):
+    recorder = TraceRecorder()
+    for record in records:
+        recorder.emit(record)
+    out = io.StringIO()
+    recorder.dump(out)
+    assert out.getvalue() == "".join(json.dumps(r) + "\n" for r in records)
+    # the cached templates serve a second dump the same bytes
+    for record in records:
+        recorder.emit(record)
+    again = io.StringIO()
+    recorder.dump(again)
+    assert again.getvalue() == out.getvalue()
+
+
 def test_trace_recorder_with_sink_writes_in_batches():
     held, streamed = TraceRecorder(), io.StringIO()
     recorder = TraceRecorder(sink=streamed)
     for i in range(2 * TRACE_BATCH + 5):
-        held.emit("exile", seq=i)
-        recorder.emit("exile", seq=i)
+        held.emit({"kind": "exile", "seq": i})
+        recorder.emit({"kind": "exile", "seq": i})
         assert len(recorder.records) < TRACE_BATCH
     assert len(recorder.records) == 5 and len(held.records) == 2 * TRACE_BATCH + 5
     recorder.dump(streamed)

@@ -6,11 +6,15 @@ width * prior) mod K, with K = 2 * kappa * d and width the square root of
 the degree bound.
 """
 
+import dataclasses
+
 import pytest
 
-from wsecolor import Edge, SpaceMeter, TraceRecorder
+from wsecolor import ColorId, Edge, SpaceMeter, TraceRecorder, decode_color
 from wsecolor.class_colorer import ClassState, step1_high_high, step2_high_low
 from wsecolor.primitives import RandomSource
+
+from support import color_run
 
 
 def make_state(d=4, delta=16, kappa=32, *, trace=None, meter=None, sigma_seed=123, offset_seed=456):
@@ -322,3 +326,21 @@ def test_color_fields_carry_class_identity():
     assert color.kind == "B"
     assert color.index == s.sigma
     assert color.slot == 17
+
+
+@pytest.mark.parametrize(
+    "order, traced, overrides",
+    [("degree-burst", True, {"delta_mode": "unknown"}), ("vertex-sorted", False, {})],
+)
+def test_engine_colors_equal_their_decoded_tokens(order, traced, overrides):
+    # class colors skip validation; each must be the color its token names
+    trace = TraceRecorder() if traced else None
+    _, emissions, _, _ = color_run(64, 256, 4096, order=order, trace=trace, **overrides)
+    names = [f.name for f in dataclasses.fields(ColorId)]
+    kinds = set()
+    for _, color in emissions:
+        back = decode_color(color.token)
+        assert back == color and hash(back) == hash(color)
+        assert [getattr(back, k) for k in names] == [getattr(color, k) for k in names]
+        kinds.add(color.kind)
+    assert {"A", "B"} <= kinds

@@ -9,6 +9,7 @@ import pytest
 import wsecolor
 from wsecolor.audit import MetricsCollector, SpaceMeter
 from wsecolor.cli import main
+from wsecolor.model import ColorId
 
 N, DELTA, M = 256, 64, 4096
 
@@ -16,8 +17,9 @@ N, DELTA, M = 256, 64, 4096
 @pytest.fixture
 def counts(monkeypatch):
     """Count calls to encode_color (wherever it was imported by name),
-    SpaceMeter.add and MetricsCollector.note_emission."""
-    calls = {"encode_color": 0, "SpaceMeter.add": 0, "note_emission": 0}
+    SpaceMeter.add, MetricsCollector.note_emission and the validation of
+    every ColorId built through its dataclass constructor."""
+    calls = {"encode_color": 0, "SpaceMeter.add": 0, "note_emission": 0, "ColorId.__post_init__": 0}
 
     def counted(key, fn):
         def wrapper(*args, **kwargs):
@@ -36,6 +38,9 @@ def counts(monkeypatch):
         MetricsCollector,
         "note_emission",
         counted("note_emission", MetricsCollector.note_emission),
+    )
+    monkeypatch.setattr(
+        ColorId, "__post_init__", counted("ColorId.__post_init__", ColorId.__post_init__)
     )
     return calls
 
@@ -75,3 +80,5 @@ def test_class_path_meters_per_interval(tmp_path, capsys, counts):
 
     assert counts["encode_color"] == m
     assert counts["SpaceMeter.add"] < 0.2 * m
+    # class colors are built trusted; the LOW palettes are validated per interval
+    assert counts["ColorId.__post_init__"] < 0.1 * m
