@@ -11,15 +11,13 @@ from __future__ import annotations
 
 import json
 import math
-import random
 import statistics
 from array import array
 from dataclasses import asdict, dataclass, replace
-from operator import itemgetter
+from operator import is_, itemgetter
 from typing import IO, Callable, Iterable
 
-from .model import ColorId, Edge, EngineInvariantError, RunConfig, encode_color, epoch_config
-from .primitives import first_fit_slots
+from .model import Edge, EngineInvariantError, RunConfig, epoch_config
 
 __all__ = [
     "ClassPhaseStat",
@@ -36,7 +34,6 @@ __all__ = [
     "counter_trace",
     "leftover_stats",
     "offset_independence_check",
-    "oracle_min_greedy",
     "saturated_index_audit",
     "space_check",
     "verify_proper",
@@ -90,8 +87,8 @@ class TraceRecorder:
     def __init__(self, sink: IO[str] | None = None) -> None:
         self.records: list[dict] = []
         self._sink = sink
-        # keys + value types -> _line_template of that record shape
-        self._templates: dict[tuple, tuple[str, Callable | None] | None] = {}
+        # keys -> (value types, _line_template) of the first record with them
+        self._templates: dict[tuple, tuple[tuple, tuple[str, Callable | None] | None]] = {}
 
     def emit(self, record: dict) -> None:
         """Hold one record; its first key is 'kind'."""
@@ -102,20 +99,21 @@ class TraceRecorder:
     def dump(self, fh: IO[str]) -> None:
         """Write the held records as JSON lines, then forget them.  Each line
         is the bytes json.dumps gives: a record is rendered through the
-        template of its shape when no value needs escaping, and by
-        json.dumps otherwise."""
+        template of its keys when its value types are those the template
+        was built for and no value needs escaping, and by json.dumps
+        otherwise."""
         templates = self._templates
         for record in self.records:
             values = tuple(record.values())
-            # keys then value types, in one tuple of exact size: a tuple()
-            # of a map is built by resizing, and each one freed would stay
-            # on CPython's free list of its size, up to 2,000 of them
-            shape = (*record, *map(type, values))
+            keys = tuple(record)
             try:
-                entry = templates[shape]
+                types, entry = templates[keys]
             except KeyError:
-                entry = templates[shape] = _line_template(tuple(record), shape[len(record) :])
-            if entry is not None:
+                types = tuple(map(type, values))
+                entry = _line_template(keys, types)
+                templates[keys] = types, entry
+            # the value types are compared pairwise, building no tuple
+            if entry is not None and all(map(is_, map(type, values), types)):
                 template, text = entry
                 # joins a tuple of strs, or the chars of the one str
                 if text is None or _json_plain("".join(text(values))):
@@ -270,7 +268,7 @@ class MetricsCollector:
         self._colored: dict[tuple[int, int], int] = {}
         self._class_phase_stats: list[ClassPhaseStat] = []
 
-    def note_emission(self, scope: tuple, budget: int, colors: list[ColorId]) -> None:
+    def note_emission(self, scope: tuple, budget: int, colors: list[str]) -> None:
         """Record the colors one scope handed out in one go.  scope[1:3] is
         the (epoch, level) every one of them was minted at."""
         if not colors:
@@ -278,12 +276,12 @@ class MetricsCollector:
         key = scope[1:3]
         self._colored[key] = self._colored.get(key, 0) + len(colors)
         if scope[0] != "class":
-            self._counts[scope] = (budget, len({c.token for c in colors}))
+            self._counts[scope] = (budget, len(set(colors)))
             return
         entry = self._open.get(scope)
         if entry is None:
             entry = self._open[scope] = (budget, set())
-        entry[1].update([c.token for c in colors])
+        entry[1].update(colors)
 
     def note_class_phase(self, stat: ClassPhaseStat) -> None:
         """Record a finished (phase, class) and close its palette scope."""
@@ -356,7 +354,7 @@ class VerifyResult:
     detail: str = ""
     first: Edge | None = None
     second: Edge | None = None
-    color: ColorId | None = None
+    color: str | None = None  # the conflict's color token
 
     @property
     def ok(self) -> bool:
@@ -364,19 +362,20 @@ class VerifyResult:
 
 
 def verify_proper(
-    colored: Iterable[tuple[Edge, ColorId]], input_edges: Iterable[Edge]
+    colored: Iterable[tuple[Edge, str]], input_edges: Iterable[Edge]
 ) -> VerifyResult:
     """Check conservation and properness of a colored stream.
 
     Ok iff the multiset of colored (u, v, seq) triples equals the input
     multiset and no two distinct edge instances sharing an endpoint carry
-    equal colors.  Both arguments may be one-shot iterables.  input_edges
-    is read to the end first and must be positional: the edge at position
-    i has seq i, as read_stream, order_stream and run_stream produce;
-    anything else raises ValueError.  colored is then read once.  Per edge
-    only four int columns are held: the endpoints, a color index and a link
-    to the next edge of that color.  The conflict reported is the one an
-    ascending-seq scan meets first.
+    equal colors.  Colors are canonical tokens, as run_stream and
+    read_colored yield them, compared as strings.  Both arguments may be
+    one-shot iterables.  input_edges is read to the end first and must be
+    positional: the edge at position i has seq i, as read_stream,
+    order_stream and run_stream produce; anything else raises ValueError.
+    colored is then read once.  Per edge only four int columns are held:
+    the endpoints, a color index and a link to the next edge of that color.
+    The conflict reported is the one an ascending-seq scan meets first.
     """
     us, vs = array("q"), array("q")
     for e in input_edges:
@@ -388,20 +387,19 @@ def verify_proper(
     if m and min(min(us), min(vs)) < 0:
         raise ValueError("input vertices must be non-negative")
 
-    # Colors are compared by value: each canonical token gets a small index,
-    # so differently spelled tokens of one color share it.  An input seq is
-    # matched by the first colored line with its exact triple; every other
-    # line is surplus, and only the smallest surplus triple is kept.
+    # Each color token gets a small index.  An input seq is matched by the
+    # first colored line with its exact triple; every other line is
+    # surplus, and only the smallest surplus triple is kept.
     color_of = array("q", [-1]) * m
     index_of: dict[str, int] = {}
-    colors: list[ColorId] = []
+    colors: list[str] = []
     surplus = None
     for e, color in colored:
         s = e.seq
         if 0 <= s < m and color_of[s] < 0 and e.u == us[s] and e.v == vs[s]:
-            index = index_of.get(color.token)
+            index = index_of.get(color)
             if index is None:
-                index = index_of[color.token] = len(colors)
+                index = index_of[color] = len(colors)
                 colors.append(color)
             color_of[s] = index
         elif surplus is None or (e.u, e.v, s) < surplus:
@@ -448,38 +446,11 @@ def verify_proper(
     second, first, x, c = witness
     return VerifyResult(
         status="conflict",
-        detail=f"color {encode_color(colors[c])} repeats at vertex {x}",
+        detail=f"color {colors[c]} repeats at vertex {x}",
         first=Edge(us[first], vs[first], first),
         second=Edge(us[second], vs[second], second),
         color=colors[c],
     )
-
-
-def oracle_min_greedy(edges: list[Edge], tries: int, seed: int) -> dict[Edge, int]:
-    """Best first-fit coloring over `tries` random edge orders.
-
-    Returns integer slots; an upper-bound reference point for how few colors
-    a buffered greedy pass can reach on the same edges.
-    """
-    if tries < 1:
-        raise ValueError(f"tries must be >= 1, got {tries}")
-    deg: dict[int, int] = {}
-    for e in edges:
-        deg[e.u] = deg.get(e.u, 0) + 1
-        deg[e.v] = deg.get(e.v, 0) + 1
-    limit = 2 * max(deg.values(), default=1) - 1
-    rng = random.Random(seed)
-    order = list(edges)
-    best: dict[Edge, int] | None = None
-    best_count = limit + 1
-    for _ in range(tries):
-        rng.shuffle(order)
-        slots = first_fit_slots(order, limit)
-        count = len(set(slots))
-        if count < best_count:
-            best, best_count = dict(zip(order, slots)), count
-    assert best is not None
-    return best
 
 
 # ---------------------------------------------------------------------------

@@ -13,7 +13,7 @@ from __future__ import annotations
 from math import isqrt
 
 from .audit import SpaceMeter, TraceRecorder
-from .model import FAMILIES, ColorId, Edge, trusted_palette_color
+from .model import FAMILIES, Edge, token_prefix
 from .primitives import RandomSource, first_fit_slots, gap_check, mod_slot
 
 __all__ = ["ClassState", "step1_high_high", "step2_high_low"]
@@ -69,7 +69,7 @@ class ClassState:
         self.window: set[tuple[int, str, int]] = set()
         self.sigma: int | None = None
         self.interval: int | None = None
-        # per-interval token prefix of each family, E.L.P.D.<family><sigma>.
+        # per-interval token prefix of each family, up to the slot
         self._prefixes: dict[str, str] = {}
         self.index_inserts = 0
         self.counter_creates = 0
@@ -89,8 +89,10 @@ class ClassState:
     def begin_interval(self, interval: int) -> int:
         self.interval = interval
         self.sigma = sigma = self._sigma_source.child("i", interval).randrange(self.palette_count) + 1
-        head = f"E{self.epoch}.L{self.level}.P{self.phase}.D{self.d}."
-        self._prefixes = {family: f"{head}{family}{sigma}." for family in FAMILIES}
+        self._prefixes = {
+            family: token_prefix(self.epoch, self.level, family, phase=self.phase, d=self.d, index=sigma)
+            for family in FAMILIES
+        }
         if self._trace is not None:
             self._trace.emit({"kind": "class-interval", **self._head, "interval": interval,
                               "sigma": sigma, "prior": self.prior_counts.get(sigma, 0)})
@@ -168,16 +170,15 @@ class ClassState:
         self.counters.clear()
         self.prior_counts.clear()
 
-    def color(self, family: str, slot: int) -> ColorId:
+    def color(self, family: str, slot: int) -> str:
+        """The token of this interval's family color at slot."""
         assert self.sigma is not None
-        token = f"{self._prefixes[family]}{slot}"
-        return trusted_palette_color(self.epoch, self.level, family, slot, self.phase, self.d,
-                                     self.sigma, token)
+        return f"{self._prefixes[family]}{slot}"
 
 
 def step1_high_high(
     h1: list[Edge], h2: list[Edge], high: set[int], state: ClassState
-) -> tuple[list[tuple[Edge, ColorId]], list[Edge], set[int]]:
+) -> tuple[list[tuple[Edge, str]], list[Edge], set[int]]:
     """Color the high-high edges among vertices whose current palette index
     is unused, and defer everything touching the rest.
 
@@ -192,7 +193,7 @@ def step1_high_high(
     trace = state._trace
     if trace is not None:
         head = {**state._head, "interval": state.interval}
-    emissions: list[tuple[Edge, ColorId]] = []
+    emissions: list[tuple[Edge, str]] = []
     for e, slot in zip(kept, first_fit_slots(kept, state.palette_size)):
         emissions.append((e, state.color("A", slot)))
         if trace is not None:
@@ -214,7 +215,7 @@ def step2_high_low(
     high: set[int],
     deg: dict[int, int],
     state: ClassState,
-) -> tuple[list[tuple[Edge, ColorId]], list[Edge]]:
+) -> tuple[list[tuple[Edge, str]], list[Edge]]:
     """Color the high-low edges of the interval from the B and C families.
 
     Low endpoints are visited in ascending id.  A low endpoint whose
@@ -232,7 +233,7 @@ def step2_high_low(
         low, hi = (e.v, e.u) if e.u in high else (e.u, e.v)
         per_low.setdefault(low, []).append((hi, e.seq, e))
 
-    emissions: list[tuple[Edge, ColorId]] = []
+    emissions: list[tuple[Edge, str]] = []
     leftovers: list[Edge] = []
     size, d, width = state.palette_size, state.d, state.block_width
     prior = state.prior()  # the tallies only move in end_interval

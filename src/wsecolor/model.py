@@ -5,14 +5,16 @@ structured names rather than pre-allocated integers: a color is identified by
 where it was minted (epoch, recursion level, phase, degree class, palette
 family, palette index, slot), and two colors are equal exactly when every
 coordinate matches.  Palette disjointness is therefore a construction
-property, and a color exists only once an edge actually receives it.
+property, and a color exists only once an edge actually receives it.  The
+engine passes each color as its canonical token string; ColorId is the
+parsed, validated form that decode_color returns.
 """
 
 from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 from typing import NoReturn
 
 __all__ = [
@@ -30,6 +32,7 @@ __all__ = [
     "epoch_config",
     "normalize_delta",
     "resolve_config",
+    "token_prefix",
 ]
 
 
@@ -93,17 +96,14 @@ class ColorId:
             raise ValueError(f"unknown color kind {self.kind!r}")
         if self.epoch < 0 or self.level < 0 or self.slot < 0:
             raise ValueError("epoch, level, and slot must be non-negative")
-        head = f"E{self.epoch}.L{self.level}"
         if self.kind == KIND_BASE:
             if (self.phase, self.interval, self.d, self.index) != (None, None, None, None):
                 raise ValueError("base colors carry no phase/interval/class fields")
-            token = f"{head}.BASE.{self.slot}"
         elif self.kind == KIND_LOW:
             if self.phase is None or self.interval is None:
                 raise ValueError("interval colors need phase and interval")
             if self.d is not None or self.index is not None:
                 raise ValueError("interval colors carry no class fields")
-            token = f"{head}.P{self.phase}.I{self.interval}.LOW.{self.slot}"
         else:
             if self.phase is None or self.d is None or self.index is None:
                 raise ValueError("palette-family colors need phase, class, and index")
@@ -111,7 +111,8 @@ class ColorId:
                 raise ValueError("palette-family colors carry no interval field")
             if self.index < 1:
                 raise ValueError("palette index is 1-based")
-            token = f"{head}.P{self.phase}.D{self.d}.{self.kind}{self.index}.{self.slot}"
+        token = token_prefix(self.epoch, self.level, self.kind, phase=self.phase,
+                             interval=self.interval, d=self.d, index=self.index) + str(self.slot)
         object.__setattr__(self, "token", token)
 
     def __hash__(self) -> int:
@@ -132,29 +133,17 @@ class ColorId:
         return cls(epoch, level, family, slot, phase=phase, d=d, index=index)
 
 
-# Each field's slot descriptor writes it past the frozen __setattr__, and
-# nothing calls __post_init__.
-(_set_epoch, _set_level, _set_kind, _set_slot, _set_phase, _set_interval, _set_d, _set_index,
- _set_token) = (ColorId.__dict__[f.name].__set__ for f in fields(ColorId))
-
-
-def trusted_palette_color(
-    epoch: int, level: int, family: str, slot: int, phase: int, d: int, index: int, token: str
-) -> ColorId:
-    """Build a palette-family color without validating it.  Only for the
-    engine, whose fields are in range by construction; token must be the
-    canonical rendering, which is what ColorId.palette would compute."""
-    color = object.__new__(ColorId)
-    _set_epoch(color, epoch)
-    _set_level(color, level)
-    _set_kind(color, family)
-    _set_slot(color, slot)
-    _set_phase(color, phase)
-    _set_interval(color, None)
-    _set_d(color, d)
-    _set_index(color, index)
-    _set_token(color, token)
-    return color
+def token_prefix(epoch: int, level: int, kind: str, *, phase: int | None = None,
+                 interval: int | None = None, d: int | None = None, index: int | None = None) -> str:
+    """The canonical token of a color of this kind up to its slot, trailing
+    dot included: E.L.BASE., E.L.P.I<interval>.LOW. or E.L.P.D.<kind><index>.
+    The one renderer of the token grammar, whose parser is decode_color;
+    the fields are not checked."""
+    if kind == KIND_BASE:
+        return f"E{epoch}.L{level}.BASE."
+    if kind == KIND_LOW:
+        return f"E{epoch}.L{level}.P{phase}.I{interval}.LOW."
+    return f"E{epoch}.L{level}.P{phase}.D{d}.{kind}{index}."
 
 
 def encode_color(color: ColorId) -> str:

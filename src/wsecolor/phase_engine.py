@@ -19,7 +19,7 @@ from math import isqrt
 
 from .audit import ClassPhaseStat, MetricsCollector, SpaceMeter, TraceRecorder
 from .class_colorer import ClassState, step1_high_high, step2_high_low
-from .model import ColorId, Edge, EngineInvariantError, RunConfig, StreamInputError
+from .model import KIND_BASE, KIND_LOW, Edge, EngineInvariantError, RunConfig, StreamInputError, token_prefix
 from .primitives import RandomSource, greedy_edge_color
 
 __all__ = [
@@ -31,7 +31,7 @@ __all__ = [
     "degree_classes",
 ]
 
-Emissions = list[tuple[Edge, ColorId]]
+Emissions = list[tuple[Edge, str]]
 
 # ingest's answer while an interval is still filling; immutable, so one
 # shared pair serves every call
@@ -39,16 +39,13 @@ FILLING: tuple[tuple, tuple] = ((), ())
 
 
 def color_greedy(
-    edges: list[Edge],
-    bound: int,
-    palette: list[ColorId],
-    scope: tuple,
-    collector: MetricsCollector,
+    edges: list[Edge], bound: int, prefix: str, size: int, scope: tuple, collector: MetricsCollector
 ) -> Emissions:
-    """First-fit color edges of max degree bound from one fresh palette,
-    noting the emissions under scope with the palette size as its budget."""
-    out = greedy_edge_color(edges, bound, palette)
-    collector.note_emission(scope, len(palette), [color for _, color in out])
+    """First-fit color edges of max degree bound from one fresh palette of
+    size tokens, prefix plus slot, noting the emissions under scope with
+    size as its budget."""
+    out = greedy_edge_color(edges, bound, [f"{prefix}{s}" for s in range(size)])
+    collector.note_emission(scope, size, [color for _, color in out])
     return out
 
 
@@ -185,10 +182,10 @@ class PhaseEngine:
             return self._process_interval()
         edges = self._take()
         bound = max(compute_degrees(edges).values())
-        palette = [ColorId.base(self.epoch, self.level, s) for s in range(2 * bound - 1)]
         self.base_bound = bound
+        prefix = token_prefix(self.epoch, self.level, KIND_BASE)
         scope = ("base", self.epoch, self.level)
-        return color_greedy(edges, bound, palette, scope, self._collector), []
+        return color_greedy(edges, bound, prefix, 2 * bound - 1, scope, self._collector), []
 
     def close(self) -> None:
         if self._phase is not None:
@@ -208,12 +205,9 @@ class PhaseEngine:
         edges = self._take()
         self.interval_index = index + 1
         bound = max(compute_degrees(edges).values())
-        palette = [
-            ColorId.low(self.epoch, self.level, 0, index, s)
-            for s in range(2 * self.config.delta - 1)
-        ]
+        prefix = token_prefix(self.epoch, self.level, KIND_LOW, phase=0, interval=index)
         scope = ("fresh", self.epoch, self.level, index)
-        return color_greedy(edges, bound, palette, scope, self._collector), []
+        return color_greedy(edges, bound, prefix, 2 * self.config.delta - 1, scope, self._collector), []
 
     def _start_phase(self, phase: int) -> None:
         self._phase = phase
@@ -283,13 +277,11 @@ class PhaseEngine:
         classified = classify_interval(edges, deg, cfg.delta)
         high_by_class = self._high_by_class(deg)
 
-        low_palette = [
-            ColorId.low(self.epoch, self.level, phase, index, s)
-            for s in range(2 * cfg.sqrt_delta - 1)
-        ]
+        low_prefix = token_prefix(self.epoch, self.level, KIND_LOW, phase=phase, interval=index)
         low_scope = ("low", self.epoch, self.level, index)
         emissions = color_greedy(
-            classified.low_bucket, classified.low_bound, low_palette, low_scope, self._collector
+            classified.low_bucket, classified.low_bound, low_prefix, 2 * cfg.sqrt_delta - 1,
+            low_scope, self._collector,
         )
         leftovers: list[Edge] = []
 

@@ -17,7 +17,7 @@ import time
 from typing import Iterable, Iterator
 
 from .audit import MetricsCollector, RunMetrics, TraceRecorder
-from .model import ColorId, Edge, RunConfig, StreamInputError, epoch_config
+from .model import Edge, RunConfig, StreamInputError, epoch_config
 from .phase_engine import Emissions, PhaseEngine
 from .primitives import RandomSource
 
@@ -107,7 +107,7 @@ class StreamColorer:
                 out.extend(self._forward(chain, level, leftovers))
         return out
 
-    def run(self, edges: Iterable[Edge]) -> Iterator[tuple[Edge, ColorId]]:
+    def run(self, edges: Iterable[Edge]) -> Iterator[tuple[Edge, str]]:
         """Feed every edge, then finalize, yielding emissions as they appear."""
         for e in edges:
             yield from self.feed(e.u, e.v, e)
@@ -171,8 +171,10 @@ def _run(
 def run_stream(
     config: RunConfig, edges: Iterable[Edge], *, trace: TraceRecorder | None = None
 ) -> tuple[Emissions, RunMetrics]:
-    """Color a stream in one pass.  Edges are re-sequenced by arrival order,
-    so iterables of bare (u, v) carriers work as long as .u/.v/.seq exist."""
+    """Color a stream in one pass; returns the (edge, color token)
+    emissions and the run's metrics.  Edges are re-sequenced by arrival
+    order, so iterables of bare (u, v) carriers work as long as .u/.v/.seq
+    exist."""
     return _run(config, edges, trace=trace, baseline=False)
 
 

@@ -12,7 +12,7 @@ import random
 from dataclasses import dataclass
 from operator import attrgetter
 
-from .model import ColorId, Edge, EngineInvariantError
+from .model import Edge, EngineInvariantError
 
 __all__ = [
     "RandomSource",
@@ -70,8 +70,8 @@ def first_fit_slots(edges: list[Edge], slot_limit: int) -> list[int]:
 
 
 def greedy_edge_color(
-    edges: list[Edge], degree_bound: int, palette: list[ColorId]
-) -> list[tuple[Edge, ColorId]]:
+    edges: list[Edge], degree_bound: int, palette: list[str]
+) -> list[tuple[Edge, str]]:
     """Properly color a multigraph with first-fit over an explicit palette,
     visiting edges in ascending arrival order; returns (edge, color) pairs
     in that order.

@@ -12,7 +12,7 @@ import random
 from dataclasses import dataclass
 from typing import IO, Iterable, Iterator
 
-from .model import ColorId, Edge, StreamInputError, decode_color, encode_color
+from .model import Edge, StreamInputError, decode_color, encode_color
 
 __all__ = [
     "ORDER_POLICIES",
@@ -193,24 +193,24 @@ def read_stream(fh: IO[str]) -> tuple[StreamHeader, Iterator[Edge]]:
     return header, body()
 
 
-def colored_line(e: Edge, color: ColorId) -> str:
-    return f"{e.u} {e.v} {e.seq} {encode_color(color)}\n"
+def colored_line(e: Edge, color: str) -> str:
+    return f"{e.u} {e.v} {e.seq} {color}\n"
 
 
-def write_colored(fh: IO[str], emissions: Iterable[tuple[Edge, ColorId]]) -> None:
+def write_colored(fh: IO[str], emissions: Iterable[tuple[Edge, str]]) -> None:
     for e, color in emissions:
         fh.write(colored_line(e, color))
 
 
-def read_colored(fh: IO[str]) -> Iterator[tuple[Edge, ColorId]]:
+def read_colored(fh: IO[str]) -> Iterator[tuple[Edge, str]]:
     """Parse a colored file lazily into (edge, color) pairs, one per line.
 
     A bad line raises a line-numbered StreamFormatError when it is reached,
     after every good line before it has been yielded.  Each distinct color
-    token is decoded and validated once, where it first appears; later
-    lines with the same token share its ColorId.
+    token is decoded and validated once, where it first appears, and every
+    spelling of a color yields one string: its canonical token.
     """
-    decoded: dict[str, ColorId] = {}
+    canonical: dict[str, str] = {}
     for lineno, line in enumerate(fh, start=1):
         fields = line.split()
         if not fields:
@@ -226,12 +226,12 @@ def read_colored(fh: IO[str]) -> Iterator[tuple[Edge, ColorId]]:
                 f"line {lineno}: endpoints and seq must be integers, got {line.rstrip()!r}"
             ) from None
         token = fields[3]
-        color = decoded.get(token)
+        color = canonical.get(token)
         if color is None:
             try:
-                color = decode_color(token)
+                color = encode_color(decode_color(token))
             except ValueError as err:
                 raise StreamFormatError(f"line {lineno}: {err}") from None
-            # a canonical token is the color's own string: keep that one
-            decoded[color.token if color.token == token else token] = color
+            # a canonical token maps to itself, so each color is one string
+            color = canonical[token] = canonical.setdefault(color, color)
         yield Edge(u, v, seq), color

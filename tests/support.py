@@ -8,7 +8,7 @@ from wsecolor import (
     Edge,
     RunMetrics,
     VerifyResult,
-    encode_color,
+    decode_color,
     gen_multigraph,
     order_stream,
     resolve_config,
@@ -20,8 +20,7 @@ def find_conflicts(colored):
     """All pairs of distinct edge instances that share an endpoint and a
     color token.  Quadratic per vertex; only for test-sized inputs."""
     at_vertex: dict[int, list] = {}
-    for e, color in colored:
-        token = encode_color(color)
+    for e, token in colored:
         at_vertex.setdefault(e.u, []).append((e, token))
         at_vertex.setdefault(e.v, []).append((e, token))
     conflicts = []
@@ -57,7 +56,7 @@ def reference_verify(colored, input_edges):
         for x in (e.u, e.v):
             other = seen.get((x, color))
             if other is not None and other.seq != e.seq:
-                detail = f"color {encode_color(color)} repeats at vertex {x}"
+                detail = f"color {color} repeats at vertex {x}"
                 return VerifyResult("conflict", detail, other, e, color)
             seen[(x, color)] = e
     return VerifyResult(status="ok")
@@ -96,6 +95,11 @@ def fake_metrics(*, input_edges, leftover0, peak0=100, colors=1):
         class_phase_stats=[],
         wall_ms=0.0,
     )
+
+
+def decoded(emissions):
+    """The parsed ColorId of every emitted color token, in order."""
+    return [decode_color(color) for _, color in emissions]
 
 
 def seqs_of(edges):

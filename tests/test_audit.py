@@ -4,13 +4,13 @@ dual-run counter check with its regression canary."""
 import dataclasses
 import io
 import json
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from wsecolor import (
-    ColorId,
     Edge,
     MetricsCollector,
     SpaceMeter,
@@ -18,10 +18,10 @@ from wsecolor import (
     TraceRecorder,
     color_budget_check,
     counter_trace,
+    decode_color,
     gen_multigraph,
     leftover_stats,
     offset_independence_check,
-    oracle_min_greedy,
     order_stream,
     resolve_config,
     run_stream,
@@ -35,13 +35,13 @@ from wsecolor.audit import (
     saturated_index_audit,
 )
 from wsecolor.class_colorer import ClassState
+from wsecolor.model import FAMILIES, epoch_config
 
-from support import color_run, fake_metrics, find_conflicts, make_edges, reference_verify
+from support import color_run, decoded, fake_metrics, find_conflicts, make_edges, reference_verify
 
 
 def painted(edges, tokens):
-    palette = {t: ColorId.base(0, 0, t) for t in tokens}
-    return [(e, palette[t]) for e, t in zip(edges, tokens)]
+    return [(e, f"E0.L0.BASE.{t}") for e, t in zip(edges, tokens)]
 
 
 # -- verifier ----------------------------------------------------------------
@@ -59,7 +59,7 @@ def test_verify_flags_conflict_with_witness():
     assert result.status == "conflict"
     assert not result.ok
     assert result.first.seq == 0 and result.second.seq == 1
-    assert result.color == ColorId.base(0, 0, 3)
+    assert result.color == "E0.L0.BASE.3"
     assert "vertex 1" in result.detail
 
 
@@ -121,7 +121,7 @@ def test_verify_drains_the_input_before_a_verdict():
 
 def test_verify_compares_colors_by_value_not_by_object():
     edges = make_edges([(0, 1), (1, 2)])
-    colored = [(edges[0], ColorId.base(1, 0, 3)), (edges[1], ColorId.base(1, 0, 3))]
+    colored = [(e, "".join(["E1.L0.BASE.", "3"])) for e in edges]
     assert colored[0][1] is not colored[1][1]
     result = verify_proper(colored, edges)
     assert result.status == "conflict"
@@ -137,7 +137,7 @@ def test_verify_rejects_input_it_cannot_index(edges):
         verify_proper([], edges)
 
 
-_PALETTE = [ColorId.base(0, 0, 0), ColorId.base(0, 0, 1), ColorId.low(0, 0, 0, 0, 0)]
+_PALETTE = ["E0.L0.BASE.0", "E0.L0.BASE.1", "E0.L0.P0.I0.LOW.0"]
 
 
 @st.composite
@@ -170,32 +170,6 @@ def test_verify_agrees_with_pairwise_oracle():
     edges, emissions, _, _ = color_run(64, 16, 256, seed=9)
     assert verify_proper(emissions, edges).status == "ok"
     assert find_conflicts(emissions) == []
-
-
-# -- greedy reference --------------------------------------------------------
-
-
-def test_oracle_triangle_needs_three():
-    # all three edges meet pairwise, so two slots can never suffice
-    triangle = make_edges([(0, 1), (1, 2), (2, 0)])
-    slots = oracle_min_greedy(triangle, tries=16, seed=0)
-    assert len(set(slots.values())) == 3
-
-
-def test_oracle_star_needs_its_degree():
-    star = make_edges([(0, i) for i in range(1, 6)])
-    slots = oracle_min_greedy(star, tries=8, seed=0)
-    assert len(set(slots.values())) == 5
-
-
-def test_oracle_parallel_pair_needs_two():
-    pair = make_edges([(0, 1), (0, 1)])
-    assert len(set(oracle_min_greedy(pair, tries=4, seed=0).values())) == 2
-
-
-def test_oracle_validates_tries():
-    with pytest.raises(ValueError):
-        oracle_min_greedy(make_edges([(0, 1)]), tries=0, seed=0)
 
 
 # -- counter traces ----------------------------------------------------------
@@ -325,6 +299,27 @@ def test_audits_clean_on_unknown_delta_burst():
     assert int(detail.split()[0]) > 0  # counter events were compared, past epoch 0
 
 
+@pytest.mark.parametrize("order", ["arrival-random", "vertex-sorted"])
+def test_audits_clean_where_class_colors_span_lower_epochs(order):
+    # intervals of n/16 edges fill in epochs below the top one, so the class
+    # path runs in several epochs, not only where the degree bound settles
+    edges = order_stream(gen_multigraph(256, 256, 8192, seed=1), order, seed=2)
+    config = resolve_config(
+        n=256, delta=256, m=8192, seed=1, interval_factor=0.0625, delta_mode="unknown"
+    )
+    trace = TraceRecorder()
+    colorer = StreamColorer(config, trace=trace)
+    emissions = list(colorer.run(edges))
+    family_colors = [c for c in decoded(emissions) if c.kind in FAMILIES]
+    assert len({c.epoch for c in family_colors}) >= 2
+    assert assignment_structure_audit(trace.records, config) == []
+    assert saturated_index_audit(trace.records, config) == []
+    ok, detail = offset_independence_check(config, edges, offset_seed_a=7001, offset_seed_b=9103)
+    assert ok, detail
+    for engine in colorer.engines():
+        assert set(engine.meter.current.values()) <= {0}, (engine.epoch, engine.level)
+
+
 def test_counter_canary_catches_lazy_bumps_past_epoch_zero(monkeypatch):
     edges, _, _, config = unknown_delta_burst_run(None)
     bump_lazily(monkeypatch)
@@ -366,6 +361,24 @@ def test_trace_dump_renders_json_dumps_bytes(records):
     assert again.getvalue() == out.getvalue()
 
 
+def test_trace_dump_checks_value_types_against_the_template_of_its_keys():
+    # the template is cached per keys: a record whose value types differ
+    # from the first record with those keys must still dump as json.dumps
+    records = [
+        {"kind": "x", "seq": 1, "tag": "a"},
+        {"kind": "x", "seq": "1", "tag": 2},
+        {"kind": "x", "seq": True, "tag": None},
+        {"kind": "x", "seq": 3, "tag": "b"},
+    ]
+    for order in (records, records[::-1]):
+        recorder = TraceRecorder()
+        for record in order:
+            recorder.emit(record)
+        out = io.StringIO()
+        recorder.dump(out)
+        assert out.getvalue() == "".join(json.dumps(r) + "\n" for r in order)
+
+
 def test_trace_recorder_with_sink_writes_in_batches():
     held, streamed = TraceRecorder(), io.StringIO()
     recorder = TraceRecorder(sink=streamed)
@@ -388,11 +401,11 @@ def test_collector_closes_every_scope_by_finalize():
     emissions = list(colorer.run(edges))
     assert colorer.collector._open == {}  # only (budget, distinct) counts remain
     metrics = colorer.metrics(wall_ms=0.0)
-    tokens = {c.token for _, c in emissions}
+    tokens = {c for _, c in emissions}
     assert metrics.colors_used == len(tokens)
     assert sum(s.distinct for s in metrics.scopes) == len(tokens)
-    for key, count in metrics.colors_per_level.items():
-        assert count == len({c.token for _, c in emissions if (c.epoch, c.level) == key})
+    per_level = Counter((c.epoch, c.level) for c in map(decode_color, tokens))
+    assert metrics.colors_per_level == per_level
     assert any(s.kind == "class" for s in metrics.scopes)
 
 
@@ -435,6 +448,31 @@ def test_color_budget_flags_overflow():
     assert violations
 
 
+@pytest.mark.parametrize(
+    "order, overrides", [("vertex-sorted", {}), ("degree-burst", {"delta_mode": "unknown"})]
+)
+def test_family_palettes_stay_within_their_budget(order, overrides):
+    # group the emitted family colors by (epoch, level, phase, class, family)
+    _, emissions, metrics, config = color_run(256, 64, 4096, order=order, seed=3, **overrides)
+    edges: Counter = Counter()
+    colors: dict[tuple, set[str]] = {}
+    for _, token in emissions:
+        c = decode_color(token)
+        if c.kind in FAMILIES:
+            group = (c.epoch, c.level, c.phase, c.d, c.kind)
+            edges[group] += 1
+            colors.setdefault(group, set()).add(token)
+    assert {group[-1] for group in colors} >= {"A", "B"}
+    per_scope: Counter = Counter()
+    for group, distinct in colors.items():
+        # one family's budget: palette_count * palette_size = 2 kappa^2 delta
+        budget = 2 * config.kappa**2 * epoch_config(config, group[0]).delta
+        assert len(distinct) <= min(edges[group], budget), group
+        per_scope[group[:4]] += len(distinct)
+    scopes = {(s.epoch, s.level, s.phase, s.d): s.distinct for s in metrics.scopes if s.kind == "class"}
+    assert per_scope == scopes
+
+
 def test_space_check_clean():
     _, _, metrics, _ = color_run(64, 16, 256, seed=0)
     report = space_check(metrics)
@@ -455,7 +493,7 @@ def test_note_emission_counts_a_scope_in_one_call():
     empty = collector.build(config=cfg, engines=[], input_edges=0, wall_ms=0.0)
     assert empty.scopes == [] and empty.colored_per_level == {}
 
-    colors = [ColorId.low(0, 1, 0, 0, s) for s in (0, 1, 0)]
+    colors = [f"E0.L1.P0.I0.LOW.{s}" for s in (0, 1, 0)]
     collector.note_emission(("low", 0, 1, 0), 3, colors)
     metrics = collector.build(config=cfg, engines=[], input_edges=3, wall_ms=0.0)
     assert metrics.colored_per_level == {(0, 1): 3}

@@ -6,15 +6,13 @@ width * prior) mod K, with K = 2 * kappa * d and width the square root of
 the degree bound.
 """
 
-import dataclasses
-
 import pytest
 
-from wsecolor import ColorId, Edge, SpaceMeter, TraceRecorder, decode_color
+from wsecolor import Edge, SpaceMeter, TraceRecorder, decode_color, encode_color
 from wsecolor.class_colorer import ClassState, step1_high_high, step2_high_low
 from wsecolor.primitives import RandomSource
 
-from support import color_run
+from support import color_run, decoded
 
 
 def make_state(d=4, delta=16, kappa=32, *, trace=None, meter=None, sigma_seed=123, offset_seed=456):
@@ -141,7 +139,7 @@ def test_counter_path_frozen_slot():
     s.counters[(3, s.sigma)] = 3
     emissions, leftovers = run_step2(s, [Edge(3, 9, 0)], {9}, {9}, {3: 5, 9: 8})
     assert leftovers == []
-    [(edge, color)] = emissions
+    [color] = decoded(emissions)
     assert (color.kind, color.slot) == ("C", 10)  # (7 + 3) mod 256
     assert color.index == s.sigma
     assert s.counter_of(3) == 4  # bumped after the assignment
@@ -158,7 +156,7 @@ def test_block_path_frozen_slots():
     h2 = [Edge(3, 9, 0), Edge(3, 11, 1)]
     emissions, leftovers = run_step2(s, h2, {9, 11}, {9, 11}, {3: 2, 9: 8, 11: 8})
     assert leftovers == []
-    slots = [(c.kind, c.slot) for _, c in emissions]
+    slots = [(c.kind, c.slot) for c in decoded(emissions)]
     # b walks 0, 1 over the low vertex's edges; block shifted by width * prior
     assert slots == [("B", 11), ("B", 12)]  # (7+0+4*1), (7+1+4*1)
 
@@ -214,7 +212,7 @@ def test_counter_conflict_at_shared_anchor():
     s.offsets.update({1: 7, 2: 7, 9: 15})  # both counters start at 0: slot 7 at v=9 twice
     h2 = [Edge(1, 9, 0), Edge(2, 9, 1)]
     emissions, leftovers = run_step2(s, h2, {9}, {9}, {1: 5, 2: 5, 9: 8})
-    assert [(e.seq, c.kind, c.slot) for e, c in emissions] == [(0, "C", 7)]
+    assert [(e.seq, c.kind, c.slot) for (e, _), c in zip(emissions, decoded(emissions))] == [(0, "C", 7)]
     assert [e.seq for e in leftovers] == [1]
     cases = [r["case"] for r in trace.records if r["kind"] == "mixed-decision"]
     assert cases == ["counter-assign", "counter-conflict"]
@@ -231,7 +229,8 @@ def test_b_and_c_slots_of_one_number_share_an_anchor():
     # vertex 1 holds a counter (C slot 7 + 0), vertex 2 packs a block (B slot 7 + 0)
     emissions, leftovers = run_step2(s, h2, {9}, {9}, {1: 5, 2: 1, 9: 8})
     assert leftovers == []
-    assert [(e.seq, c.kind, c.slot) for e, c in emissions] == [(0, "C", 7), (1, "B", 7)]
+    pairs = zip(emissions, decoded(emissions))
+    assert [(e.seq, c.kind, c.slot) for (e, _), c in pairs] == [(0, "C", 7), (1, "B", 7)]
     assert s.window == {(9, "C", 7), (9, "B", 7)}
     s.end_interval()
     # the window is metered per interval, so its size shows as the peak
@@ -278,9 +277,9 @@ def test_step1_colors_fresh_high_pairs():
     emissions, leftovers, usable = step1_high_high(h1, [], {5, 6}, s)
     assert usable == {5, 6}
     assert leftovers == []
-    slots = [c.slot for _, c in emissions]
+    slots = [c.slot for c in decoded(emissions)]
     assert slots == [0, 1]  # first fit over parallel edges
-    assert all(c.kind == "A" for _, c in emissions)
+    assert all(c.kind == "A" for c in decoded(emissions))
     assert not s.index_fresh(5) and not s.index_fresh(6)
 
 
@@ -321,7 +320,7 @@ def test_repeat_index_next_interval_exiles():
 def test_color_fields_carry_class_identity():
     s = make_state(d=8, delta=64)
     s.begin_interval(2)
-    color = s.color("B", 17)
+    color = decode_color(s.color("B", 17))
     assert (color.epoch, color.level, color.phase, color.d) == (0, 0, 0, 8)
     assert color.kind == "B"
     assert color.index == s.sigma
@@ -333,14 +332,12 @@ def test_color_fields_carry_class_identity():
     [("degree-burst", True, {"delta_mode": "unknown"}), ("vertex-sorted", False, {})],
 )
 def test_engine_colors_equal_their_decoded_tokens(order, traced, overrides):
-    # class colors skip validation; each must be the color its token names
+    # each emitted token must parse, and be the canonical spelling of its color
     trace = TraceRecorder() if traced else None
     _, emissions, _, _ = color_run(64, 256, 4096, order=order, trace=trace, **overrides)
-    names = [f.name for f in dataclasses.fields(ColorId)]
     kinds = set()
-    for _, color in emissions:
-        back = decode_color(color.token)
-        assert back == color and hash(back) == hash(color)
-        assert [getattr(back, k) for k in names] == [getattr(color, k) for k in names]
+    for _, token in emissions:
+        color = decode_color(token)
+        assert encode_color(color) == token
         kinds.add(color.kind)
     assert {"A", "B"} <= kinds

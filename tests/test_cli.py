@@ -274,7 +274,7 @@ def test_verify_reads_at_most_one_file_from_stdin(capsys, monkeypatch):
 
 
 def test_verify_memory_per_edge_is_bounded(tmp_path, capsys):
-    # verify keeps int columns per edge, not every parsed (Edge, ColorId)
+    # verify keeps int columns per edge, not every parsed (Edge, color)
     # pair: materializing the pairs costs about 370 B/edge at this size,
     # the columns about 40.  m is half of n*delta/2, as in the uniform
     # benchmark workload, so generation does not run into the degree cap.

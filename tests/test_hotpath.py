@@ -1,6 +1,7 @@
 """Structural guard on the untraced color path: bookkeeping happens per
-interval or per scope, not per edge.  Counts calls instead of timing them,
-so it holds on any machine."""
+interval or per scope, not per edge, and colors stay token strings from
+palette to file.  Counts calls instead of timing them, so it holds on any
+machine."""
 
 import sys
 
@@ -58,9 +59,18 @@ def test_color_path_does_per_interval_bookkeeping(tmp_path, capsys, counts):
     capsys.readouterr()
 
     assert len(out.read_text().splitlines()) == M
-    assert counts["encode_color"] == M  # once per output line, nowhere else
+    # colors are written as the tokens the palettes hold: nothing encodes
+    # a color or builds a ColorId on the way to the file
+    assert counts["encode_color"] == 0
+    assert counts["ColorId.__post_init__"] == 0
     assert counts["SpaceMeter.add"] < 0.1 * M
     assert counts["note_emission"] < 0.1 * M
+
+    # the counters see the read side: verify parses each distinct token once
+    tokens = {line.split()[3] for line in out.read_text().splitlines()}
+    assert main(["verify", str(out), str(stream)]) == 0
+    capsys.readouterr()
+    assert counts["encode_color"] == counts["ColorId.__post_init__"] == len(tokens)
 
 
 def test_class_path_meters_per_interval(tmp_path, capsys, counts):
@@ -78,7 +88,6 @@ def test_class_path_meters_per_interval(tmp_path, capsys, counts):
     assert main(args) == 0
     capsys.readouterr()
 
-    assert counts["encode_color"] == m
+    assert counts["encode_color"] == 0
+    assert counts["ColorId.__post_init__"] == 0
     assert counts["SpaceMeter.add"] < 0.2 * m
-    # class colors are built trusted; the LOW palettes are validated per interval
-    assert counts["ColorId.__post_init__"] < 0.1 * m

@@ -20,7 +20,7 @@ from wsecolor.phase_engine import (
 )
 from wsecolor.primitives import RandomSource
 
-from support import find_conflicts, make_edges
+from support import decoded, find_conflicts, make_edges
 
 
 def test_degree_classes_frozen():
@@ -186,8 +186,8 @@ def test_all_low_interval_uses_small_fresh_palette():
     emissions, leftovers = feed_all(engine, make_edges([(0, 1), (2, 3), (4, 5), (6, 7)]))
     assert leftovers == []
     assert len(emissions) == 4
-    assert {c.kind for _, c in emissions} == {"LOW"}
-    assert len({c.slot for _, c in emissions}) <= 2 * 4 - 1
+    assert {c.kind for c in decoded(emissions)} == {"LOW"}
+    assert len({c.slot for c in decoded(emissions)}) <= 2 * 4 - 1
     assert find_conflicts(emissions) == []
 
 
@@ -196,7 +196,7 @@ def test_low_palettes_fresh_per_interval():
     engine, _, _ = make_engine(cfg)
     emissions, leftovers = feed_all(engine, make_edges([(0, 1), (2, 3), (0, 2), (1, 3)]))
     assert leftovers == []
-    assert {c.interval for _, c in emissions} == {0, 1}
+    assert {c.interval for c in decoded(emissions)} == {0, 1}
     # the second interval reuses slot numbers but not colors
     assert find_conflicts(emissions) == []
 
@@ -243,7 +243,7 @@ def test_flush_colors_first_partial_interval_as_base_case():
     emissions, leftovers = engine.flush()
     assert leftovers == []
     assert sorted(e.seq for e, _ in emissions) == [0, 1, 2]
-    assert {c.kind for _, c in emissions} == {"BASE"}
+    assert {c.kind for c in decoded(emissions)} == {"BASE"}
     assert find_conflicts(emissions) == []
     engine.close()
     assert engine.buffered == 0
@@ -261,7 +261,7 @@ def test_fresh_role_colors_first_partial_interval_from_low_palette(role):
     engine.close()
     assert leftovers == []
     assert sorted(e.seq for e, _ in emissions) == [0, 1, 2]
-    assert {(c.kind, c.interval, c.phase) for _, c in emissions} == {("LOW", 0, 0)}
+    assert {(c.kind, c.interval, c.phase) for c in decoded(emissions)} == {("LOW", 0, 0)}
     assert find_conflicts(emissions) == []
     metrics = collector.build(config=cfg, engines=[engine], input_edges=3, wall_ms=0.0)
     assert metrics.base_cases == {}

@@ -9,7 +9,7 @@ from wsecolor import (
     Edge,
     StreamColorer,
     StreamInputError,
-    encode_color,
+    decode_color,
     gen_multigraph,
     order_stream,
     resolve_config,
@@ -34,11 +34,11 @@ def test_deeper_levels_tagged_and_counted():
     edges = gen_multigraph(64, 16, 256, seed=3)
     cfg = resolve_config(n=64, delta=16, seed=3, m=256)
     emissions, metrics = run_stream(cfg, edges)
-    levels = {c.level for _, c in emissions}
+    levels = {decode_color(c).level for _, c in emissions}
     assert levels == set(range(metrics.depth + 1))
     for (epoch, level), count in metrics.colored_per_level.items():
         assert epoch == 0
-        got = sum(1 for _, c in emissions if c.level == level)
+        got = sum(1 for _, c in emissions if decode_color(c).level == level)
         assert got == count
     # leftovers of one level are exactly the input of the next
     for level in range(metrics.depth):
@@ -53,16 +53,14 @@ def test_identical_runs_identical_output():
     cfg = resolve_config(n=64, delta=16, seed=5, m=256)
     first, _ = run_stream(cfg, edges)
     second, _ = run_stream(cfg, edges)
-    assert [(e.seq, encode_color(c)) for e, c in first] == [
-        (e.seq, encode_color(c)) for e, c in second
-    ]
+    assert [(e.seq, c) for e, c in first] == [(e.seq, c) for e, c in second]
 
 
 def test_seed_changes_output():
     edges = gen_multigraph(64, 16, 256, seed=5)
     a, _ = run_stream(resolve_config(n=64, delta=16, seed=5, m=256), edges)
     b, _ = run_stream(resolve_config(n=64, delta=16, seed=6, m=256), edges)
-    assert [(e.seq, encode_color(c)) for e, c in a] != [(e.seq, encode_color(c)) for e, c in b]
+    assert [(e.seq, c) for e, c in a] != [(e.seq, c) for e, c in b]
 
 
 def test_base_case_colors_within_twice_degree():
@@ -70,8 +68,8 @@ def test_base_case_colors_within_twice_degree():
     bound = max(compute_degrees(edges).values())
     cfg = resolve_config(n=64, delta=16, seed=1, m=20)
     emissions, metrics = run_stream(cfg, edges)
-    assert {c.kind for _, c in emissions} == {"BASE"}
-    assert len({encode_color(c) for _, c in emissions}) <= 2 * bound - 1
+    assert {decode_color(c).kind for _, c in emissions} == {"BASE"}
+    assert len({c for _, c in emissions}) <= 2 * bound - 1
     assert find_conflicts(emissions) == []
     assert metrics.base_cases == {(0, 0): bound}
     assert metrics.depth == 0
@@ -138,7 +136,7 @@ def test_epoch_routing_follows_running_max_degree():
         emissions.extend(colorer.feed(u, v))
     emissions.extend(colorer.finalize())
     # running max degree 1,2,3,4,5 lands in regimes 0,1,2,2,3
-    by_seq = {e.seq: c.epoch for e, c in emissions}
+    by_seq = {e.seq: decode_color(c).epoch for e, c in emissions}
     assert by_seq == {0: 0, 1: 1, 2: 2, 3: 2, 4: 3}
     assert find_conflicts(emissions) == []
 
@@ -174,7 +172,7 @@ def test_unknown_mode_rejects_bad_edges_before_counting():
         colorer.feed(0, 99)
     colorer.feed(0, 1)  # the failed edges left no degree residue behind
     emissions = colorer.finalize()
-    assert [c.epoch for _, c in emissions] == [0]
+    assert [decode_color(c).epoch for _, c in emissions] == [0]
 
 
 # -- baseline ----------------------------------------------------------------

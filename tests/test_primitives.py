@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from wsecolor import ColorId, Edge, EngineInvariantError
+from wsecolor import Edge, EngineInvariantError
 from wsecolor.primitives import (
     RandomSource,
     first_fit_slots,
@@ -76,7 +76,7 @@ def test_first_fit_is_proper_and_bounded(edges):
     slots = first_fit_slots(edges, bound)
     assert len(slots) == len(edges)
     assert all(0 <= s < bound for s in slots)
-    fake_palette = [ColorId.base(0, 0, s) for s in range(bound)]
+    fake_palette = [f"E0.L0.BASE.{s}" for s in range(bound)]
     colored = [(e, fake_palette[s]) for e, s in zip(edges, slots)]
     assert find_conflicts(colored) == []
 
@@ -89,7 +89,7 @@ def test_first_fit_exhaustion_raises():
 
 def test_greedy_edge_color_small_palette_rejected():
     edges = make_edges([(0, 1), (0, 2)])
-    palette = [ColorId.base(0, 0, 0)]  # degree bound 2 needs 3 entries
+    palette = ["E0.L0.BASE.0"]  # degree bound 2 needs 3 entries
     with pytest.raises(ValueError):
         greedy_edge_color(edges, 2, palette)
 
@@ -100,7 +100,7 @@ def test_greedy_edge_color_empty_input():
 
 @given(st.permutations(make_edges([(0, 1), (1, 2), (2, 3), (0, 1), (3, 0), (1, 3)])))
 def test_greedy_edge_color_returns_ascending_seq(edges):
-    palette = [ColorId.low(0, 0, 0, 0, s) for s in range(7)]
+    palette = [f"E0.L0.P0.I0.LOW.{s}" for s in range(7)]
     colored = greedy_edge_color(edges, 4, palette)
     assert [e.seq for e, _ in colored] == list(range(6))
     assert colored == greedy_edge_color(sorted(edges, key=lambda e: e.seq), 4, palette)
@@ -113,7 +113,7 @@ def test_greedy_edge_color_proper(edges):
         deg[e.u] = deg.get(e.u, 0) + 1
         deg[e.v] = deg.get(e.v, 0) + 1
     bound = max(deg.values())
-    palette = [ColorId.low(0, 0, 0, 0, s) for s in range(2 * bound - 1)]
+    palette = [f"E0.L0.P0.I0.LOW.{s}" for s in range(2 * bound - 1)]
     colored = greedy_edge_color(edges, bound, palette)
     assert len(colored) == len(edges)
     assert find_conflicts(colored) == []

@@ -1,4 +1,5 @@
-"""Source hygiene: every name a module of the package imports is used."""
+"""Source hygiene: every name a module of the package imports is used, and
+the parsed color form stays at the modules that parse or re-export it."""
 
 import ast
 from pathlib import Path
@@ -45,3 +46,37 @@ def test_unused_imports_are_found():
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+# the engine passes colors as token strings; only these modules may name the
+# parsed form or its codec
+COLOR_CODEC = frozenset(("ColorId", "decode_color", "encode_color"))
+CODEC_MODULES = frozenset(("model.py", "workload.py", "__init__.py"))
+
+
+def codec_imports(source: str) -> list[str]:
+    """The names of COLOR_CODEC that source imports."""
+    return [
+        f"line {node.lineno}: {alias.name}"
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+        if alias.name in COLOR_CODEC
+    ]
+
+
+def test_codec_imports_are_found():
+    source = (
+        "from .model import Edge, decode_color\n"
+        "def f():\n"
+        "    from .model import ColorId as C\n"
+    )
+    assert codec_imports(source) == ["line 1: decode_color", "line 3: ColorId"]
+
+
+ENGINE_SOURCES = [p for p in SOURCES if p.name not in CODEC_MODULES]
+
+
+@pytest.mark.parametrize("path", ENGINE_SOURCES, ids=lambda p: p.name)
+def test_engine_modules_do_not_import_the_color_codec(path):
+    assert codec_imports(path.read_text(encoding="utf-8")) == []

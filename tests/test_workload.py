@@ -12,6 +12,7 @@ from wsecolor import (
     Edge,
     StreamInputError,
     decode_color,
+    encode_color,
     gen_multigraph,
     order_stream,
     read_colored,
@@ -231,9 +232,9 @@ def test_stream_format_error_is_an_input_error():
 
 def test_colored_roundtrip():
     emissions = [
-        (Edge(0, 1, 0), ColorId.base(0, 0, 3)),
-        (Edge(1, 2, 1), ColorId.palette(0, 1, 2, 8, "B", 17, 42)),
-        (Edge(2, 3, 2), ColorId.low(1, 0, 3, 12, 7)),
+        (Edge(0, 1, 0), encode_color(ColorId.base(0, 0, 3))),
+        (Edge(1, 2, 1), encode_color(ColorId.palette(0, 1, 2, 8, "B", 17, 42))),
+        (Edge(2, 3, 2), encode_color(ColorId.low(1, 0, 3, 12, 7))),
     ]
     fh = io.StringIO()
     write_colored(fh, emissions)
@@ -248,10 +249,18 @@ def test_colored_lines_with_one_token_share_one_color():
     parsed = list(read_colored(io.StringIO(text)))
     assert len({id(color) for _, color in parsed}) == 3
     by_line = [
-        (Edge(int(u), int(v), int(seq)), decode_color(token))
+        (Edge(int(u), int(v), int(seq)), token)
         for u, v, seq, token in (line.split() for line in text.splitlines())
     ]
     assert parsed == by_line
+
+
+def test_colored_spellings_of_one_color_read_as_one_canonical_token():
+    text = "0 1 0 E00.L0.BASE.03\n1 2 1 E0.L0.BASE.3\n2 3 2 E0.L000.BASE.3\n"
+    colors = [color for _, color in read_colored(io.StringIO(text))]
+    assert colors == ["E0.L0.BASE.3"] * 3
+    assert len({id(color) for color in colors}) == 1
+    assert decode_color(colors[0]) == ColorId.base(0, 0, 3)
 
 
 def test_colored_reports_a_repeated_bad_token_at_its_first_line():
@@ -278,8 +287,8 @@ def test_colored_wraps_color_decode_errors_with_the_line():
 def test_colored_yields_good_lines_before_raising_at_a_bad_one():
     text = "0 1 0 E0.L0.BASE.3\n1 2 1 E0.L0.BASE.4\n2 3 x E0.L0.BASE.5\n3 4 3 E0.L0.BASE.6\n"
     lines = read_colored(io.StringIO(text))
-    assert next(lines) == (Edge(0, 1, 0), ColorId.base(0, 0, 3))
-    assert next(lines) == (Edge(1, 2, 1), ColorId.base(0, 0, 4))
+    assert next(lines) == (Edge(0, 1, 0), "E0.L0.BASE.3")
+    assert next(lines) == (Edge(1, 2, 1), "E0.L0.BASE.4")
     with pytest.raises(StreamFormatError, match="line 3: endpoints and seq"):
         next(lines)
 
@@ -287,7 +296,7 @@ def test_colored_yields_good_lines_before_raising_at_a_bad_one():
 def test_colored_file_supports_the_verifier(tmp_path):
     # the on-disk form is what the CLI verifies; properness must survive it
     edges = make_edges([(0, 1), (1, 2), (2, 0)])
-    emissions = [(e, ColorId.base(0, 0, slot)) for slot, e in enumerate(edges)]
+    emissions = [(e, f"E0.L0.BASE.{slot}") for slot, e in enumerate(edges)]
     path = tmp_path / "tiny.colored"
     with open(path, "w") as fh:
         write_colored(fh, emissions)
