@@ -26,16 +26,19 @@ __all__ = [
     "RunMetrics",
     "ScopeStat",
     "SpaceMeter",
-    "SpaceReport",
     "TraceRecorder",
     "VerifyResult",
     "assignment_structure_audit",
+    "audit_gate",
     "color_budget_check",
     "counter_trace",
+    "depth_gate",
     "leftover_stats",
     "offset_independence_check",
     "saturated_index_audit",
     "space_check",
+    "space_gate",
+    "trace_audit",
     "verify_proper",
 ]
 
@@ -481,11 +484,12 @@ def offset_independence_check(
     *,
     offset_seed_a: int,
     offset_seed_b: int,
-) -> tuple[bool, str]:
+) -> tuple[bool, str, int]:
     """Run the colorer twice with identical index draws and different offset
     seeds; pass iff the level-0 counter traces of every epoch match event
     for event.  Epoch routing reads only arrival degrees, so each epoch's
-    level 0 sees the same edges in both runs."""
+    level 0 sees the same edges in both runs.  Returns (ok, detail, the
+    first run's counter events)."""
     from .pipeline import run_stream  # deferred: pipeline imports this module
 
     traces = []
@@ -494,13 +498,13 @@ def offset_independence_check(
         run_stream(replace(config, offset_seed=offset_seed), edges, trace=recorder)
         epochs = sorted({r["epoch"] for r in recorder.records})
         traces.append([(e, *ev) for e in epochs for ev in counter_trace(recorder.records, epoch=e)])
+    events = len(traces[0])
     if traces[0] == traces[1]:
-        return True, f"{len(traces[0])} counter events identical"
-    length = min(len(traces[0]), len(traces[1]))
-    for i in range(length):
+        return True, f"{events} counter events identical", events
+    for i in range(min(events, len(traces[1]))):
         if traces[0][i] != traces[1][i]:
-            return False, f"first divergence at event {i}: {traces[0][i]} vs {traces[1][i]}"
-    return False, f"trace lengths differ: {len(traces[0])} vs {len(traces[1])}"
+            return False, f"first divergence at event {i}: {traces[0][i]} vs {traces[1][i]}", events
+    return False, f"trace lengths differ: {events} vs {len(traces[1])}", events
 
 
 def assignment_structure_audit(records: Iterable[dict], config: RunConfig) -> list[str]:
@@ -621,8 +625,27 @@ def saturated_index_audit(records: Iterable[dict], config: RunConfig) -> list[st
     return violations
 
 
+def trace_audit(records: list[dict], config: RunConfig) -> tuple[bool, str, int]:
+    """Both structural audits on one run's trace, as (ok, detail, the
+    counter- and block-family assignments audited)."""
+    violations = assignment_structure_audit(records, config) + saturated_index_audit(records, config)
+    assigned = sum(r.get("case") in ("counter-assign", "block-assign") for r in records)
+    detail = "; ".join([f"{len(violations)} violations over {assigned} B/C assignments", *violations])
+    return not violations, detail, assigned
+
+
 # ---------------------------------------------------------------------------
-# metric-level checks
+# metric-level checks: each gate turns per-run results into (ok, detail)
+
+
+def audit_gate(results: list[tuple[bool, str, int]], unit: str) -> tuple[bool, str]:
+    """Per-run (ok, detail, items audited), as offset_independence_check and
+    trace_audit return them: every run clean, and some item audited, since
+    an audit that sees nothing shows nothing."""
+    failed = [detail for ok, detail, _ in results if not ok]
+    seen = sum(r[2] for r in results)
+    detail = f"{len(results) - len(failed)}/{len(results)} runs clean across {seen} {unit}"
+    return not failed and seen > 0, "; ".join([detail, *failed[:1]])
 
 
 def color_budget_check(metrics: RunMetrics) -> tuple[int, int, list[str]]:
@@ -641,22 +664,12 @@ def color_budget_check(metrics: RunMetrics) -> tuple[int, int, list[str]]:
     return metrics.colors_used, budget, violations
 
 
-# the largest mean level-0 peak ratio allowed when n doubles; check space
-# and the acceptance suite judge it
+# the largest mean level-0 peak ratio allowed when n doubles
 SPACE_RATIO_LIMIT = 2.5
 
 
-@dataclass(frozen=True)
-class SpaceReport:
-    findings: list[str]
-
-    @property
-    def ok(self) -> bool:
-        return not self.findings
-
-
-def space_check(metrics: RunMetrics) -> SpaceReport:
-    """Structural space assertions on one run.
+def space_check(metrics: RunMetrics) -> list[str]:
+    """Structural space findings on one run; empty means clean.
 
     Index-set growth needs a high-degree vertex per entry and counter
     creation needs an over-threshold degree, so both are bounded by the
@@ -674,7 +687,27 @@ def space_check(metrics: RunMetrics) -> SpaceReport:
                 f"phase {s.phase} d={s.d} level {s.level}: {s.counter_creates} counter creations "
                 f"exceed 2*{s.phase_edges}/{s.sqrt_delta}"
             )
-    return SpaceReport(findings=findings)
+    return findings
+
+
+def space_gate(pairs: list[tuple[RunMetrics, RunMetrics]]) -> tuple[bool, str]:
+    """Runs of one recipe at n and 2n: no run has a space_check finding, and
+    the mean level-0 peak ratio is at most SPACE_RATIO_LIMIT."""
+    findings = sum(len(space_check(m)) for pair in pairs for m in pair)
+    mean = statistics.fmean(big.level0_peak() / small.level0_peak() for small, big in pairs)
+    detail = (f"mean level-0 peak ratio {mean:.3f} at doubled n (limit {SPACE_RATIO_LIMIT}), "
+              f"{findings} structural findings")
+    return findings == 0 and mean <= SPACE_RATIO_LIMIT, detail
+
+
+def depth_gate(runs: list[RunMetrics], delta: int) -> tuple[bool, str]:
+    """At least 90% of the runs recurse no deeper than 2*log2(delta) + 4,
+    and no interval falls back at the depth cap."""
+    bound = 2 * int(math.log2(delta)) + 4
+    within = sum(m.depth <= bound for m in runs)
+    fallbacks = sum(m.fallback_intervals for m in runs)
+    detail = f"{within}/{len(runs)} runs within depth {bound}, {fallbacks} fallback intervals"
+    return within >= math.ceil(0.9 * len(runs)) and fallbacks == 0, detail
 
 
 @dataclass(frozen=True)
@@ -688,6 +721,11 @@ class LeftoverReport:
     @property
     def ok(self) -> bool:
         return self.mean <= self.threshold
+
+    @property
+    def detail(self) -> str:
+        return (f"mean level-0 leftover fraction {self.mean:.4f}, 95% ci [{self.ci_low:.4f}, "
+                f"{self.ci_high:.4f}], threshold {self.threshold:.4f}, {self.runs} runs")
 
 
 def leftover_stats(metrics_list: list[RunMetrics], kappa: int) -> LeftoverReport:

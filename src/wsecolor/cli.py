@@ -14,7 +14,6 @@ import argparse
 import contextlib
 import csv
 import json
-import math
 import os
 import sys
 import time
@@ -22,13 +21,13 @@ from dataclasses import asdict
 from typing import IO, Callable, ContextManager, Iterator
 
 from .audit import (
-    SPACE_RATIO_LIMIT,
     TraceRecorder,
-    assignment_structure_audit,
+    audit_gate,
+    depth_gate,
     leftover_stats,
     offset_independence_check,
-    saturated_index_audit,
-    space_check,
+    space_gate,
+    trace_audit,
     verify_proper,
 )
 from .model import Edge, EngineInvariantError, RunConfig, StreamInputError, resolve_config
@@ -48,9 +47,6 @@ __all__ = ["main"]
 EXIT_OK = 0
 EXIT_FAIL = 1
 EXIT_USAGE = 2
-
-CHECK_TARGETS = ("ind", "crange", "leftover", "space", "depth")
-DEFAULT_CHECK_RUNS = {"ind": 5, "crange": 5, "leftover": 20, "space": 10, "depth": 20}
 
 
 @contextlib.contextmanager
@@ -293,112 +289,79 @@ def _workload(
     return resolve_config(n=n, delta=delta, kappa=kappa, seed=seed, m=m), edges
 
 
-def _check_workload(args: argparse.Namespace, seed: int, n: int | None = None):
-    n = args.n if n is None else n
+def _check_runs(args: argparse.Namespace, runs: int, n: int) -> Iterator:
+    """(i, order, config, edges) with n vertices: run i has seed args.seed + i
+    and cycles the arrival orders."""
     m = int(n * args.delta * args.edge_factor)
-    return _workload(n, args.delta, m, "arrival-random", seed, args.kappa)
+    for i in range(runs):
+        order = ORDER_POLICIES[i % len(ORDER_POLICIES)]
+        yield (i, order, *_workload(n, args.delta, m, order, args.seed + i, args.kappa))
+
+
+def _check_metrics(args: argparse.Namespace, runs: int, n: int) -> Iterator:
+    for i, order, config, edges in _check_runs(args, runs, n):
+        _, metrics = run_stream(config, edges)
+        print(f"run {i} {order} n={config.n}: depth {metrics.depth}, "
+              f"level-0 leftover {metrics.level0_leftover()}, peak {metrics.level0_peak()}")
+        yield metrics
+
+
+def _check_ind(args: argparse.Namespace, runs: int) -> tuple[bool, str]:
+    results = []
+    for i, order, config, edges in _check_runs(args, runs, args.n):
+        results.append(
+            offset_independence_check(config, edges, offset_seed_a=7_001 + i, offset_seed_b=9_103 + i)
+        )
+        print(f"run {i} {order}: {results[-1][1]}")
+    return audit_gate(results, "counter events")
+
+
+def _check_crange(args: argparse.Namespace, runs: int) -> tuple[bool, str]:
+    results = []
+    for i, order, config, edges in _check_runs(args, runs, args.n):
+        trace = TraceRecorder()
+        run_stream(config, edges, trace=trace)
+        results.append(trace_audit(trace.records, config))
+        print(f"run {i} {order}: {results[-1][1]}")
+    return audit_gate(results, "B/C assignments")
+
+
+def _check_leftover(args: argparse.Namespace, runs: int) -> tuple[bool, str]:
+    report = leftover_stats(list(_check_metrics(args, runs, args.n)), args.kappa)
+    return report.ok, report.detail
+
+
+# target -> (default runs, handler judging that many runs)
+CHECKS: dict[str, tuple[int, Callable[[argparse.Namespace, int], tuple[bool, str]]]] = {
+    "ind": (5, _check_ind),
+    "crange": (5, _check_crange),
+    "leftover": (20, _check_leftover),
+    "space": (10, lambda args, runs: space_gate(
+        list(zip(_check_metrics(args, runs, args.n), _check_metrics(args, runs, 2 * args.n)))
+    )),
+    "depth": (20, lambda args, runs: depth_gate(list(_check_metrics(args, runs, args.n)), args.delta)),
+}
 
 
 def cmd_check(args: argparse.Namespace) -> int:
-    runs = args.runs if args.runs is not None else DEFAULT_CHECK_RUNS[args.target]
+    default_runs, handler = CHECKS[args.target]
+    runs = default_runs if args.runs is None else args.runs
+    if runs < 1:
+        raise StreamInputError(f"check needs at least one run, got --runs {runs}")
     _effective(
         "check",
         target=args.target,
         runs=runs,
+        orders=ORDER_POLICIES[:runs],
         n=args.n,
         delta=args.delta,
         edge_factor=args.edge_factor,
         kappa=args.kappa,
         seed=args.seed,
     )
-    handler = {
-        "ind": _check_ind,
-        "crange": _check_crange,
-        "leftover": _check_leftover,
-        "space": _check_space,
-        "depth": _check_depth,
-    }[args.target]
     ok, detail = handler(args, runs)
     print(f"check {args.target}: {'PASS' if ok else 'FAIL'} ({detail})")
     return EXIT_OK if ok else EXIT_FAIL
-
-
-def _check_ind(args: argparse.Namespace, runs: int) -> tuple[bool, str]:
-    failures = []
-    for i in range(runs):
-        config, edges = _check_workload(args, args.seed + i)
-        ok, detail = offset_independence_check(
-            config, edges, offset_seed_a=7_001 + i, offset_seed_b=9_103 + i
-        )
-        print(f"run {i}: {'identical' if ok else detail}")
-        if not ok:
-            failures.append(i)
-    if failures:
-        return False, f"counter traces diverged on runs {failures}"
-    return True, f"{runs} dual runs with matching counter traces"
-
-
-def _check_crange(args: argparse.Namespace, runs: int) -> tuple[bool, str]:
-    total = 0
-    for i in range(runs):
-        config, edges = _check_workload(args, args.seed + i)
-        trace = TraceRecorder()
-        run_stream(config, edges, trace=trace)
-        violations = assignment_structure_audit(trace.records, config)
-        violations += saturated_index_audit(trace.records, config)
-        for v in violations:
-            print(f"run {i}: {v}")
-        print(f"run {i}: {len(violations)} violations")
-        total += len(violations)
-    return total == 0, f"{total} structure violations over {runs} runs"
-
-
-def _check_leftover(args: argparse.Namespace, runs: int) -> tuple[bool, str]:
-    metrics_list = []
-    for i in range(runs):
-        config, edges = _check_workload(args, args.seed + i)
-        _, metrics = run_stream(config, edges)
-        metrics_list.append(metrics)
-    report = leftover_stats(metrics_list, args.kappa)
-    detail = (
-        f"mean {report.mean:.4f}, 95% ci [{report.ci_low:.4f}, {report.ci_high:.4f}], "
-        f"threshold {report.threshold:.4f}, {report.runs} runs"
-    )
-    return report.ok, detail
-
-
-def _check_space(args: argparse.Namespace, runs: int) -> tuple[bool, str]:
-    ratios = []
-    findings = 0
-    for i in range(runs):
-        config_a, edges_a = _check_workload(args, args.seed + i)
-        config_b, edges_b = _check_workload(args, args.seed + i, n=2 * args.n)
-        _, small = run_stream(config_a, edges_a)
-        _, big = run_stream(config_b, edges_b)
-        for report in (space_check(small), space_check(big)):
-            for f in report.findings:
-                print(f"run {i}: {f}")
-            findings += len(report.findings)
-        ratios.append(big.level0_peak() / small.level0_peak())
-        print(f"run {i}: peak ratio {ratios[-1]:.3f}")
-    mean = sum(ratios) / len(ratios)
-    ok = findings == 0 and mean <= SPACE_RATIO_LIMIT
-    return ok, f"mean peak ratio {mean:.3f} (limit {SPACE_RATIO_LIMIT}), {findings} structural findings"
-
-
-def _check_depth(args: argparse.Namespace, runs: int) -> tuple[bool, str]:
-    bound = 2 * int(math.log2(args.delta)) + 4
-    within = 0
-    fallbacks = 0
-    for i in range(runs):
-        config, edges = _check_workload(args, args.seed + i)
-        _, metrics = run_stream(config, edges)
-        print(f"run {i}: depth {metrics.depth}")
-        if metrics.depth <= bound:
-            within += 1
-        fallbacks += metrics.fallback_intervals
-    ok = within >= math.ceil(0.9 * runs) and fallbacks == 0
-    return ok, f"{within}/{runs} runs within depth {bound}, {fallbacks} fallback intervals"
 
 
 # ---------------------------------------------------------------------------
@@ -473,7 +436,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_bench)
 
     p = sub.add_parser("check", help="run one of the statistical self-checks")
-    p.add_argument("target", choices=CHECK_TARGETS)
+    p.add_argument("target", choices=tuple(CHECKS))
     p.add_argument("--runs", type=int, default=None, help="seeded runs (default depends on target)")
     p.add_argument("--n", type=int, default=256)
     p.add_argument("--delta", type=int, default=64)

@@ -14,7 +14,6 @@ stream driver.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from math import isqrt
 
 from .audit import ClassPhaseStat, MetricsCollector, SpaceMeter, TraceRecorder
@@ -23,8 +22,6 @@ from .model import KIND_BASE, KIND_LOW, Edge, EngineInvariantError, RunConfig, S
 from .primitives import RandomSource, greedy_edge_color
 
 __all__ = [
-    "ClassBucket",
-    "ClassifiedInterval",
     "PhaseEngine",
     "classify_interval",
     "compute_degrees",
@@ -59,39 +56,27 @@ def compute_degrees(edges: list[Edge]) -> dict[int, int]:
     return deg
 
 
-@dataclass
-class ClassBucket:
-    d: int
-    h1: list[Edge] = field(default_factory=list)  # both endpoints in [d, 2d)
-    h2: list[Edge] = field(default_factory=list)  # one endpoint in [d, 2d), other < d
-
-
-@dataclass
-class ClassifiedInterval:
-    low_bucket: list[Edge]
-    per_class: dict[int, ClassBucket]
-    low_bound: int = 0  # max interval degree at a low-bucket endpoint
-
-
 def degree_classes(delta: int) -> list[int]:
     """All power-of-two classes between the square-root threshold and delta."""
     root = isqrt(delta)
     return [root << k for k in range((delta // root).bit_length())]
 
 
-def classify_interval(edges: list[Edge], deg: dict[int, int], delta: int) -> ClassifiedInterval:
+def classify_interval(edges: list[Edge], deg: dict[int, int], delta: int) -> tuple[list[Edge], int, dict]:
     """Split an interval's edges, whose subgraph degrees are deg, by max
-    endpoint degree.
+    endpoint degree, into (low, low_bound, per_class).
 
     Below the square-root threshold an edge joins the shared low bucket;
     otherwise its class is the power of two d with the max endpoint degree
-    in [d, 2d).  Degrees above delta break the input contract.  The largest
-    low-bucket top degree bounds the low bucket's own degrees.
+    in [d, 2d).  per_class[d] is (h1, h2): h1 holds the edges with both
+    endpoints in [d, 2d), h2 those with the other endpoint below d.
+    Degrees above delta break the input contract.  low_bound, the largest
+    low-bucket top degree, bounds the low bucket's own degrees.
     """
     root = isqrt(delta)
     low: list[Edge] = []
     low_bound = 0
-    per_class: dict[int, ClassBucket] = {}
+    per_class: dict[int, tuple[list[Edge], list[Edge]]] = {}
     for e in edges:
         du = deg[e.u]
         dv = deg[e.v]
@@ -108,10 +93,9 @@ def classify_interval(edges: list[Edge], deg: dict[int, int], delta: int) -> Cla
         d = 1 << (top.bit_length() - 1)
         bucket = per_class.get(d)
         if bucket is None:
-            bucket = per_class[d] = ClassBucket(d=d)
-        both = min(du, dv) >= d
-        (bucket.h1 if both else bucket.h2).append(e)
-    return ClassifiedInterval(low_bucket=low, per_class=per_class, low_bound=low_bound)
+            bucket = per_class[d] = ([], [])
+        bucket[0 if min(du, dv) >= d else 1].append(e)
+    return low, low_bound, per_class
 
 
 class PhaseEngine:
@@ -274,24 +258,22 @@ class PhaseEngine:
             self._trace.emit({"kind": "interval-degrees", "epoch": self.epoch, "level": self.level,
                               "interval": index, "deg": deg})
 
-        classified = classify_interval(edges, deg, cfg.delta)
+        low, low_bound, per_class = classify_interval(edges, deg, cfg.delta)
         high_by_class = self._high_by_class(deg)
 
         low_prefix = token_prefix(self.epoch, self.level, KIND_LOW, phase=phase, interval=index)
         low_scope = ("low", self.epoch, self.level, index)
         emissions = color_greedy(
-            classified.low_bucket, classified.low_bound, low_prefix, 2 * cfg.sqrt_delta - 1,
-            low_scope, self._collector,
+            low, low_bound, low_prefix, 2 * cfg.sqrt_delta - 1, low_scope, self._collector
         )
         leftovers: list[Edge] = []
 
-        empty = ClassBucket(d=0)
         for d, state in sorted(self._states.items()):
-            bucket = classified.per_class.get(d, empty)
+            h1, h2 = per_class.get(d, ([], []))
             state.begin_interval(index)
             high = high_by_class.get(d, set())
-            em1, left1, usable = step1_high_high(bucket.h1, bucket.h2, high, state)
-            em2, left2 = step2_high_low(bucket.h2, usable, high, deg, state)
+            em1, left1, usable = step1_high_high(h1, h2, high, state)
+            em2, left2 = step2_high_low(h2, usable, high, deg, state)
             state.end_interval()
             scope = ("class", self.epoch, self.level, phase, d)
             budget = 3 * state.palette_count * state.palette_size

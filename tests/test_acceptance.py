@@ -1,9 +1,12 @@
 """The eleven release-gate checks.
 
 Each test prints one `ACCEPTANCE <nn> <name>: PASS/FAIL (<detail>)` line
-before asserting, so a red run still reports where every criterion stands.
-The shared grid is n in {64, 256} x delta in {16, 64, 256} x three arrival
-orders x ten seeds, m = n*delta/4, kappa = 32, parallel edges allowed.
+per verdict before asserting, so a red run still reports where every
+criterion stands.  The shared grid is n in {64, 256} x delta in {16, 64, 256} x three arrival
+orders x ten seeds, m = n*delta/4, kappa = 32, parallel edges allowed.  The
+leftover, space and depth fixtures hold runs in every arrival order, and
+tests 03, 07 and 08 judge each order on its own.  Tests 03, 04, 05, 07 and
+08 judge through the gates in wsecolor.audit that `wsecolor check` uses.
 """
 
 import random
@@ -24,10 +27,9 @@ from wsecolor import (
     resolve_config,
     run_baseline,
     run_stream,
-    space_check,
     verify_proper,
 )
-from wsecolor.audit import SPACE_RATIO_LIMIT, assignment_structure_audit, saturated_index_audit
+from wsecolor.audit import audit_gate, depth_gate, space_gate, trace_audit
 
 KAPPA = 32
 GRID_NS = (64, 256)
@@ -63,8 +65,7 @@ class GridRun:
     colors_used: int
     budget: int
     budget_violations: int
-    structure_violations: int
-    saturation_violations: int
+    audit: tuple[bool, str, int]  # trace_audit's verdict
     fallback_intervals: int
     depth: int
     error: str | None
@@ -79,7 +80,7 @@ def run_grid_cell(n, delta, order, seed):
         return GridRun(
             n=n, delta=delta, order=order, seed=seed, verify_status="error",
             conserved=False, colors_used=0, budget=0, budget_violations=0,
-            structure_violations=0, saturation_violations=0,
+            audit=(True, "not audited: the run raised", 0),
             fallback_intervals=0, depth=-1, error=str(err),
         )
     verify = verify_proper(emissions, edges)
@@ -88,13 +89,11 @@ def run_grid_cell(n, delta, order, seed):
         == Counter((e.u, e.v, e.seq) for e, _ in emissions)
     )
     used, budget, budget_violations = color_budget_check(metrics)
-    structure = assignment_structure_audit(trace.records, config)
-    saturation = saturated_index_audit(trace.records, config)
     return GridRun(
         n=n, delta=delta, order=order, seed=seed,
         verify_status=verify.status, conserved=conserved,
         colors_used=used, budget=budget, budget_violations=len(budget_violations),
-        structure_violations=len(structure), saturation_violations=len(saturation),
+        audit=trace_audit(trace.records, config),
         fallback_intervals=metrics.fallback_intervals, depth=metrics.depth,
         error=None,
     )
@@ -111,33 +110,37 @@ def grid():
     ]
 
 
+def metrics_of(n, delta, order, seed):
+    _, metrics = run_stream(*build_workload(n, delta, order, seed))
+    return metrics
+
+
 @pytest.fixture(scope="module")
 def leftover_runs():
-    """Twenty seeded arrival-random runs at n=256, delta=64, m=4096."""
-    out = []
-    for seed in range(20):
-        config, edges = build_workload(256, 64, "arrival-random", seed)
-        _, metrics = run_stream(config, edges)
-        out.append(metrics)
-    return out
+    """Per arrival order, twenty seeded runs at n=256, delta=64, m=4096."""
+    return {order: [metrics_of(256, 64, order, seed) for seed in range(20)] for order in GRID_ORDERS}
 
 
 @pytest.fixture(scope="module")
 def paired_runs():
-    """Same workload recipe at n=128 and n=256, delta=64, ten seeds."""
-    pairs = []
-    for seed in range(10):
-        small_config, small_edges = build_workload(128, 64, "arrival-random", seed)
-        big_config, big_edges = build_workload(256, 64, "arrival-random", seed)
-        _, small = run_stream(small_config, small_edges)
-        _, big = run_stream(big_config, big_edges)
-        pairs.append((small, big))
-    return pairs
+    """Per arrival order, the same recipe at n=128 and n=256, delta=64, ten
+    seeds."""
+    return {
+        order: [(metrics_of(128, 64, order, seed), metrics_of(256, 64, order, seed)) for seed in range(10)]
+        for order in GRID_ORDERS
+    }
 
 
 def report(capsys, num, name, ok, detail):
     with capsys.disabled():
         print(f"ACCEPTANCE {num:02d} {name}: {'PASS' if ok else 'FAIL'} ({detail})")
+
+
+def report_orders(capsys, num, name, verdicts):
+    """Report each order's (ok, detail) verdict; returns the failing ones."""
+    for order, (ok, detail) in verdicts.items():
+        report(capsys, num, name, ok, f"{order}: {detail}")
+    return [f"{order}: {detail}" for order, (ok, detail) in verdicts.items() if not ok]
 
 
 def test_01_properness(grid, capsys):
@@ -161,47 +164,25 @@ def test_02_conservation(grid, capsys):
 
 
 def test_03_leftover_mean(leftover_runs, capsys):
-    stats = leftover_stats(leftover_runs, KAPPA)
-    detail = (
-        f"mean level-0 leftover fraction {stats.mean:.4f}, 95% ci "
-        f"[{stats.ci_low:.4f}, {stats.ci_high:.4f}], threshold {stats.threshold:.4f}, "
-        f"{stats.runs} runs"
-    )
-    report(capsys, 3, "leftover-mean", stats.ok, detail)
-    assert stats.ok, detail
+    stats = {order: leftover_stats(runs, KAPPA) for order, runs in leftover_runs.items()}
+    failed = report_orders(capsys, 3, "leftover-mean", {o: (s.ok, s.detail) for o, s in stats.items()})
+    assert not failed, failed
 
 
 def test_04_counter_independence(capsys):
-    failures = []
-    events = 0
-    for n, delta, order in DUAL_RUN_CONFIGS:
-        config, edges = build_workload(n, delta, order, seed=0)
-        ok, detail = offset_independence_check(
-            config, edges, offset_seed_a=7_001, offset_seed_b=9_103
+    results = [
+        offset_independence_check(
+            *build_workload(n, delta, order, seed=0), offset_seed_a=7_001, offset_seed_b=9_103
         )
-        if ok:
-            events += int(detail.split()[0])
-        else:
-            failures.append(f"n={n} delta={delta} {order}: {detail}")
-    ok = not failures and events > 0
-    detail = (
-        f"{len(DUAL_RUN_CONFIGS)}/{len(DUAL_RUN_CONFIGS)} dual runs identical "
-        f"across {events} counter events"
-        if ok
-        else "; ".join(failures) or "no counter events compared"
-    )
+        for n, delta, order in DUAL_RUN_CONFIGS
+    ]
+    ok, detail = audit_gate(results, "counter events")
     report(capsys, 4, "counter-independence", ok, detail)
     assert ok, detail
 
 
 def test_05_trace_structure(grid, capsys):
-    structure = sum(r.structure_violations for r in grid)
-    saturation = sum(r.saturation_violations for r in grid)
-    ok = structure == 0 and saturation == 0
-    detail = (
-        f"{structure} slot-structure and {saturation} saturation violations "
-        f"across {len(grid)} traced runs"
-    )
+    ok, detail = audit_gate([r.audit for r in grid], "B/C assignments")
     report(capsys, 5, "trace-structure", ok, detail)
     assert ok, detail
 
@@ -216,32 +197,22 @@ def test_06_palette_sufficiency(grid, capsys):
 
 
 def test_07_space_scaling(paired_runs, capsys):
-    ratios = [big.level0_peak() / small.level0_peak() for small, big in paired_runs]
-    mean = statistics.fmean(ratios)
-    findings = []
-    for small, big in paired_runs:
-        findings += space_check(small).findings
-        findings += space_check(big).findings
-    ok = mean <= SPACE_RATIO_LIMIT and not findings
-    detail = (
-        f"mean level-0 peak ratio {mean:.3f} at doubled n (limit {SPACE_RATIO_LIMIT}), "
-        f"{len(findings)} structural findings"
+    failed = report_orders(
+        capsys, 7, "space-scaling", {order: space_gate(pairs) for order, pairs in paired_runs.items()}
     )
-    report(capsys, 7, "space-scaling", ok, detail)
-    assert ok, detail
+    assert not failed, failed
 
 
 def test_08_recursion_depth(grid, leftover_runs, capsys):
-    bound = 16  # 2*log2(64) + 4
-    within = sum(1 for m in leftover_runs if m.depth <= bound)
     fallbacks = sum(r.fallback_intervals for r in grid)
-    ok = within >= 18 and fallbacks == 0
-    detail = (
-        f"{within}/20 runs within depth {bound} at delta=64; "
-        f"{fallbacks} depth-cap fallbacks on the grid"
-    )
+    ok = fallbacks == 0
+    detail = f"{fallbacks} depth-cap fallbacks on the grid"
     report(capsys, 8, "recursion-depth", ok, detail)
-    assert ok, detail
+    failed = report_orders(
+        capsys, 8, "recursion-depth",
+        {order: depth_gate(runs, 64) for order, runs in leftover_runs.items()},
+    )
+    assert ok and not failed, [detail, *failed]
 
 
 def test_09_color_budget(grid, capsys):

@@ -29,10 +29,16 @@ from wsecolor import (
     verify_proper,
 )
 from wsecolor.audit import (
+    SPACE_RATIO_LIMIT,
     TRACE_BATCH,
+    ClassPhaseStat,
     EngineInvariantError,
     assignment_structure_audit,
+    audit_gate,
+    depth_gate,
     saturated_index_audit,
+    space_gate,
+    trace_audit,
 )
 from wsecolor.class_colorer import ClassState
 from wsecolor.model import FAMILIES, epoch_config
@@ -197,7 +203,7 @@ def vertex_sorted_workload(n=64, delta=16, m=256, seed=0):
 
 def test_counters_blind_to_offset_seed():
     config, edges = vertex_sorted_workload()
-    ok, detail = offset_independence_check(config, edges, offset_seed_a=7001, offset_seed_b=9103)
+    ok, detail, _ = offset_independence_check(config, edges, offset_seed_a=7001, offset_seed_b=9103)
     assert ok, detail
     # the check is only meaningful when counters actually fired
     recorder = TraceRecorder()
@@ -221,7 +227,7 @@ def test_counter_canary_catches_lazy_bumps(monkeypatch):
     caught: its counter values start depending on the offset draws."""
     config, edges = vertex_sorted_workload()
     bump_lazily(monkeypatch)
-    ok, detail = offset_independence_check(config, edges, offset_seed_a=7001, offset_seed_b=9103)
+    ok, detail, _ = offset_independence_check(config, edges, offset_seed_a=7001, offset_seed_b=9103)
     assert not ok
     assert "divergence" in detail or "lengths differ" in detail
 
@@ -294,9 +300,9 @@ def test_audits_clean_on_unknown_delta_burst():
     assert {"block-assign", "counter-assign", "gap-leftover"} <= {r["case"] for r in decisions}
     assert assignment_structure_audit(records, config) == []
     assert saturated_index_audit(records, config) == []
-    ok, detail = offset_independence_check(config, edges, offset_seed_a=7001, offset_seed_b=9103)
+    ok, detail, events = offset_independence_check(config, edges, offset_seed_a=7001, offset_seed_b=9103)
     assert ok, detail
-    assert int(detail.split()[0]) > 0  # counter events were compared, past epoch 0
+    assert events > 0  # counter events were compared, past epoch 0
 
 
 @pytest.mark.parametrize("order", ["arrival-random", "vertex-sorted"])
@@ -314,7 +320,7 @@ def test_audits_clean_where_class_colors_span_lower_epochs(order):
     assert len({c.epoch for c in family_colors}) >= 2
     assert assignment_structure_audit(trace.records, config) == []
     assert saturated_index_audit(trace.records, config) == []
-    ok, detail = offset_independence_check(config, edges, offset_seed_a=7001, offset_seed_b=9103)
+    ok, detail, _ = offset_independence_check(config, edges, offset_seed_a=7001, offset_seed_b=9103)
     assert ok, detail
     for engine in colorer.engines():
         assert set(engine.meter.current.values()) <= {0}, (engine.epoch, engine.level)
@@ -323,7 +329,7 @@ def test_audits_clean_where_class_colors_span_lower_epochs(order):
 def test_counter_canary_catches_lazy_bumps_past_epoch_zero(monkeypatch):
     edges, _, _, config = unknown_delta_burst_run(None)
     bump_lazily(monkeypatch)
-    ok, detail = offset_independence_check(config, edges, offset_seed_a=7001, offset_seed_b=9103)
+    ok, detail, _ = offset_independence_check(config, edges, offset_seed_a=7001, offset_seed_b=9103)
     assert not ok
     assert "divergence" in detail or "lengths differ" in detail
 
@@ -475,8 +481,7 @@ def test_family_palettes_stay_within_their_budget(order, overrides):
 
 def test_space_check_clean():
     _, _, metrics, _ = color_run(64, 16, 256, seed=0)
-    report = space_check(metrics)
-    assert report.ok and report.findings == []
+    assert space_check(metrics) == []
 
 
 def test_space_meter_rejects_negative_balance():
@@ -519,6 +524,59 @@ def test_leftover_stats_frozen_thresholds():
     strict = leftover_stats(runs, kappa=64)
     assert strict.threshold == pytest.approx(0.159375)
     assert not strict.ok
+
+
+def test_audit_gate_needs_clean_runs_that_audited_something():
+    assert audit_gate([(True, "", 0), (True, "", 3)], "events") == (True, "2/2 runs clean across 3 events")
+    ok, detail = audit_gate([(True, "", 0), (True, "", 0)], "events")
+    assert not ok and detail == "2/2 runs clean across 0 events"
+    ok, detail = audit_gate([(True, "", 5), (False, "first divergence at event 2", 4)], "events")
+    assert not ok and detail == "1/2 runs clean across 9 events; first divergence at event 2"
+
+
+def test_trace_audit_counts_the_assignments_it_audits():
+    trace, _, _, _, config = traced_run()
+    ok, detail, assigned = trace_audit(trace.records, config)
+    cases = Counter(r["case"] for r in trace.records if r["kind"] == "mixed-decision")
+    assert ok and assigned == cases["counter-assign"] + cases["block-assign"] > 0
+    assert detail == f"0 violations over {assigned} B/C assignments"
+    tampered = [dict(r) for r in trace.records]
+    for r in tampered:
+        if r["kind"] == "mixed-decision" and r["case"] == "block-assign":
+            r["slot"] = (r["slot"] + 1) % (2 * config.kappa * r["d"])
+            break
+    ok, detail, _ = trace_audit(tampered, config)
+    assert not ok and "slot" in detail
+
+
+def test_depth_gate_frozen_thresholds():
+    def runs(deep, fallbacks=0):
+        shallow = fake_metrics(input_edges=100, leftover0=0)
+        too_deep = dataclasses.replace(shallow, depth=17)  # bound at delta 64 is 16
+        out = [too_deep] * deep + [shallow] * (20 - deep)
+        out[-1] = dataclasses.replace(out[-1], fallback_intervals=fallbacks)
+        return out
+
+    assert depth_gate(runs(2), 64) == (True, "18/20 runs within depth 16, 0 fallback intervals")
+    assert not depth_gate(runs(3), 64)[0]
+    assert not depth_gate(runs(0, fallbacks=1), 64)[0]
+
+
+def test_space_gate_frozen_thresholds():
+    def pair(ratio, stats=()):
+        small = fake_metrics(input_edges=1, leftover0=0)
+        big = fake_metrics(input_edges=1, leftover0=0, peak0=100 * ratio)
+        return small, dataclasses.replace(big, class_phase_stats=list(stats))
+
+    assert SPACE_RATIO_LIMIT == 2.5
+    detail = "mean level-0 peak ratio 2.500 at doubled n (limit 2.5), 0 structural findings"
+    assert space_gate([pair(2), pair(3)]) == (True, detail)
+    assert not space_gate([pair(2), pair(3.5)])[0]
+    # 9 index inserts at d=4 need more than 2 * 16 edges
+    crowded = ClassPhaseStat(epoch=0, level=0, phase=0, d=4, sqrt_delta=4, index_inserts=9,
+                             counter_creates=0, phase_edges=16)
+    ok, detail = space_gate([pair(1, [crowded])])
+    assert not ok and detail.endswith(", 1 structural findings")
 
 
 def test_leftover_stats_rejects_empty_streams():

@@ -15,7 +15,7 @@ from wsecolor import (
     run_stream,
     write_stream,
 )
-from wsecolor import cli
+from wsecolor import audit
 from wsecolor.audit import TRACE_BATCH
 from wsecolor.cli import BENCH_COLUMNS, main
 
@@ -430,8 +430,33 @@ def test_check_targets_pass_on_small_grids(argv, capsys):
 
 
 def test_check_space_fails_above_ratio_limit(capsys, monkeypatch):
-    # check space owns the peak-ratio gate; every measured ratio exceeds 0
-    monkeypatch.setattr(cli, "SPACE_RATIO_LIMIT", 0.0)
+    # audit.space_gate owns the peak-ratio gate; every measured ratio exceeds 0
+    monkeypatch.setattr(audit, "SPACE_RATIO_LIMIT", 0.0)
     code, out, _ = run_cli(capsys, "check", "space", "--n", "64", "--delta", "16", "--runs", "2")
     assert code == 1
     assert "check space: FAIL" in out and "0 structural findings" in out
+
+
+@pytest.mark.parametrize("target", ["ind", "crange"])
+def test_check_fails_when_it_sees_nothing(target, capsys):
+    # run 0 is arrival-random, where at the defaults no counter fires and
+    # no B/C color is assigned, so the check has nothing to judge
+    code, out, _ = run_cli(capsys, "check", target, "--runs", "1")
+    assert code == 1
+    assert f"check {target}: FAIL" in out and "across 0 " in out
+
+
+def test_check_runs_cycle_the_arrival_orders(capsys):
+    code, out, err = run_cli(capsys, "check", "depth", "--n", "64", "--delta", "16", "--runs", "3")
+    assert code == 0
+    lines = out.splitlines()
+    for i, order in enumerate(("arrival-random", "vertex-sorted", "degree-burst")):
+        assert lines[i].startswith(f"run {i} {order} ")
+    assert json.loads(err)["orders"] == ["arrival-random", "vertex-sorted", "degree-burst"]
+
+
+def test_check_rejects_zero_runs(capsys):
+    # with no runs, a gate would judge nothing: a usage error, not a pass
+    code, out, err = run_cli(capsys, "check", "depth", "--runs", "0")
+    assert code == 2
+    assert "at least one run" in err and "check depth" not in out

@@ -37,16 +37,18 @@ def test_compute_degrees_counts_multiplicity():
 
 def test_classify_frozen_examples():
     # delta 16, threshold 4: classes 4, 8, 16
-    hi_lo = classify_interval(make_edges([(1, 2)]), {1: 5, 2: 2}, 16)
-    assert list(hi_lo.per_class) == [4]
-    assert len(hi_lo.per_class[4].h2) == 1 and hi_lo.per_class[4].h1 == []
+    _, _, hi_lo = classify_interval(make_edges([(1, 2)]), {1: 5, 2: 2}, 16)
+    assert list(hi_lo) == [4]
+    h1, h2 = hi_lo[4]
+    assert len(h2) == 1 and h1 == []
 
-    low = classify_interval(make_edges([(1, 2)]), {1: 3, 2: 3}, 16)
-    assert low.per_class == {} and len(low.low_bucket) == 1
+    low, _, per_class = classify_interval(make_edges([(1, 2)]), {1: 3, 2: 3}, 16)
+    assert per_class == {} and len(low) == 1
 
-    hi_hi = classify_interval(make_edges([(1, 2)]), {1: 9, 2: 12}, 16)
-    assert list(hi_hi.per_class) == [8]
-    assert len(hi_hi.per_class[8].h1) == 1 and hi_hi.per_class[8].h2 == []
+    _, _, hi_hi = classify_interval(make_edges([(1, 2)]), {1: 9, 2: 12}, 16)
+    assert list(hi_hi) == [8]
+    h1, h2 = hi_hi[8]
+    assert len(h1) == 1 and h2 == []
 
 
 def test_classify_rejects_degree_above_bound():
@@ -64,21 +66,21 @@ def test_classify_rejects_degree_above_bound():
 def test_classify_partitions_every_edge(pairs):
     edges = make_edges(pairs)
     deg = compute_degrees(edges)
-    classified = classify_interval(edges, deg, 16)
-    routed = list(classified.low_bucket)
-    for bucket in classified.per_class.values():
-        routed.extend(bucket.h1)
-        routed.extend(bucket.h2)
+    low, _, per_class = classify_interval(edges, deg, 16)
+    routed = list(low)
+    for h1, h2 in per_class.values():
+        routed.extend(h1)
+        routed.extend(h2)
     assert sorted(e.seq for e in routed) == sorted(e.seq for e in edges)
     for e in edges:
         top = max(deg[e.u], deg[e.v])
         if top < 4:
-            assert e in classified.low_bucket
+            assert e in low
         else:
             d = 1 << (top.bit_length() - 1)
-            bucket = classified.per_class[d]
+            h1, h2 = per_class[d]
             both_high = min(deg[e.u], deg[e.v]) >= d
-            assert e in (bucket.h1 if both_high else bucket.h2)
+            assert e in (h1 if both_high else h2)
 
 
 # -- engine harness ----------------------------------------------------------

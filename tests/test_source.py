@@ -1,10 +1,14 @@
-"""Source hygiene: every name a module of the package imports is used, and
-the parsed color form stays at the modules that parse or re-export it."""
+"""Source hygiene: every name a module of the package imports is used, the
+parsed color form stays at the modules that parse or re-export it, and the
+release gates stay defined in one module."""
 
 import ast
 from pathlib import Path
 
 import pytest
+
+from wsecolor.cli import CHECKS
+from wsecolor.workload import ORDER_POLICIES
 
 SOURCES = sorted((Path(__file__).resolve().parents[1] / "src" / "wsecolor").glob("*.py"))
 
@@ -80,3 +84,31 @@ ENGINE_SOURCES = [p for p in SOURCES if p.name not in CODEC_MODULES]
 @pytest.mark.parametrize("path", ENGINE_SOURCES, ids=lambda p: p.name)
 def test_engine_modules_do_not_import_the_color_codec(path):
     assert codec_imports(path.read_text(encoding="utf-8")) == []
+
+
+def names_of(source: str, name: str) -> list[str]:
+    """Where source names name: as a name, an attribute or an imported alias."""
+    return [
+        f"line {node.lineno}: {name}"
+        for node in ast.walk(ast.parse(source))
+        if name in (getattr(node, "id", None), getattr(node, "attr", None), getattr(node, "name", None))
+    ]
+
+
+def test_names_are_found():
+    source = (
+        "from .audit import SPACE_RATIO_LIMIT\n"
+        "import wsecolor.audit as audit\n"
+        "limit = audit.SPACE_RATIO_LIMIT\n"
+    )
+    assert names_of(source, "SPACE_RATIO_LIMIT") == ["line 1: SPACE_RATIO_LIMIT", "line 3: SPACE_RATIO_LIMIT"]
+
+
+# each release gate is defined once, in audit.py, so only audit.py names its limits
+@pytest.mark.parametrize("path", [p for p in SOURCES if p.name != "audit.py"], ids=lambda p: p.name)
+def test_only_audit_names_the_space_ratio_limit(path):
+    assert names_of(path.read_text(encoding="utf-8"), "SPACE_RATIO_LIMIT") == []
+
+
+def test_default_check_runs_visit_every_arrival_order():
+    assert {target: runs for target, (runs, _) in CHECKS.items() if runs < len(ORDER_POLICIES)} == {}
