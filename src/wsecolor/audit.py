@@ -14,8 +14,7 @@ import math
 import statistics
 from array import array
 from dataclasses import asdict, dataclass, replace
-from operator import is_, itemgetter
-from typing import IO, Callable, Iterable
+from typing import IO, Iterable
 
 from .model import Edge, EngineInvariantError, RunConfig, epoch_config
 
@@ -51,79 +50,51 @@ __all__ = [
 TRACE_BATCH = 4096
 
 
-def _json_plain(text: str) -> bool:
-    """True when json.dumps renders text as '"' + text + '"'."""
-    return text.isascii() and text.isprintable() and '"' not in text and "\\" not in text
-
-
-def _line_template(keys: tuple, types: tuple) -> tuple[str, Callable | None] | None:
-    """A %-template that renders a record with these keys and value types,
-    newline included, as json.dumps does, with a getter of the record's str
-    values, which must be _json_plain for the template to apply.  None unless
-    every key is a plain str and every value an int or a str."""
-    if not all(type(k) is str and _json_plain(k) for k in keys):
-        return None
-    if not all(t is int or t is str for t in types):
-        return None
-    fields = (
-        '"' + k.replace("%", "%%") + ('": %s' if t is int else '": "%s"') for k, t in zip(keys, types)
-    )
-    template = "{" + ", ".join(fields) + "}\n"
-    text = [i for i, t in enumerate(types) if t is str]
-    return template, itemgetter(*text) if text else None
-
-
 class TraceRecorder:
-    """Collects structured decision records emitted by the engine.
+    """Collects the decision records emitted by the engine as JSON lines.
 
     Record kinds: interval-degrees, class-interval, offset-draw,
     counter-init, counter-bump, high-assign, exile, and mixed-decision.
-    Records are dicts with a 'kind' key, appended in processing order, and
-    dumped as JSON lines.  Without a sink every record stays in .records
-    until dump; with one, emit dumps to it whenever TRACE_BATCH records are
-    held, so memory stays bounded and the caller dumps once more for the
-    tail.
+    Each record is a JSON object whose first key is 'kind', held as its
+    line in processing order.  A record is rendered once, where it is
+    emitted: emit takes a dict, rendered as json.dumps gives it, or a line
+    the emitter already rendered to those bytes.  .records is the held
+    lines as json.loads reads them, so in-memory audits see what a reader
+    of the trace file sees.
+
+    Without a sink every line stays held until dump; with one, emit dumps
+    to it whenever TRACE_BATCH lines are held, so memory stays bounded and
+    the caller dumps once more for the tail.
     """
 
-    __slots__ = ("records", "_sink", "_templates")
+    __slots__ = ("_lines", "_parsed", "_sink")
 
     def __init__(self, sink: IO[str] | None = None) -> None:
-        self.records: list[dict] = []
+        self._lines: list[str] = []
+        # the leading held lines that .records has parsed so far
+        self._parsed: list[dict] = []
         self._sink = sink
-        # keys -> (value types, _line_template) of the first record with them
-        self._templates: dict[tuple, tuple[tuple, tuple[str, Callable | None] | None]] = {}
 
-    def emit(self, record: dict) -> None:
-        """Hold one record; its first key is 'kind'."""
-        self.records.append(record)
-        if self._sink is not None and len(self.records) >= TRACE_BATCH:
+    def emit(self, record: dict | str) -> None:
+        """Hold one record: a dict, or its JSON line ending in a newline."""
+        lines = self._lines
+        lines.append(record if type(record) is str else json.dumps(record) + "\n")
+        if self._sink is not None and len(lines) >= TRACE_BATCH:
             self.dump(self._sink)
 
+    @property
+    def records(self) -> list[dict]:
+        """The held records, each line parsed once: a new list on every
+        read, of dicts shared between reads and so not to be mutated."""
+        parsed = self._parsed
+        parsed += map(json.loads, self._lines[len(parsed):])
+        return parsed.copy()
+
     def dump(self, fh: IO[str]) -> None:
-        """Write the held records as JSON lines, then forget them.  Each line
-        is the bytes json.dumps gives: a record is rendered through the
-        template of its keys when its value types are those the template
-        was built for and no value needs escaping, and by json.dumps
-        otherwise."""
-        templates = self._templates
-        for record in self.records:
-            values = tuple(record.values())
-            keys = tuple(record)
-            try:
-                types, entry = templates[keys]
-            except KeyError:
-                types = tuple(map(type, values))
-                entry = _line_template(keys, types)
-                templates[keys] = types, entry
-            # the value types are compared pairwise, building no tuple
-            if entry is not None and all(map(is_, map(type, values), types)):
-                template, text = entry
-                # joins a tuple of strs, or the chars of the one str
-                if text is None or _json_plain("".join(text(values))):
-                    fh.write(template % values)
-                    continue
-            fh.write(json.dumps(record) + "\n")
-        self.records.clear()
+        """Write the held lines, then forget them."""
+        fh.writelines(self._lines)
+        self._lines.clear()
+        self._parsed.clear()
 
 
 # ---------------------------------------------------------------------------
@@ -496,8 +467,9 @@ def offset_independence_check(
     for offset_seed in (offset_seed_a, offset_seed_b):
         recorder = TraceRecorder()
         run_stream(replace(config, offset_seed=offset_seed), edges, trace=recorder)
-        epochs = sorted({r["epoch"] for r in recorder.records})
-        traces.append([(e, *ev) for e in epochs for ev in counter_trace(recorder.records, epoch=e)])
+        records = recorder.records
+        epochs = sorted({r["epoch"] for r in records})
+        traces.append([(e, *ev) for e in epochs for ev in counter_trace(records, epoch=e)])
     events = len(traces[0])
     if traces[0] == traces[1]:
         return True, f"{events} counter events identical", events
@@ -728,13 +700,17 @@ class LeftoverReport:
                 f"{self.ci_high:.4f}], threshold {self.threshold:.4f}, {self.runs} runs")
 
 
+# the fewest runs leftover_stats judges: below that the mean is too noisy
+LEFTOVER_MIN_RUNS = 20
+
+
 def leftover_stats(metrics_list: list[RunMetrics], kappa: int) -> LeftoverReport:
     """Mean level-0 leftover fraction across runs with a normal-theory 95%
     interval, judged against 7/kappa plus fixed slack.  Refuses fewer than
-    20 runs: below that the mean is too noisy to gate on."""
-    if len(metrics_list) < 20:
+    LEFTOVER_MIN_RUNS runs."""
+    if len(metrics_list) < LEFTOVER_MIN_RUNS:
         raise ValueError(
-            f"need at least 20 runs for a stable leftover mean, got {len(metrics_list)}"
+            f"need at least {LEFTOVER_MIN_RUNS} runs for a stable leftover mean, got {len(metrics_list)}"
         )
     fractions = []
     for m in metrics_list:

@@ -10,6 +10,7 @@ gets or whether it is deferred to the next recursion level.
 
 from __future__ import annotations
 
+import json
 from math import isqrt
 
 from .audit import SpaceMeter, TraceRecorder
@@ -62,6 +63,9 @@ class ClassState:
         self._trace = trace
         # the fields every record of this state carries after its kind
         self._head = {"epoch": epoch, "level": level, "phase": phase, "d": d}
+        # offset-draw lines up to the vertex, rendered once per state
+        if trace is not None:
+            self._offset_head = json.dumps({"kind": "offset-draw", **self._head})[:-1] + ", "
         self.offsets: dict[int, int] = {}
         self.index_sets: dict[int, set[int]] = {}
         self.counters: dict[tuple[int, int], int] = {}
@@ -83,7 +87,7 @@ class ClassState:
             self.offsets[v] = r
             self._meter.add("offsets", 1)
             if self._trace is not None:
-                self._trace.emit({"kind": "offset-draw", **self._head, "vertex": v, "offset": r})
+                self._trace.emit(f'{self._offset_head}"vertex": {v}, "offset": {r}}}\n')
         return r
 
     def begin_interval(self, interval: int) -> int:
@@ -242,7 +246,10 @@ def step2_high_low(
     trace = state._trace
     if trace is not None:
         emit = trace.emit
-        head = {"kind": "mixed-decision", **state._head, "interval": state.interval, "index": state.sigma}
+        # each decision's line up to its low endpoint, rendered once per call
+        head = json.dumps(
+            {"kind": "mixed-decision", **state._head, "interval": state.interval, "index": state.sigma}
+        )[:-1] + ", "
 
     for u in sorted(per_low):
         if deg[u] > width:
@@ -297,12 +304,14 @@ def step2_high_low(
                 if not assigned:
                     leftovers.append(e)
             if trace is not None:
-                record = {**head, "low": u, "high": v, "seq": e.seq, "b": b, "case": case}
-                if tally_key is not None:
-                    record[tally_key] = tally
+                line = f'{head}"low": {u}, "high": {v}, "seq": {e.seq}, "b": {b}, "case": "{case}"'
+                # a slot is only tried after a tally is read
                 if slot is not None:
-                    record["slot"] = slot
-                emit(record)
+                    emit(f'{line}, "{tally_key}": {tally}, "slot": {slot}}}\n')
+                elif tally_key is not None:
+                    emit(f'{line}, "{tally_key}": {tally}}}\n')
+                else:
+                    emit(line + "}\n")
             if has_counter:
                 state.bump_counter(u, assigned=assigned)
     return emissions, leftovers

@@ -21,6 +21,7 @@ from dataclasses import asdict
 from typing import IO, Callable, ContextManager, Iterator
 
 from .audit import (
+    LEFTOVER_MIN_RUNS,
     TraceRecorder,
     audit_gate,
     depth_gate,
@@ -331,23 +332,25 @@ def _check_leftover(args: argparse.Namespace, runs: int) -> tuple[bool, str]:
     return report.ok, report.detail
 
 
-# target -> (default runs, handler judging that many runs)
-CHECKS: dict[str, tuple[int, Callable[[argparse.Namespace, int], tuple[bool, str]]]] = {
-    "ind": (5, _check_ind),
-    "crange": (5, _check_crange),
-    "leftover": (20, _check_leftover),
-    "space": (10, lambda args, runs: space_gate(
+# target -> (default runs, fewest runs, handler judging that many runs)
+CHECKS: dict[str, tuple[int, int, Callable[[argparse.Namespace, int], tuple[bool, str]]]] = {
+    "ind": (5, 1, _check_ind),
+    "crange": (5, 1, _check_crange),
+    "leftover": (LEFTOVER_MIN_RUNS, LEFTOVER_MIN_RUNS, _check_leftover),
+    "space": (10, 1, lambda args, runs: space_gate(
         list(zip(_check_metrics(args, runs, args.n), _check_metrics(args, runs, 2 * args.n)))
     )),
-    "depth": (20, lambda args, runs: depth_gate(list(_check_metrics(args, runs, args.n)), args.delta)),
+    "depth": (20, 1, lambda args, runs: depth_gate(list(_check_metrics(args, runs, args.n)), args.delta)),
 }
 
 
 def cmd_check(args: argparse.Namespace) -> int:
-    default_runs, handler = CHECKS[args.target]
+    default_runs, fewest, handler = CHECKS[args.target]
     runs = default_runs if args.runs is None else args.runs
-    if runs < 1:
-        raise StreamInputError(f"check needs at least one run, got --runs {runs}")
+    if runs < fewest:
+        # refused before the first run, which may take minutes
+        least = "one run" if fewest == 1 else f"{fewest} runs"
+        raise StreamInputError(f"check {args.target} needs at least {least}, got --runs {runs}")
     _effective(
         "check",
         target=args.target,

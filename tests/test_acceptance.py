@@ -5,7 +5,7 @@ per verdict before asserting, so a red run still reports where every
 criterion stands.  The shared grid is n in {64, 256} x delta in {16, 64, 256} x three arrival
 orders x ten seeds, m = n*delta/4, kappa = 32, parallel edges allowed.  The
 leftover, space and depth fixtures hold runs in every arrival order, and
-tests 03, 07 and 08 judge each order on its own.  Tests 03, 04, 05, 07 and
+tests 03, 07, 08 and 10 judge each order on its own.  Tests 03, 04, 05, 07 and
 08 judge through the gates in wsecolor.audit that `wsecolor check` uses.
 """
 
@@ -229,31 +229,25 @@ def test_09_color_budget(grid, capsys):
 
 
 def test_10_color_scaling(grid, capsys):
-    def mean_colors(delta, runner=None):
+    def mean_colors(order, delta, runner=None):
         if runner is None:
-            runs = [
-                r.colors_used
-                for r in grid
-                if r.n == 256 and r.delta == delta and r.order == "arrival-random"
-            ]
+            runs = [r.colors_used for r in grid if r.n == 256 and r.delta == delta and r.order == order]
         else:
-            runs = []
-            for seed in range(10):
-                config, edges = build_workload(256, delta, "arrival-random", seed)
-                _, metrics = runner(config, edges)
-                runs.append(metrics.colors_used)
+            runs = [runner(*build_workload(256, delta, order, seed))[1].colors_used for seed in GRID_SEEDS]
         return statistics.fmean(runs)
 
-    ratio = mean_colors(256) / mean_colors(64)
-    baseline_ratio = mean_colors(256, run_baseline) / mean_colors(64, run_baseline)
-    ok = ratio <= 12.0
-    detail = (
-        f"mean colors at delta=256 over delta=64: {ratio:.2f} "
-        f"(gate 12; pure 1.5-power predicts 8, quadratic 16); "
-        f"buffered-greedy baseline ratio {baseline_ratio:.2f}"
-    )
-    report(capsys, 10, "color-scaling", ok, detail)
-    assert ok, detail
+    verdicts = {}
+    for order in GRID_ORDERS:
+        ratio = mean_colors(order, 256) / mean_colors(order, 64)
+        baseline_ratio = mean_colors(order, 256, run_baseline) / mean_colors(order, 64, run_baseline)
+        verdicts[order] = (
+            ratio <= 12.0,
+            f"mean colors at delta=256 over delta=64: {ratio:.2f} "
+            f"(gate 12; pure 1.5-power predicts 8, quadratic 16); "
+            f"buffered-greedy baseline ratio {baseline_ratio:.2f}",
+        )
+    failed = report_orders(capsys, 10, "color-scaling", verdicts)
+    assert not failed, failed
 
 
 def plant_adjacent_copy(emissions, rng):

@@ -401,6 +401,27 @@ def test_trace_recorder_with_sink_writes_in_batches():
     assert streamed.getvalue() == whole.getvalue()
 
 
+def test_trace_lines_are_canonical_json():
+    # 16 vertices of degree up to 256 in vertex-sorted order stay high for
+    # many intervals of one phase, so index draws repeat and step 1 exiles
+    burst, exiling = TraceRecorder(), TraceRecorder()
+    unknown_delta_burst_run(burst)
+    color_run(16, 256, 2000, order="vertex-sorted", trace=exiling, delta_mode="unknown")
+    kinds = set()
+    for recorder in (burst, exiling):
+        records = recorder.records
+        out = io.StringIO()
+        recorder.dump(out)
+        lines = out.getvalue().splitlines(keepends=True)
+        assert all(line == json.dumps(json.loads(line)) + "\n" for line in lines)
+        assert records == [json.loads(line) for line in lines]
+        kinds |= {r["kind"] for r in records}
+    assert kinds == {
+        "interval-degrees", "class-interval", "offset-draw", "counter-init",
+        "counter-bump", "high-assign", "exile", "mixed-decision",
+    }
+
+
 def test_collector_closes_every_scope_by_finalize():
     edges = order_stream(gen_multigraph(256, 64, 4096, seed=3), "vertex-sorted", seed=3)
     colorer = StreamColorer(resolve_config(n=256, delta=64, m=4096, seed=3))

@@ -16,7 +16,7 @@ from wsecolor import (
     write_stream,
 )
 from wsecolor import audit
-from wsecolor.audit import TRACE_BATCH
+from wsecolor.audit import LEFTOVER_MIN_RUNS, TRACE_BATCH, trace_audit
 from wsecolor.cli import BENCH_COLUMNS, main
 
 
@@ -154,6 +154,26 @@ def test_streamed_trace_matches_in_memory_dump(tmp_path, capsys):
     held = io.StringIO()
     recorder.dump(held)
     assert trace.read_text(encoding="ascii") == held.getvalue()
+
+
+def test_trace_file_audits_as_the_in_memory_trace(tmp_path, capsys):
+    n, delta, m = 64, 256, 4096
+    stream = tmp_path / "b.wse"
+    edges = burst_stream(stream, n, delta, m)
+    trace = tmp_path / "t.jsonl"
+    code, _, _ = run_cli(
+        capsys, "color", str(stream), "--out", str(tmp_path / "o.colored"),
+        "--metrics", str(tmp_path / "m.json"), "--unknown-delta", "--trace", str(trace),
+    )
+    assert code == 0
+    config = resolve_config(n=n, delta=delta, m=m, delta_mode="unknown")
+    with open(trace, encoding="ascii") as fh:
+        from_file = trace_audit([json.loads(line) for line in fh], config)
+    recorder = TraceRecorder()
+    run_stream(config, edges, trace=recorder)
+    assert from_file == trace_audit(recorder.records, config)
+    ok, _, assigned = from_file
+    assert ok and assigned > 0
 
 
 def test_failed_color_leaves_no_trace_file(tmp_path, capsys):
@@ -460,3 +480,13 @@ def test_check_rejects_zero_runs(capsys):
     code, out, err = run_cli(capsys, "check", "depth", "--runs", "0")
     assert code == 2
     assert "at least one run" in err and "check depth" not in out
+
+
+@pytest.mark.parametrize("runs", ["1", "19"])
+def test_check_leftover_rejects_runs_below_its_floor_before_running(runs, capsys):
+    # leftover_stats judges no fewer than LEFTOVER_MIN_RUNS runs; a smaller
+    # --runs is a usage error, refused before the first coloring
+    code, out, err = run_cli(capsys, "check", "leftover", "--n", "64", "--delta", "16", "--runs", runs)
+    assert code == 2
+    assert out == ""
+    assert err.splitlines() == [f"error: check leftover needs at least {LEFTOVER_MIN_RUNS} runs, got --runs {runs}"]

@@ -111,4 +111,4 @@ def test_only_audit_names_the_space_ratio_limit(path):
 
 
 def test_default_check_runs_visit_every_arrival_order():
-    assert {target: runs for target, (runs, _) in CHECKS.items() if runs < len(ORDER_POLICIES)} == {}
+    assert {target: runs for target, (runs, _, _) in CHECKS.items() if runs < len(ORDER_POLICIES)} == {}
