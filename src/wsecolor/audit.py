@@ -13,10 +13,11 @@ import json
 import math
 import statistics
 from array import array
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass
 from typing import IO, Iterable
 
 from .model import Edge, EngineInvariantError, RunConfig, epoch_config
+from .primitives import RandomSource
 
 __all__ = [
     "ClassPhaseStat",
@@ -461,12 +462,14 @@ def offset_independence_check(
     for event.  Epoch routing reads only arrival degrees, so each epoch's
     level 0 sees the same edges in both runs.  Returns (ok, detail, the
     first run's counter events)."""
-    from .pipeline import run_stream  # deferred: pipeline imports this module
+    from .pipeline import StreamColorer  # deferred: pipeline imports this module
 
     traces = []
     for offset_seed in (offset_seed_a, offset_seed_b):
         recorder = TraceRecorder()
-        run_stream(replace(config, offset_seed=offset_seed), edges, trace=recorder)
+        colorer = StreamColorer(config, trace=recorder)
+        colorer.offset_root = RandomSource(offset_seed, ("offsets",))
+        list(colorer.run(edges))
         records = recorder.records
         epochs = sorted({r["epoch"] for r in records})
         traces.append([(e, *ev) for e in epochs for ev in counter_trace(records, epoch=e)])
@@ -597,11 +600,23 @@ def saturated_index_audit(records: Iterable[dict], config: RunConfig) -> list[st
     return violations
 
 
-def trace_audit(records: list[dict], config: RunConfig) -> tuple[bool, str, int]:
+def trace_audit(records: Iterable[dict], config: RunConfig) -> tuple[bool, str, int]:
     """Both structural audits on one run's trace, as (ok, detail, the
-    counter- and block-family assignments audited)."""
-    violations = assignment_structure_audit(records, config) + saturated_index_audit(records, config)
-    assigned = sum(r.get("case") in ("counter-assign", "block-assign") for r in records)
+    counter- and block-family assignments audited).  Reads records once and
+    keeps only the kinds each audit reads, so a one-shot iterator, such as a
+    trace file read line by line, works."""
+    structure: list[dict] = []
+    saturation: list[dict] = []
+    assigned = 0
+    for r in records:
+        if r["kind"] in ("interval-degrees", "class-interval"):
+            saturation.append(r)
+        elif r["kind"] == "offset-draw":
+            structure.append(r)
+        elif r.get("case") in ("counter-assign", "block-assign"):
+            structure.append(r)
+            assigned += 1
+    violations = assignment_structure_audit(structure, config) + saturated_index_audit(saturation, config)
     detail = "; ".join([f"{len(violations)} violations over {assigned} B/C assignments", *violations])
     return not violations, detail, assigned
 

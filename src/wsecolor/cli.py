@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import csv
+import functools
 import json
 import os
 import sys
@@ -60,15 +61,6 @@ def _open_in(path: str) -> Iterator[IO[str]]:
 
 
 @contextlib.contextmanager
-def _open_out(path: str) -> Iterator[IO[str]]:
-    if path == "-":
-        yield sys.stdout
-    else:
-        with open(path, "w", encoding="ascii") as fh:
-            yield fh
-
-
-@contextlib.contextmanager
 def _staged_outputs() -> Iterator[Callable[[str], ContextManager[IO[str]]]]:
     """Yield an opener for output paths that writes each file to a temp
     sibling.  The temps replace their targets only when the block exits
@@ -80,8 +72,11 @@ def _staged_outputs() -> Iterator[Callable[[str], ContextManager[IO[str]]]]:
 
     @contextlib.contextmanager
     def open_out(path: str) -> Iterator[IO[str]]:
-        if path == "-" or (os.path.exists(path) and not os.path.isfile(path)):
-            with _open_out(path) as fh:
+        if path == "-":
+            yield sys.stdout
+            return
+        if os.path.exists(path) and not os.path.isfile(path):
+            with open(path, "w", encoding="ascii") as fh:
                 yield fh
             return
         target = os.path.realpath(path)
@@ -106,19 +101,6 @@ def _effective(command: str, **fields: object) -> None:
     doc: dict = {"command": command}
     doc.update(fields)
     print(json.dumps(doc, sort_keys=False), file=sys.stderr)
-
-
-def _resolve_from_args(args: argparse.Namespace, n: int, delta: int, m: int | None) -> RunConfig:
-    return resolve_config(
-        n=n,
-        delta=delta,
-        kappa=args.kappa,
-        seed=args.seed,
-        m=m,
-        interval_factor=args.interval_factor,
-        max_depth=args.max_depth,
-        delta_mode="unknown" if getattr(args, "unknown_delta", False) else "known",
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -156,7 +138,16 @@ def _run_from_file(args: argparse.Namespace, baseline: bool) -> int:
     trace_path = getattr(args, "trace", None)
     with _staged_outputs() as open_out, _open_in(args.stream) as fh:
         header, body = read_stream(fh)
-        config = _resolve_from_args(args, header.n, header.delta, header.m)
+        config = resolve_config(
+            n=header.n,
+            delta=header.delta,
+            kappa=args.kappa,
+            seed=args.seed,
+            m=header.m,
+            interval_factor=args.interval_factor,
+            max_depth=args.max_depth,
+            delta_mode="unknown" if getattr(args, "unknown_delta", False) else "known",
+        )
         _effective(
             "baseline" if baseline else "color",
             stream=args.stream,
@@ -180,14 +171,6 @@ def _run_from_file(args: argparse.Namespace, baseline: bool) -> int:
             mfh.write(metrics.to_json())
             mfh.write("\n")
     return EXIT_OK
-
-
-def cmd_color(args: argparse.Namespace) -> int:
-    return _run_from_file(args, baseline=False)
-
-
-def cmd_baseline(args: argparse.Namespace) -> int:
-    return _run_from_file(args, baseline=True)
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
@@ -227,9 +210,15 @@ BENCH_COLUMNS = [
 ]
 
 
+def _int_list(text: str) -> list[int]:
+    """A comma-separated list of integers, as bench --n and --delta take."""
+    try:
+        return [int(x) for x in text.split(",")]
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected comma-separated integers, got {text!r}") from None
+
+
 def cmd_bench(args: argparse.Namespace) -> int:
-    sizes = [int(x) for x in args.n.split(",")]
-    deltas = [int(x) for x in args.delta.split(",")]
     orders = args.orders.split(",")
     algorithms = args.algorithms.split(",")
     for policy in orders:
@@ -240,8 +229,8 @@ def cmd_bench(args: argparse.Namespace) -> int:
             raise StreamInputError(f"unknown algorithm {algorithm!r}; choose wse or baseline")
     _effective(
         "bench",
-        n=sizes,
-        delta=deltas,
+        n=args.n,
+        delta=args.delta,
         edge_factor=args.edge_factor,
         orders=orders,
         seeds=args.seeds,
@@ -253,8 +242,8 @@ def cmd_bench(args: argparse.Namespace) -> int:
     with _staged_outputs() as open_out, open_out(args.out) as fh:
         writer = csv.writer(fh)
         writer.writerow(BENCH_COLUMNS)
-        for n in sizes:
-            for delta in deltas:
+        for n in args.n:
+            for delta in args.delta:
                 m = int(n * delta * args.edge_factor)
                 for policy in orders:
                     for s in range(args.seeds):
@@ -351,6 +340,11 @@ def cmd_check(args: argparse.Namespace) -> int:
         # refused before the first run, which may take minutes
         least = "one run" if fewest == 1 else f"{fewest} runs"
         raise StreamInputError(f"check {args.target} needs at least {least}, got --runs {runs}")
+    m = int(args.n * args.delta * args.edge_factor)
+    if m < 1:
+        raise StreamInputError(
+            f"check {args.target} needs at least one edge per run, got m = int(n*delta*edge_factor) = {m}"
+        )
     _effective(
         "check",
         target=args.target,
@@ -412,7 +406,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trace", default=None, help="write decision trace JSON lines here")
     p.add_argument("--unknown-delta", action="store_true", help="ignore the declared max degree")
     _add_engine_flags(p)
-    p.set_defaults(func=cmd_color)
+    p.set_defaults(func=functools.partial(_run_from_file, baseline=False))
 
     p = sub.add_parser("verify", help="verify a colored file against its stream")
     p.add_argument("colored", help="colored output path")
@@ -424,11 +418,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default=None, help="colored output path (default: <stream>.colored)")
     p.add_argument("--metrics", default="-", help="metrics JSON path (default: stdout)")
     _add_engine_flags(p)
-    p.set_defaults(func=cmd_baseline)
+    p.set_defaults(func=functools.partial(_run_from_file, baseline=True))
 
     p = sub.add_parser("bench", help="run a benchmark grid and emit CSV")
-    p.add_argument("--n", default="64,256", help="comma-separated vertex counts")
-    p.add_argument("--delta", default="16,64,256", help="comma-separated degree bounds")
+    p.add_argument("--n", type=_int_list, default="64,256", help="comma-separated vertex counts")
+    p.add_argument("--delta", type=_int_list, default="16,64,256", help="comma-separated degree bounds")
     p.add_argument("--edge-factor", type=float, default=0.25, help="m = n * delta * factor")
     p.add_argument("--orders", default=",".join(ORDER_POLICIES))
     p.add_argument("--seeds", type=int, default=10, help="number of seeds per grid point")

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import NoReturn
 
 __all__ = [
@@ -238,24 +238,21 @@ def normalize_delta(raw: int) -> int:
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Fully resolved run parameters.
+    """Fully resolved run parameters: the values a run is configured with.
 
-    delta is already normalized.  sigma_seed and offset_seed default to the
-    master seed; they exist so the two randomness consumers (per-interval
-    palette indices and per-vertex slot offsets) can be re-seeded apart,
-    which the independence check relies on.
+    declared_delta is the degree bound as the caller gave it, and a known
+    bound is enforced at that value.  delta is that bound rounded up by
+    normalize_delta, the value the palette arithmetic runs at.
     """
 
     n: int
     delta: int
+    declared_delta: int
     kappa: int
     interval_size: int
-    phase_len: int
     max_depth: int
     seed: int
     delta_mode: str = "known"
-    sigma_seed: int | None = None
-    offset_seed: int | None = None
 
     @property
     def sqrt_delta(self) -> int:
@@ -288,8 +285,6 @@ def resolve_config(
     interval_factor: str | float | int | None = None,
     max_depth: int | None = None,
     delta_mode: str = "known",
-    sigma_seed: int | None = None,
-    offset_seed: int | None = None,
 ) -> RunConfig:
     """Validate raw parameters and fill in every default."""
     if n < 1:
@@ -310,14 +305,12 @@ def resolve_config(
     return RunConfig(
         n=n,
         delta=norm,
+        declared_delta=delta,
         kappa=kappa,
         interval_size=interval_size,
-        phase_len=math.isqrt(norm),
         max_depth=max_depth,
         seed=seed & 0xFFFFFFFFFFFFFFFF,
         delta_mode=delta_mode,
-        sigma_seed=sigma_seed,
-        offset_seed=offset_seed,
     )
 
 
@@ -328,14 +321,4 @@ def epoch_config(config: RunConfig, epoch: int) -> RunConfig:
     the normalized 2**e."""
     if config.delta_mode == "known":
         return config
-    return resolve_config(
-        n=config.n,
-        delta=1 << epoch,
-        kappa=config.kappa,
-        seed=config.seed,
-        interval_size=config.interval_size,
-        max_depth=config.max_depth,
-        delta_mode="unknown",
-        sigma_seed=config.sigma_seed,
-        offset_seed=config.offset_seed,
-    )
+    return replace(config, delta=normalize_delta(1 << epoch))

@@ -4,7 +4,7 @@ bookkeeping, and low-bucket coloring.
 Edges are buffered until an interval fills, then the interval subgraph is
 split by max endpoint degree: edges below the square-root threshold get a
 fresh per-interval palette, the rest are routed to their degree class.
-Classes keep per-phase state; a phase ends after phase_len intervals and
+Classes keep per-phase state; a phase ends after sqrt(delta) intervals and
 discards everything it held.  A level whose whole input fits in its first
 interval is the base case: flush colors it outright.  The baseline and a
 level at the depth cap run the same buffer with a fresh palette per
@@ -246,7 +246,7 @@ class PhaseEngine:
             return self._fresh_interval()
         cfg = self.config
         index = self.interval_index
-        phase = index // cfg.phase_len
+        phase = index // cfg.sqrt_delta
         if self._phase is None:
             self._start_phase(phase)
         assert self._phase == phase
@@ -297,6 +297,6 @@ class PhaseEngine:
 
         self._phase_edges += len(edges)
         self.interval_index = index + 1
-        if self.interval_index % cfg.phase_len == 0:
+        if self.interval_index % cfg.sqrt_delta == 0:
             self._end_phase()
         return emissions, leftovers

@@ -31,9 +31,13 @@ class StreamColorer:
     random roots.
 
     A known degree bound, and the baseline, use epoch 0 and reject the first
-    edge that lifts an endpoint above config.delta.  An unknown bound routes
-    each edge to the epoch of the running max degree, (top - 1).bit_length(),
-    whose engines run at epoch_config(config, epoch).
+    edge that lifts an endpoint above config.declared_delta, the bound as
+    given rather than as normalized.  An unknown bound routes each edge to
+    the epoch of the running max degree, (top - 1).bit_length(), whose
+    engines run at epoch_config(config, epoch).
+
+    Both random roots derive from config.seed; engines are built on first
+    use, so a root replaced before the first feed seeds every engine.
     """
 
     def __init__(
@@ -43,18 +47,14 @@ class StreamColorer:
         self.trace = trace
         self.baseline = baseline
         self.collector = MetricsCollector()
-        self.sigma_root = RandomSource(
-            config.seed if config.sigma_seed is None else config.sigma_seed, ("sigma",)
-        )
-        self.offset_root = RandomSource(
-            config.seed if config.offset_seed is None else config.offset_seed, ("offsets",)
-        )
+        self.sigma_root = RandomSource(config.seed, ("sigma",))
+        self.offset_root = RandomSource(config.seed, ("offsets",))
         self._seq = 0
         self._deg = [0] * config.n
         self._top = 0
         # None routes by the running max degree instead of enforcing a bound
         self._bound = (
-            None if config.delta_mode == "unknown" and not baseline else config.delta
+            None if config.delta_mode == "unknown" and not baseline else config.declared_delta
         )
         # each epoch's chain of engines, indexed by level
         self._epochs: dict[int, list[PhaseEngine]] = {}

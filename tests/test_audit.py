@@ -326,6 +326,30 @@ def test_audits_clean_where_class_colors_span_lower_epochs(order):
         assert set(engine.meter.current.values()) <= {0}, (engine.epoch, engine.level)
 
 
+def test_counters_fire_and_audit_clean_below_the_top_epoch():
+    # the running max degree settles in epoch 6, and the level-0 counters
+    # fire in epoch 4, on the way there
+    edges = order_stream(gen_multigraph(512, 64, 8192, seed=1), "arrival-random", seed=2)
+    config = resolve_config(n=512, delta=64, m=8192, seed=1, delta_mode="unknown")
+    trace = TraceRecorder()
+    colorer = StreamColorer(config, trace=trace)
+    list(colorer.run(edges))
+    records = trace.records
+    top = max(engine.epoch for engine in colorer.engines())
+    below = [ev for epoch in range(top) for ev in counter_trace(records, epoch=epoch)]
+    assert len(below) > 0
+    assert any(
+        r["kind"] == "mixed-decision" and r["case"] == "counter-assign" and r["epoch"] < top
+        for r in records
+    )
+    ok, detail, events = offset_independence_check(config, edges, offset_seed_a=7001, offset_seed_b=9103)
+    assert ok, detail
+    assert events >= len(below)
+    ok, detail, assigned = trace_audit(records, config)
+    assert ok, detail
+    assert assigned > 0
+
+
 def test_counter_canary_catches_lazy_bumps_past_epoch_zero(monkeypatch):
     edges, _, _, config = unknown_delta_burst_run(None)
     bump_lazily(monkeypatch)

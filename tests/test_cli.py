@@ -168,7 +168,7 @@ def test_trace_file_audits_as_the_in_memory_trace(tmp_path, capsys):
     assert code == 0
     config = resolve_config(n=n, delta=delta, m=m, delta_mode="unknown")
     with open(trace, encoding="ascii") as fh:
-        from_file = trace_audit([json.loads(line) for line in fh], config)
+        from_file = trace_audit((json.loads(line) for line in fh), config)
     recorder = TraceRecorder()
     run_stream(config, edges, trace=recorder)
     assert from_file == trace_audit(recorder.records, config)
@@ -356,6 +356,39 @@ def test_over_degree_stream_rejected_without_output(command, tmp_path, capsys):
     assert sorted(p.name for p in tmp_path.iterdir()) == ["deg.wse"]
 
 
+def declared_17_stream(path):
+    """The n=64 stream of true max degree 44, declared as delta 17."""
+    edges = gen_multigraph(64, 64, 1024, seed=1)
+    path.write_text("wse v1 64 17 1024\n" + "".join(f"{e.u} {e.v}\n" for e in edges))
+
+
+@pytest.mark.parametrize("command", ["color", "baseline"])
+def test_declared_bound_rejected_as_declared_without_output(command, tmp_path, capsys):
+    # 17 normalizes to 64, above the true max degree; the declared 17 rejects
+    stream = tmp_path / "d17.wse"
+    declared_17_stream(stream)
+    argv = [command, str(stream), "--out", str(tmp_path / "o.colored"), "--metrics", str(tmp_path / "m.json")]
+    if command == "color":
+        argv += ["--trace", str(tmp_path / "t.jsonl")]
+    code, _, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert "exceeds the configured bound 17 (seq " in err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["d17.wse"]
+
+
+def test_declared_bound_ignored_with_unknown_delta(tmp_path, capsys):
+    stream = tmp_path / "d17.wse"
+    declared_17_stream(stream)
+    colored = tmp_path / "o.colored"
+    code, _, _ = run_cli(
+        capsys, "color", str(stream), "--out", str(colored), "--metrics", str(tmp_path / "m.json"),
+        "--unknown-delta",
+    )
+    assert code == 0
+    code, out, _ = run_cli(capsys, "verify", str(colored), str(stream))
+    assert code == 0 and out.startswith("ok: 1024 edges, coloring is proper")
+
+
 def test_color_replaces_existing_outputs_on_success(stream_path, tmp_path, capsys):
     out, metrics, trace = tmp_path / "o.colored", tmp_path / "m.json", tmp_path / "t.jsonl"
     real = tmp_path / "real.colored"
@@ -480,6 +513,35 @@ def test_check_rejects_zero_runs(capsys):
     code, out, err = run_cli(capsys, "check", "depth", "--runs", "0")
     assert code == 2
     assert "at least one run" in err and "check depth" not in out
+
+
+@pytest.mark.parametrize("flag", ["--n", "--delta"])
+def test_bench_rejects_a_non_integer_list_entry(flag, capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        main(["bench", flag, "64,x", "--seeds", "1"])
+    assert exit_info.value.code == 2
+    cap = capsys.readouterr()
+    assert cap.out == "" and "Traceback" not in cap.err
+    assert cap.err.splitlines()[-1].endswith(
+        f"error: argument {flag}: expected comma-separated integers, got '64,x'"
+    )
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("check", "space", "--runs", "1", "--n", "64", "--edge-factor", "0"),
+        ("check", "leftover", "--n", "16", "--delta", "4", "--edge-factor", "0"),
+    ],
+)
+def test_check_rejects_an_empty_stream_before_running(argv, capsys):
+    # m = int(n * delta * edge_factor) is 0: refused before the first run
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.splitlines() == [
+        f"error: check {argv[1]} needs at least one edge per run, got m = int(n*delta*edge_factor) = 0"
+    ]
 
 
 @pytest.mark.parametrize("runs", ["1", "19"])

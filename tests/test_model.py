@@ -1,5 +1,6 @@
 """Color identifiers, their wire format, and config resolution."""
 
+import dataclasses
 import re
 
 import pytest
@@ -15,6 +16,7 @@ from wsecolor import (
     normalize_delta,
     resolve_config,
 )
+from wsecolor.model import epoch_config
 
 # frozen: powers of four, rounded up
 NORMALIZE_CASES = {1: 1, 2: 4, 3: 4, 4: 4, 5: 16, 16: 16, 17: 64, 20: 64, 64: 64, 65: 256, 256: 256}
@@ -157,17 +159,18 @@ def test_token_is_the_encoding_and_stays_out_of_repr(color):
 def test_resolve_defaults():
     cfg = resolve_config(n=64, delta=16)
     assert cfg.delta == 16
+    assert cfg.declared_delta == 16
     assert cfg.kappa == 32
     assert cfg.interval_size == 64
-    assert cfg.phase_len == 4  # square root of delta
     assert cfg.max_depth == 64  # no m given
     assert cfg.delta_mode == "known"
     assert cfg.sqrt_delta == 4
 
 
 def test_resolve_normalizes_delta():
-    assert resolve_config(n=8, delta=20).delta == 64
-    assert resolve_config(n=8, delta=20).phase_len == 8
+    cfg = resolve_config(n=8, delta=20)
+    assert (cfg.delta, cfg.declared_delta) == (64, 20)
+    assert cfg.sqrt_delta == 8  # the phase length, in intervals
 
 
 # frozen: 4 * ceil(log2 max(m, 2)) + 10
@@ -221,8 +224,13 @@ def test_seed_masked_to_64_bits():
     assert resolve_config(n=8, delta=4, seed=-1).seed == 0xFFFFFFFFFFFFFFFF
 
 
-def test_seed_overrides_stay_separate():
-    cfg = resolve_config(n=8, delta=4, seed=9, sigma_seed=1, offset_seed=2)
-    assert (cfg.seed, cfg.sigma_seed, cfg.offset_seed) == (9, 1, 2)
-    plain = resolve_config(n=8, delta=4, seed=9)
-    assert plain.sigma_seed is None and plain.offset_seed is None
+def test_config_holds_only_the_values_a_run_chooses():
+    cfg = resolve_config(n=8, delta=5, seed=9, m=20, delta_mode="unknown")
+    assert [f.name for f in dataclasses.fields(cfg)] == [
+        "n", "delta", "declared_delta", "kappa", "interval_size", "max_depth", "seed", "delta_mode",
+    ]
+    assert (cfg.delta, cfg.declared_delta, cfg.seed) == (16, 5, 9)
+    # an epoch runs at its own normalized bound; the declared one stays
+    lower = epoch_config(cfg, 5)
+    assert (lower.delta, lower.declared_delta) == (64, 5)
+    assert lower == dataclasses.replace(cfg, delta=64)

@@ -110,6 +110,27 @@ def test_declared_degree_bound_is_enforced(runner):
         runner(cfg, edges)
 
 
+@pytest.mark.parametrize("runner", [run_stream, run_baseline])
+def test_declared_bound_is_enforced_as_declared_not_as_normalized(runner):
+    # declared 17 normalizes to 64, above the true max degree 44, so only the
+    # declared value itself rejects this stream
+    edges = gen_multigraph(64, 64, 1024, seed=1)
+    assert max(compute_degrees(edges).values()) == 44
+    cfg = resolve_config(n=64, delta=17, seed=1, m=1024)
+    assert (cfg.delta, cfg.declared_delta) == (64, 17)
+    first = next(
+        i for i in range(len(edges)) if max(compute_degrees(edges[: i + 1]).values()) > 17
+    )
+    with pytest.raises(
+        StreamInputError, match=rf"exceeds the configured bound 17 \(seq {first}\)"
+    ):
+        runner(cfg, edges)
+    # a bound the stream meets exactly is accepted
+    emissions, _ = runner(resolve_config(n=64, delta=44, seed=1, m=1024), edges)
+    assert emitted_seqs(emissions) == seqs_of(edges)
+    assert find_conflicts(emissions) == []
+
+
 def test_rejected_edge_leaves_no_degree_residue():
     cfg = resolve_config(n=4, delta=4)
     colorer = StreamColorer(cfg)
