@@ -337,27 +337,29 @@ class VerifyResult:
 
 
 def verify_proper(
-    colored: Iterable[tuple[Edge, str]], input_edges: Iterable[Edge]
+    colored: Iterable[tuple[Iterable[int], str]], input_edges: Iterable[Iterable[int]]
 ) -> VerifyResult:
     """Check conservation and properness of a colored stream.
 
     Ok iff the multiset of colored (u, v, seq) triples equals the input
     multiset and no two distinct edge instances sharing an endpoint carry
     equal colors.  Colors are canonical tokens, as run_stream and
-    read_colored yield them, compared as strings.  Both arguments may be
-    one-shot iterables.  input_edges is read to the end first and must be
-    positional: the edge at position i has seq i, as read_stream,
-    order_stream and run_stream produce; anything else raises ValueError.
-    colored is then read once.  Per edge only four int columns are held:
-    the endpoints, a color index and a link to the next edge of that color.
-    The conflict reported is the one an ascending-seq scan meets first.
+    read_colored yield them, compared as strings.  Each edge is unpacked
+    as (u, v, seq), so Edges and the readers' int rows both serve.  Both
+    arguments may be one-shot iterables.  input_edges is read to the end
+    first and must be positional: the edge at position i has seq i, as
+    read_stream, order_stream and run_stream produce; anything else raises
+    ValueError.  colored is then read once.  Per edge only four int columns
+    are held: the endpoints, a color index and a link to the next edge of
+    that color.  The conflict reported is the one an ascending-seq scan
+    meets first.
     """
     us, vs = array("q"), array("q")
-    for e in input_edges:
-        if e.seq != len(us):
-            raise ValueError(f"input edge {e} at position {len(us)}: seq must equal position")
-        us.append(e.u)
-        vs.append(e.v)
+    for u, v, seq in input_edges:
+        if seq != len(us):
+            raise ValueError(f"input edge {Edge(u, v, seq)} at position {len(us)}: seq must equal position")
+        us.append(u)
+        vs.append(v)
     m = len(us)
     if m and min(min(us), min(vs)) < 0:
         raise ValueError("input vertices must be non-negative")
@@ -369,16 +371,15 @@ def verify_proper(
     index_of: dict[str, int] = {}
     colors: list[str] = []
     surplus = None
-    for e, color in colored:
-        s = e.seq
-        if 0 <= s < m and color_of[s] < 0 and e.u == us[s] and e.v == vs[s]:
+    for (u, v, s), color in colored:
+        if 0 <= s < m and color_of[s] < 0 and u == us[s] and v == vs[s]:
             index = index_of.get(color)
             if index is None:
                 index = index_of[color] = len(colors)
                 colors.append(color)
             color_of[s] = index
-        elif surplus is None or (e.u, e.v, s) < surplus:
-            surplus = (e.u, e.v, s)
+        elif surplus is None or (u, v, s) < surplus:
+            surplus = (u, v, s)
     bits = []
     if -1 in color_of:
         missing = min((us[s], vs[s], s) for s in range(m) if color_of[s] < 0)

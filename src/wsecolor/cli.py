@@ -14,11 +14,13 @@ import argparse
 import contextlib
 import csv
 import functools
+import io
 import json
 import os
 import sys
 import time
 from dataclasses import asdict
+from itertools import starmap
 from typing import IO, Callable, ContextManager, Iterator
 
 from .audit import (
@@ -53,11 +55,21 @@ EXIT_USAGE = 2
 
 @contextlib.contextmanager
 def _open_in(path: str) -> Iterator[IO[str]]:
-    if path == "-":
+    """Open an input file, or '-' for stdin, as ASCII text.  A byte outside
+    ASCII reads as a lone surrogate, which no field accepts, so the parser
+    rejects its line by number; stdin is read the same way whatever the
+    locale, so a non-ASCII digit is not taken for a number."""
+    if path != "-":
+        with open(path, "r", encoding="ascii", errors="surrogateescape") as fh:
+            yield fh
+    elif not hasattr(sys.stdin, "buffer"):  # a text stream standing in for stdin
         yield sys.stdin
     else:
-        with open(path, "r", encoding="ascii") as fh:
+        fh = io.TextIOWrapper(sys.stdin.buffer, encoding="ascii", errors="surrogateescape")
+        try:
             yield fh
+        finally:
+            fh.detach()  # leave sys.stdin's buffer open
 
 
 @contextlib.contextmanager
@@ -162,7 +174,7 @@ def _run_from_file(args: argparse.Namespace, baseline: bool) -> int:
             colorer = StreamColorer(config, trace=trace, baseline=baseline)
             start = time.perf_counter()
             with open_out(out_path) as out_fh:
-                write_colored(out_fh, colorer.run(body))
+                write_colored(out_fh, colorer.run(starmap(Edge, body)))
             wall_ms = (time.perf_counter() - start) * 1000.0
             if trace is not None:
                 trace.dump(tfh)

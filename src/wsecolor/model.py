@@ -15,7 +15,7 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass, field, replace
-from typing import NoReturn
+from typing import Iterator, NoReturn
 
 __all__ = [
     "ColorFormatError",
@@ -61,12 +61,16 @@ class Edge:
     The seq value is the edge instance's identity; parallel edges share
     endpoints but never a seq.  Deferred edges keep their original seq all
     the way down the recursion, so conservation can be checked on exact
-    (u, v, seq) triples.
+    (u, v, seq) triples.  An edge unpacks as that triple, so code that
+    reads rows works on edges and on the plain tuples the file readers yield.
     """
 
     u: int
     v: int
     seq: int
+
+    def __iter__(self) -> Iterator[int]:
+        return iter((self.u, self.v, self.seq))
 
 
 @dataclass(frozen=True, slots=True)

@@ -18,7 +18,7 @@ from math import isqrt
 
 from .audit import ClassPhaseStat, MetricsCollector, SpaceMeter, TraceRecorder
 from .class_colorer import ClassState, step1_high_high, step2_high_low
-from .model import KIND_BASE, KIND_LOW, Edge, EngineInvariantError, RunConfig, StreamInputError, token_prefix
+from .model import KIND_BASE, KIND_LOW, Edge, EngineInvariantError, RunConfig, token_prefix
 from .primitives import RandomSource, greedy_edge_color
 
 __all__ = [
@@ -70,7 +70,8 @@ def classify_interval(edges: list[Edge], deg: dict[int, int], delta: int) -> tup
     otherwise its class is the power of two d with the max endpoint degree
     in [d, 2d).  per_class[d] is (h1, h2): h1 holds the edges with both
     endpoints in [d, 2d), h2 those with the other endpoint below d.
-    Degrees above delta break the input contract.  low_bound, the largest
+    StreamColorer.feed keeps every degree within delta, so one above it
+    is an engine bug, not bad input.  low_bound, the largest
     low-bucket top degree, bounds the low bucket's own degrees.
     """
     root = isqrt(delta)
@@ -87,7 +88,7 @@ def classify_interval(edges: list[Edge], deg: dict[int, int], delta: int) -> tup
                 low_bound = top
             continue
         if top > delta:
-            raise StreamInputError(
+            raise EngineInvariantError(
                 f"interval degree {top} exceeds the configured bound {delta}"
             )
         d = 1 << (top.bit_length() - 1)

@@ -152,8 +152,9 @@ def _header_error(line: str) -> StreamFormatError:
     )
 
 
-def read_stream(fh: IO[str]) -> tuple[StreamHeader, Iterator[Edge]]:
-    """Parse the header eagerly and the body lazily, one line at a time."""
+def read_stream(fh: IO[str]) -> tuple[StreamHeader, Iterator[tuple[int, int, int]]]:
+    """Parse the header eagerly and the body lazily, one line at a time,
+    into (u, v, seq) rows of plain ints; starmap(Edge, body) makes edges."""
     first = fh.readline()
     parts = first.split()
     if len(parts) != 5 or parts[0] != MAGIC or parts[1] != VERSION:
@@ -166,7 +167,7 @@ def read_stream(fh: IO[str]) -> tuple[StreamHeader, Iterator[Edge]]:
         raise _header_error(first.rstrip("\n"))
     header = StreamHeader(n=n, delta=delta, m=m)
 
-    def body() -> Iterator[Edge]:
+    def body() -> Iterator[tuple[int, int, int]]:
         count = 0
         for lineno, line in enumerate(fh, start=2):
             fields = line.split()
@@ -185,7 +186,7 @@ def read_stream(fh: IO[str]) -> tuple[StreamHeader, Iterator[Edge]]:
                 raise StreamFormatError(f"line {lineno}: vertex {x} outside [0, {n})")
             if count >= m:
                 raise StreamFormatError(f"line {lineno}: more than the declared {m} edges")
-            yield Edge(u, v, count)
+            yield u, v, count
             count += 1
         if count != m:
             raise StreamFormatError(f"stream ended after {count} of {m} declared edges")
@@ -202,8 +203,9 @@ def write_colored(fh: IO[str], emissions: Iterable[tuple[Edge, str]]) -> None:
         fh.write(colored_line(e, color))
 
 
-def read_colored(fh: IO[str]) -> Iterator[tuple[Edge, str]]:
-    """Parse a colored file lazily into (edge, color) pairs, one per line.
+def read_colored(fh: IO[str]) -> Iterator[tuple[tuple[int, int, int], str]]:
+    """Parse a colored file lazily into ((u, v, seq), color) rows, one per
+    line, with the triple as plain ints.
 
     A bad line raises a line-numbered StreamFormatError when it is reached,
     after every good line before it has been yielded.  Each distinct color
@@ -234,4 +236,4 @@ def read_colored(fh: IO[str]) -> Iterator[tuple[Edge, str]]:
                 raise StreamFormatError(f"line {lineno}: {err}") from None
             # a canonical token maps to itself, so each color is one string
             color = canonical[token] = canonical.setdefault(color, color)
-        yield Edge(u, v, seq), color
+        yield (u, v, seq), color

@@ -4,6 +4,8 @@ every vertex's incident edges."""
 
 from __future__ import annotations
 
+from hypothesis import strategies as st
+
 from wsecolor import (
     Edge,
     RunMetrics,
@@ -20,17 +22,17 @@ def find_conflicts(colored):
     """All pairs of distinct edge instances that share an endpoint and a
     color token.  Quadratic per vertex; only for test-sized inputs."""
     at_vertex: dict[int, list] = {}
-    for e, token in colored:
-        at_vertex.setdefault(e.u, []).append((e, token))
-        at_vertex.setdefault(e.v, []).append((e, token))
+    for (u, v, seq), token in colored:
+        at_vertex.setdefault(u, []).append((seq, token))
+        at_vertex.setdefault(v, []).append((seq, token))
     conflicts = []
     for v, incident in at_vertex.items():
         for i in range(len(incident)):
             for j in range(i + 1, len(incident)):
-                e1, t1 = incident[i]
-                e2, t2 = incident[j]
-                if e1.seq != e2.seq and t1 == t2:
-                    conflicts.append((v, t1, e1.seq, e2.seq))
+                s1, t1 = incident[i]
+                s2, t2 = incident[j]
+                if s1 != s2 and t1 == t2:
+                    conflicts.append((v, t1, s1, s2))
     return conflicts
 
 
@@ -113,3 +115,25 @@ def emitted_seqs(emissions):
 def make_edges(pairs):
     """Edges from (u, v) pairs, sequenced by position."""
     return [Edge(u, v, i) for i, (u, v) in enumerate(pairs)]
+
+
+_PALETTE = ["E0.L0.BASE.0", "E0.L0.BASE.1", "E0.L0.P0.I0.LOW.0"]
+
+
+@st.composite
+def damaged_colorings(draw):
+    """(colored, edges): a small stream with self-loops and parallel edges
+    on at most 4 vertices, painted from a three-color palette; some lines
+    dropped or doubled, surplus triples added, and the lines shuffled."""
+    n = draw(st.integers(1, 4))
+    vertex = st.integers(0, n - 1)
+    edges = make_edges(draw(st.lists(st.tuples(vertex, vertex), max_size=8)))
+    color = st.sampled_from(_PALETTE)
+    colored = []
+    for e in edges:
+        copies = draw(st.sampled_from([1] * 8 + [0, 2]))
+        colored += [(e, draw(color)) for _ in range(copies)]
+    extra = st.tuples(st.integers(0, n), st.integers(0, n), st.integers(-1, len(edges)))
+    for u, v, seq in draw(st.lists(extra, max_size=1)):
+        colored.append((Edge(u, v, seq), draw(color)))
+    return draw(st.permutations(colored)), edges

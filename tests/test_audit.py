@@ -43,7 +43,15 @@ from wsecolor.audit import (
 from wsecolor.class_colorer import ClassState
 from wsecolor.model import FAMILIES, epoch_config
 
-from support import color_run, decoded, fake_metrics, find_conflicts, make_edges, reference_verify
+from support import (
+    color_run,
+    damaged_colorings,
+    decoded,
+    fake_metrics,
+    find_conflicts,
+    make_edges,
+    reference_verify,
+)
 
 
 def painted(edges, tokens):
@@ -143,30 +151,15 @@ def test_verify_rejects_input_it_cannot_index(edges):
         verify_proper([], edges)
 
 
-_PALETTE = ["E0.L0.BASE.0", "E0.L0.BASE.1", "E0.L0.P0.I0.LOW.0"]
-
-
-@st.composite
-def _damaged_colorings(draw):
-    """Small streams with self-loops and parallel edges, painted from a
-    three-color palette; some lines dropped or doubled, surplus triples
-    added, and the lines shuffled."""
-    n = draw(st.integers(1, 4))
-    vertex = st.integers(0, n - 1)
-    edges = make_edges(draw(st.lists(st.tuples(vertex, vertex), max_size=8)))
-    color = st.sampled_from(_PALETTE)
-    colored = []
-    for e in edges:
-        copies = draw(st.sampled_from([1] * 8 + [0, 2]))
-        colored += [(e, draw(color)) for _ in range(copies)]
-    extra = st.tuples(st.integers(0, n), st.integers(0, n), st.integers(-1, len(edges)))
-    for u, v, seq in draw(st.lists(extra, max_size=1)):
-        colored.append((Edge(u, v, seq), draw(color)))
-    return draw(st.permutations(colored)), edges
+@pytest.mark.parametrize("rows", [[Edge(0, 1, 1)], [(0, 1, 1)]], ids=["edge", "tuple"])
+def test_verify_names_a_misplaced_seq_the_same_for_edges_and_rows(rows):
+    with pytest.raises(ValueError) as info:
+        verify_proper([], rows)
+    assert str(info.value) == "input edge Edge(u=0, v=1, seq=1) at position 0: seq must equal position"
 
 
 @settings(max_examples=400)
-@given(_damaged_colorings())
+@given(damaged_colorings())
 def test_verify_matches_the_ascending_seq_reference(case):
     colored, edges = case
     assert verify_proper(iter(colored), iter(edges)) == reference_verify(colored, edges)

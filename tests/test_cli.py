@@ -376,6 +376,48 @@ def test_declared_bound_rejected_as_declared_without_output(command, tmp_path, c
     assert sorted(p.name for p in tmp_path.iterdir()) == ["d17.wse"]
 
 
+def with_bytes_at_line(path, lineno, raw):
+    """Replace line lineno (1-based) of a text file with raw bytes."""
+    lines = path.read_bytes().splitlines(keepends=True)
+    lines[lineno - 1] = raw
+    path.write_bytes(b"".join(lines))
+
+
+@pytest.mark.parametrize("command", ["color", "baseline"])
+def test_non_ascii_stream_byte_is_an_input_error_without_output(command, stream_path, capsys):
+    with_bytes_at_line(stream_path, 200, b"0 \xc3\xa9\n")
+    out_dir = stream_path.parent
+    argv = [command, str(stream_path), "--out", str(out_dir / "o.colored"), "--metrics", str(out_dir / "m.json")]
+    if command == "color":
+        argv += ["--trace", str(out_dir / "t.jsonl")]
+    code, _, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert [line for line in err.splitlines() if line.startswith("error:")] == [
+        r"error: line 200: endpoints must be integers, got '0 \udcc3\udca9'"
+    ]
+    assert sorted(p.name for p in out_dir.iterdir()) == ["g.wse"]
+
+
+def test_non_ascii_colored_byte_is_an_input_error(stream_path, capsys):
+    colored = stream_path.parent / "g.colored"
+    assert run_cli(capsys, "color", str(stream_path), "--out", str(colored))[0] == 0
+    with_bytes_at_line(colored, 100, b"1 2 99 E0.L0.BASE.\xff\n")
+    code, out, err = run_cli(capsys, "verify", str(colored), str(stream_path))
+    assert (code, out) == (2, "")
+    assert err.splitlines() == [r"error: line 100: field 'slot': expected a decimal integer, got '\udcff'"]
+
+
+def test_stdin_reads_ascii_whatever_the_locale(tmp_path, capsys, monkeypatch):
+    # U+0663, an Arabic-Indic digit three, is a number to int() but not ASCII
+    stdin = io.TextIOWrapper(io.BytesIO("wse v1 4 2 1\n0 \u0663\n".encode()), encoding="utf-8")
+    monkeypatch.setattr("sys.stdin", stdin)
+    code, _, err = run_cli(capsys, "color", "-", "--out", str(tmp_path / "o.colored"))
+    assert code == 2
+    assert err.splitlines()[-1] == r"error: line 2: endpoints must be integers, got '0 \udcd9\udca3'"
+    assert list(tmp_path.iterdir()) == []
+    assert not stdin.buffer.closed
+
+
 def test_declared_bound_ignored_with_unknown_delta(tmp_path, capsys):
     stream = tmp_path / "d17.wse"
     declared_17_stream(stream)

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from wsecolor import (
     Edge,
+    EngineInvariantError,
     MetricsCollector,
     StreamColorer,
     StreamInputError,
@@ -52,7 +53,7 @@ def test_classify_frozen_examples():
 
 
 def test_classify_rejects_degree_above_bound():
-    with pytest.raises(StreamInputError):
+    with pytest.raises(EngineInvariantError):
         classify_interval(make_edges([(1, 2)]), {1: 17, 2: 1}, 16)
 
 
@@ -275,7 +276,7 @@ def test_overfull_degree_detected_at_interval():
     cfg = resolve_config(n=4, delta=4, interval_size=8)
     engine, _, _ = make_engine(cfg)
     pairs = [(0, 1)] * 5 + [(2, 3)] * 3  # five parallel edges: degree 5 > 4
-    with pytest.raises(StreamInputError, match="exceeds"):
+    with pytest.raises(EngineInvariantError, match="exceeds"):
         feed_all(engine, make_edges(pairs))
 
 

@@ -1,6 +1,7 @@
 """Source hygiene: every name a module of the package imports is used, the
-parsed color form stays at the modules that parse or re-export it, and the
-release gates stay defined in one module."""
+parsed color form stays at the modules that parse or re-export it, the
+release gates stay defined in one module, and the file readers build no
+per-line Edge."""
 
 import ast
 from pathlib import Path
@@ -112,3 +113,39 @@ def test_only_audit_names_the_space_ratio_limit(path):
 
 def test_default_check_runs_visit_every_arrival_order():
     assert {target: runs for target, (runs, _, _) in CHECKS.items() if runs < len(ORDER_POLICIES)} == {}
+
+
+# the readers yield plain int rows; an Edge per line is built only where the
+# engine needs one (cli.py, starmap(Edge, body))
+FILE_READERS = frozenset(("read_stream", "read_colored"))
+
+
+def edge_names_in(source: str, functions: frozenset[str]) -> list[str]:
+    """Where the named top-level functions of source, nested functions
+    included, name Edge: a call, or Edge passed on as a value."""
+    return [
+        f"{fn.name} line {node.lineno}"
+        for fn in ast.parse(source).body
+        if isinstance(fn, ast.FunctionDef) and fn.name in functions
+        for node in ast.walk(fn)
+        if "Edge" in (getattr(node, "id", None), getattr(node, "attr", None))
+    ]
+
+
+def test_edge_names_are_found():
+    source = (
+        "def read_stream(fh):\n"
+        "    def body():\n"
+        "        yield Edge(0, 1, 0)\n"
+        "    return body()\n"
+        "def read_colored(fh):\n"
+        "    return map(model.Edge, fh)\n"
+        "def order_stream(edges):\n"
+        "    return [Edge(*e) for e in edges]\n"
+    )
+    assert edge_names_in(source, FILE_READERS) == ["read_stream line 3", "read_colored line 6"]
+
+
+def test_file_readers_build_no_edges():
+    workload = next(p for p in SOURCES if p.name == "workload.py")
+    assert edge_names_in(workload.read_text(encoding="utf-8"), FILE_READERS) == []

@@ -4,7 +4,7 @@ import io
 import time
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from wsecolor import (
@@ -17,12 +17,14 @@ from wsecolor import (
     order_stream,
     read_colored,
     read_stream,
+    verify_proper,
     write_colored,
     write_stream,
 )
+from wsecolor.model import FAMILIES
 from wsecolor.workload import ORDER_POLICIES, StreamFormatError
 
-from support import find_conflicts, make_edges
+from support import damaged_colorings, find_conflicts, make_edges
 
 
 def degrees(edges):
@@ -174,20 +176,20 @@ def test_stream_roundtrip():
     assert text.splitlines()[0] == "wse v1 8 4 10"
     header, body = read_stream(io.StringIO(text))
     assert (header.n, header.delta, header.m) == (8, 4, 10)
-    assert list(body) == edges
+    assert list(body) == [tuple(e) for e in edges]
 
 
 def test_stream_body_is_lazy():
     header, body = read_stream(io.StringIO("wse v1 4 2 2\n0 1\n2 3\n"))
     assert header.m == 2
     assert iter(body) is body
-    assert next(body) == Edge(0, 1, 0)
+    assert next(body) == (0, 1, 0)
 
 
 def test_stream_reader_skips_blank_lines():
     text = "wse v1 4 2 2\n0 1\n\n2 3\n\n"
     _, body = read_stream(io.StringIO(text))
-    assert [(e.u, e.v) for e in body] == [(0, 1), (2, 3)]
+    assert list(body) == [(0, 1, 0), (2, 3, 1)]
 
 
 @pytest.mark.parametrize(
@@ -240,7 +242,7 @@ def test_colored_roundtrip():
     write_colored(fh, emissions)
     lines = fh.getvalue().splitlines()
     assert lines[0] == "0 1 0 E0.L0.BASE.3"
-    assert list(read_colored(io.StringIO(fh.getvalue()))) == emissions
+    assert list(read_colored(io.StringIO(fh.getvalue()))) == [(tuple(e), c) for e, c in emissions]
 
 
 def test_colored_lines_with_one_token_share_one_color():
@@ -249,7 +251,7 @@ def test_colored_lines_with_one_token_share_one_color():
     parsed = list(read_colored(io.StringIO(text)))
     assert len({id(color) for _, color in parsed}) == 3
     by_line = [
-        (Edge(int(u), int(v), int(seq)), token)
+        ((int(u), int(v), int(seq)), token)
         for u, v, seq, token in (line.split() for line in text.splitlines())
     ]
     assert parsed == by_line
@@ -287,8 +289,8 @@ def test_colored_wraps_color_decode_errors_with_the_line():
 def test_colored_yields_good_lines_before_raising_at_a_bad_one():
     text = "0 1 0 E0.L0.BASE.3\n1 2 1 E0.L0.BASE.4\n2 3 x E0.L0.BASE.5\n3 4 3 E0.L0.BASE.6\n"
     lines = read_colored(io.StringIO(text))
-    assert next(lines) == (Edge(0, 1, 0), "E0.L0.BASE.3")
-    assert next(lines) == (Edge(1, 2, 1), "E0.L0.BASE.4")
+    assert next(lines) == ((0, 1, 0), "E0.L0.BASE.3")
+    assert next(lines) == ((1, 2, 1), "E0.L0.BASE.4")
     with pytest.raises(StreamFormatError, match="line 3: endpoints and seq"):
         next(lines)
 
@@ -302,3 +304,43 @@ def test_colored_file_supports_the_verifier(tmp_path):
         write_colored(fh, emissions)
     with open(path) as fh:
         assert find_conflicts(read_colored(fh)) == []
+    with open(path) as fh:
+        assert verify_proper(read_colored(fh), edges).ok
+
+
+# -- file round trips --------------------------------------------------------
+
+_small = st.integers(0, 99)
+_tokens = st.one_of(
+    st.builds(ColorId.base, _small, _small, _small),
+    st.builds(ColorId.low, _small, _small, _small, _small, _small),
+    st.builds(
+        ColorId.palette, _small, _small, _small, _small, st.sampled_from(FAMILIES), st.integers(1, 99), _small
+    ),
+).map(encode_color)
+
+
+@given(st.lists(st.tuples(st.integers(0, 9), st.integers(0, 9)), max_size=20))
+def test_stream_file_round_trip_yields_the_edge_rows(pairs):
+    edges = make_edges(pairs)
+    _, body = read_stream(io.StringIO(stream_text(10, 20, edges)))
+    assert list(body) == [tuple(e) for e in edges]
+
+
+@given(st.lists(st.tuples(st.builds(Edge, _small, _small, st.integers(-3, 99)), _tokens), max_size=20))
+def test_colored_file_round_trip_yields_the_emission_rows(emissions):
+    fh = io.StringIO()
+    write_colored(fh, emissions)
+    assert list(read_colored(io.StringIO(fh.getvalue()))) == [(tuple(e), c) for e, c in emissions]
+
+
+@settings(max_examples=300)
+@given(damaged_colorings())
+def test_verify_judges_file_rows_as_the_in_memory_pairs(case):
+    # planted conflicts, dropped and doubled lines and surplus triples included
+    colored, edges = case
+    fh = io.StringIO()
+    write_colored(fh, colored)
+    _, body = read_stream(io.StringIO(stream_text(4, 16, edges)))
+    from_file = verify_proper(read_colored(io.StringIO(fh.getvalue())), body)
+    assert from_file == verify_proper(colored, edges)
