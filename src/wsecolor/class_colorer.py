@@ -14,7 +14,7 @@ import json
 from math import isqrt
 
 from .audit import SpaceMeter, TraceRecorder
-from .model import FAMILIES, Edge, token_prefix
+from .model import FAMILIES, Row, token_prefix
 from .primitives import RandomSource, first_fit_slots, gap_check, mod_slot
 
 __all__ = ["ClassState", "step1_high_high", "step2_high_low"]
@@ -181,8 +181,8 @@ class ClassState:
 
 
 def step1_high_high(
-    h1: list[Edge], h2: list[Edge], high: set[int], state: ClassState
-) -> tuple[list[tuple[Edge, str]], list[Edge], set[int]]:
+    h1: list[Row], h2: list[Row], high: set[int], state: ClassState
+) -> tuple[list[tuple[Row, str]], list[Row], set[int]]:
     """Color the high-high edges among vertices whose current palette index
     is unused, and defer everything touching the rest.
 
@@ -193,33 +193,35 @@ def step1_high_high(
     used at every high vertex, so a repeat draw exiles the vertex next time.
     """
     usable = {v for v in high if state.index_fresh(v)}
-    kept = [e for e in h1 if e.u in usable and e.v in usable]
+    kept = [e for e in h1 if e[0] in usable and e[1] in usable]
     trace = state._trace
     if trace is not None:
         head = {**state._head, "interval": state.interval}
-    emissions: list[tuple[Edge, str]] = []
+    emissions: list[tuple[Row, str]] = []
     for e, slot in zip(kept, first_fit_slots(kept, state.palette_size)):
         emissions.append((e, state.color("A", slot)))
         if trace is not None:
-            trace.emit({"kind": "high-assign", **head, "u": e.u, "v": e.v, "seq": e.seq, "slot": slot})
+            u, v, seq = e
+            trace.emit({"kind": "high-assign", **head, "u": u, "v": v, "seq": seq, "slot": slot})
 
-    leftovers = [e for e in h1 if e.u not in usable or e.v not in usable]
-    leftovers += [e for e in h2 if (e.u in high and e.u not in usable) or (e.v in high and e.v not in usable)]
+    exiled = high - usable
+    leftovers = [e for e in h1 if e[0] not in usable or e[1] not in usable]
+    leftovers += [e for e in h2 if e[0] in exiled or e[1] in exiled]
     if trace is not None:
-        for e in leftovers:
-            trace.emit({"kind": "exile", **head, "u": e.u, "v": e.v, "seq": e.seq})
+        for u, v, seq in leftovers:
+            trace.emit({"kind": "exile", **head, "u": u, "v": v, "seq": seq})
     for v in high:
         state.mark_index_used(v)
     return emissions, leftovers, usable
 
 
 def step2_high_low(
-    h2: list[Edge],
+    h2: list[Row],
     usable: set[int],
     high: set[int],
     deg: dict[int, int],
     state: ClassState,
-) -> tuple[list[tuple[Edge, str]], list[Edge]]:
+) -> tuple[list[tuple[Row, str]], list[Row]]:
     """Color the high-low edges of the interval from the B and C families.
 
     Low endpoints are visited in ascending id.  A low endpoint whose
@@ -232,13 +234,14 @@ def step2_high_low(
     every enumerated edge, assigned or not.
     """
     # (high endpoint, seq, edge) per low endpoint, in enumeration order once sorted
-    per_low: dict[int, list[tuple[int, int, Edge]]] = {}
+    per_low: dict[int, list[tuple[int, int, Row]]] = {}
     for e in h2:
-        low, hi = (e.v, e.u) if e.u in high else (e.u, e.v)
-        per_low.setdefault(low, []).append((hi, e.seq, e))
+        u, v, seq = e
+        low, hi = (v, u) if u in high else (u, v)
+        per_low.setdefault(low, []).append((hi, seq, e))
 
-    emissions: list[tuple[Edge, str]] = []
-    leftovers: list[Edge] = []
+    emissions: list[tuple[Row, str]] = []
+    leftovers: list[Row] = []
     size, d, width = state.palette_size, state.d, state.block_width
     prior = state.prior()  # the tallies only move in end_interval
     prior_full = prior >= state.prior_cap
@@ -256,7 +259,7 @@ def step2_high_low(
             state.init_counter(u)
         has_counter = state.counter_of(u) is not None
         r_u = offsets.get(u)
-        for b, (v, _, e) in enumerate(sorted(per_low[u])):
+        for b, (v, seq, e) in enumerate(sorted(per_low[u])):
             assigned = False
             # the record's tail after its case: the counter or prior tally
             # the decision read, then the slot it tried
@@ -304,7 +307,7 @@ def step2_high_low(
                 if not assigned:
                     leftovers.append(e)
             if trace is not None:
-                line = f'{head}"low": {u}, "high": {v}, "seq": {e.seq}, "b": {b}, "case": "{case}"'
+                line = f'{head}"low": {u}, "high": {v}, "seq": {seq}, "b": {b}, "case": "{case}"'
                 # a slot is only tried after a tally is read
                 if slot is not None:
                     emit(f'{line}, "{tally_key}": {tally}, "slot": {slot}}}\n')

@@ -20,7 +20,6 @@ import os
 import sys
 import time
 from dataclasses import asdict
-from itertools import starmap
 from typing import IO, Callable, ContextManager, Iterator
 
 from .audit import (
@@ -174,7 +173,7 @@ def _run_from_file(args: argparse.Namespace, baseline: bool) -> int:
             colorer = StreamColorer(config, trace=trace, baseline=baseline)
             start = time.perf_counter()
             with open_out(out_path) as out_fh:
-                write_colored(out_fh, colorer.run(starmap(Edge, body)))
+                write_colored(out_fh, colorer.run(body))
             wall_ms = (time.perf_counter() - start) * 1000.0
             if trace is not None:
                 trace.dump(tfh)

@@ -15,7 +15,7 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass, field, replace
-from typing import Iterator, NoReturn
+from typing import NamedTuple, NoReturn
 
 __all__ = [
     "ColorFormatError",
@@ -25,6 +25,7 @@ __all__ = [
     "FAMILIES",
     "KIND_BASE",
     "KIND_LOW",
+    "Row",
     "RunConfig",
     "StreamInputError",
     "decode_color",
@@ -54,23 +55,23 @@ FAMILIES = ("A", "B", "C")
 _KINDS = frozenset((KIND_BASE, KIND_LOW, *FAMILIES))
 
 
-@dataclass(frozen=True, slots=True)
-class Edge:
+class Edge(NamedTuple):
     """One arrival event: an endpoint pair plus its position in the stream.
 
     The seq value is the edge instance's identity; parallel edges share
     endpoints but never a seq.  Deferred edges keep their original seq all
     the way down the recursion, so conservation can be checked on exact
-    (u, v, seq) triples.  An edge unpacks as that triple, so code that
-    reads rows works on edges and on the plain tuples the file readers yield.
+    (u, v, seq) triples.  An Edge is that triple with names: it equals the
+    plain tuple, so everything that takes rows takes edges too.
     """
 
     u: int
     v: int
     seq: int
 
-    def __iter__(self) -> Iterator[int]:
-        return iter((self.u, self.v, self.seq))
+
+# an edge as the engines hold and emit it: (u, v, seq), seq its arrival position
+Row = tuple[int, int, int]
 
 
 @dataclass(frozen=True, slots=True)

@@ -15,10 +15,11 @@ stream driver.
 from __future__ import annotations
 
 from math import isqrt
+from operator import itemgetter
 
 from .audit import ClassPhaseStat, MetricsCollector, SpaceMeter, TraceRecorder
 from .class_colorer import ClassState, step1_high_high, step2_high_low
-from .model import KIND_BASE, KIND_LOW, Edge, EngineInvariantError, RunConfig, token_prefix
+from .model import KIND_BASE, KIND_LOW, EngineInvariantError, Row, RunConfig, token_prefix
 from .primitives import RandomSource, greedy_edge_color
 
 __all__ = [
@@ -28,15 +29,13 @@ __all__ = [
     "degree_classes",
 ]
 
-Emissions = list[tuple[Edge, str]]
+Emissions = list[tuple[Row, str]]
 
-# ingest's answer while an interval is still filling; immutable, so one
-# shared pair serves every call
-FILLING: tuple[tuple, tuple] = ((), ())
+_seq = itemgetter(2)
 
 
 def color_greedy(
-    edges: list[Edge], bound: int, prefix: str, size: int, scope: tuple, collector: MetricsCollector
+    edges: list[Row], bound: int, prefix: str, size: int, scope: tuple, collector: MetricsCollector
 ) -> Emissions:
     """First-fit color edges of max degree bound from one fresh palette of
     size tokens, prefix plus slot, noting the emissions under scope with
@@ -46,13 +45,13 @@ def color_greedy(
     return out
 
 
-def compute_degrees(edges: list[Edge]) -> dict[int, int]:
+def compute_degrees(edges: list[Row]) -> dict[int, int]:
     """Degree of every endpoint, in order of first appearance."""
     deg: dict[int, int] = {}
     get = deg.get
-    for e in edges:
-        deg[e.u] = get(e.u, 0) + 1
-        deg[e.v] = get(e.v, 0) + 1
+    for u, v, _ in edges:
+        deg[u] = get(u, 0) + 1
+        deg[v] = get(v, 0) + 1
     return deg
 
 
@@ -62,7 +61,7 @@ def degree_classes(delta: int) -> list[int]:
     return [root << k for k in range((delta // root).bit_length())]
 
 
-def classify_interval(edges: list[Edge], deg: dict[int, int], delta: int) -> tuple[list[Edge], int, dict]:
+def classify_interval(edges: list[Row], deg: dict[int, int], delta: int) -> tuple[list[Row], int, dict]:
     """Split an interval's edges, whose subgraph degrees are deg, by max
     endpoint degree, into (low, low_bound, per_class).
 
@@ -75,12 +74,12 @@ def classify_interval(edges: list[Edge], deg: dict[int, int], delta: int) -> tup
     low-bucket top degree, bounds the low bucket's own degrees.
     """
     root = isqrt(delta)
-    low: list[Edge] = []
+    low: list[Row] = []
     low_bound = 0
-    per_class: dict[int, tuple[list[Edge], list[Edge]]] = {}
+    per_class: dict[int, tuple[list[Row], list[Row]]] = {}
     for e in edges:
-        du = deg[e.u]
-        dv = deg[e.v]
+        du = deg[e[0]]
+        dv = deg[e[1]]
         top = du if du > dv else dv
         if top < root:
             low.append(e)
@@ -136,7 +135,7 @@ class PhaseEngine:
         self.meter = SpaceMeter()
         self._collector = collector
         self._trace = trace
-        self._buffer: list[Edge] = []
+        self._buffer: list[Row] = []
         self.interval_index = 0
         self.phases = 0
         self.deferred = 0
@@ -149,15 +148,24 @@ class PhaseEngine:
     def buffered(self) -> int:
         return len(self._buffer)
 
-    def ingest(self, e: Edge) -> tuple[Emissions, list[Edge]]:
-        """Buffer e; process the interval once it is full.  The buffer is
-        metered when the interval is processed, not per edge."""
-        self._buffer.append(e)
-        if len(self._buffer) >= self.config.interval_size:
-            return self._process_interval()
-        return FILLING
+    @property
+    def room(self) -> int:
+        """The edges the current interval still takes."""
+        return self.config.interval_size - len(self._buffer)
 
-    def flush(self) -> tuple[Emissions, list[Edge]]:
+    def ingest(self, edges: list[Row]) -> tuple[Emissions, list[Row]]:
+        """Buffer edges, at most room of them; process the interval once it
+        is full.  The buffer is metered when the interval is processed, not
+        per edge."""
+        room = self.room
+        if len(edges) > room:
+            raise EngineInvariantError(f"level {self.level} took {len(edges)} edges with room for {room}")
+        self._buffer += edges
+        if len(edges) < room:
+            return [], []
+        return self._process_interval()
+
+    def flush(self) -> tuple[Emissions, list[Row]]:
         """Process the final partial interval, if any.  When a class level's
         first interval is also its last, the level's whole input is
         buffered: color it outright from BASE colors and defer nothing."""
@@ -178,14 +186,14 @@ class PhaseEngine:
 
     # -- internals ----------------------------------------------------------
 
-    def _take(self) -> list[Edge]:
+    def _take(self) -> list[Row]:
         """Empty the buffer, charging it to the meter at its full size."""
         edges = self._buffer
         self._buffer = []
         self.meter.pulse("buffer", len(edges))
         return edges
 
-    def _fresh_interval(self) -> tuple[Emissions, list[Edge]]:
+    def _fresh_interval(self) -> tuple[Emissions, list[Row]]:
         index = self.interval_index
         edges = self._take()
         self.interval_index = index + 1
@@ -242,7 +250,7 @@ class PhaseEngine:
                 out.setdefault(1 << (dv.bit_length() - 1), set()).add(v)
         return out
 
-    def _process_interval(self) -> tuple[Emissions, list[Edge]]:
+    def _process_interval(self) -> tuple[Emissions, list[Row]]:
         if self.role is not None:
             return self._fresh_interval()
         cfg = self.config
@@ -267,7 +275,7 @@ class PhaseEngine:
         emissions = color_greedy(
             low, low_bound, low_prefix, 2 * cfg.sqrt_delta - 1, low_scope, self._collector
         )
-        leftovers: list[Edge] = []
+        leftovers: list[Row] = []
 
         for d, state in sorted(self._states.items()):
             h1, h2 = per_class.get(d, ([], []))
@@ -284,11 +292,11 @@ class PhaseEngine:
             leftovers.extend(left1)
             leftovers.extend(left2)
 
-        leftovers.sort(key=lambda e: e.seq)
+        leftovers.sort(key=_seq)
         self.deferred += len(leftovers)
 
-        seen = {e.seq for e, _ in emissions} | {e.seq for e in leftovers}
-        expect = {e.seq for e in edges}
+        seen = {e[2] for e, _ in emissions} | set(map(_seq, leftovers))
+        expect = set(map(_seq, edges))
         if seen != expect or len(emissions) + len(leftovers) != len(edges):
             raise EngineInvariantError(
                 f"interval {index} at level {self.level}: "

@@ -1,23 +1,25 @@
 """The single-pass driver: input validation, degree accounting, epoch
 routing, the recursion cascade and the depth cap.
 
-StreamColorer is the engine's one input boundary.  It checks each edge
-once, counts degrees to enforce a known bound or to pick the degree regime
-(epoch) when the bound is unknown, and hands the edge to that epoch's
-level-0 engine.  Every deferred edge flows to the next level, which runs
-the same machinery with its own randomness and colors; a level at the
-depth cap colors each interval from a fresh palette and never defers, so
-runs always terminate.  run_baseline colors the raw stream that same way
-for comparison runs.
+StreamColorer is the engine's one input boundary.  It takes arrivals as
+lists of (u, v, seq) rows, checks each row once, counts degrees to enforce
+a known bound or to pick the degree regime (epoch) when the bound is
+unknown, and hands each epoch's level-0 engine its rows an interval at a
+time.  Every deferred edge flows to the next level, which runs the same
+machinery with its own randomness and colors; a level at the depth cap
+colors each interval from a fresh palette and never defers, so runs always
+terminate.  run_baseline colors the raw stream that same way for
+comparison runs.
 """
 
 from __future__ import annotations
 
 import time
+from itertools import islice
 from typing import Iterable, Iterator
 
 from .audit import MetricsCollector, RunMetrics, TraceRecorder
-from .model import Edge, RunConfig, StreamInputError, epoch_config
+from .model import Row, RunConfig, StreamInputError, epoch_config
 from .phase_engine import Emissions, PhaseEngine
 from .primitives import RandomSource
 
@@ -26,13 +28,13 @@ __all__ = ["StreamColorer", "run_baseline", "run_stream"]
 
 class StreamColorer:
     """Single-pass driver: assigns arrival sequence numbers, validates and
-    degree-counts each edge, routes it to its epoch's level-0 engine, and
+    degree-counts each row, routes it to its epoch's level-0 engine, and
     owns each epoch's chain of levels and the run's metrics, trace and
     random roots.
 
     A known degree bound, and the baseline, use epoch 0 and reject the first
-    edge that lifts an endpoint above config.declared_delta, the bound as
-    given rather than as normalized.  An unknown bound routes each edge to
+    row that lifts an endpoint above config.declared_delta, the bound as
+    given rather than as normalized.  An unknown bound routes each row to
     the epoch of the running max degree, (top - 1).bit_length(), whose
     engines run at epoch_config(config, epoch).
 
@@ -58,59 +60,94 @@ class StreamColorer:
         )
         # each epoch's chain of engines, indexed by level
         self._epochs: dict[int, list[PhaseEngine]] = {}
+        # the emissions of a feed stopped by a bad row, owed to the next call
+        self._owed: Emissions = []
 
-    def feed(self, u: int, v: int, edge: Edge | None = None) -> Emissions:
-        """Take the next arrival (u, v).  edge, an Edge of u and v, is
-        passed on as is when its seq is this arrival's; otherwise the edge
-        is rebuilt with the arrival seq."""
-        seq = self._seq
-        self._seq += 1
-        n = self.config.n
-        if u == v:
-            raise StreamInputError(f"self-loop at vertex {u} (seq {seq})")
-        if not (0 <= u < n and 0 <= v < n):
-            x = v if 0 <= u < n else u
-            raise StreamInputError(f"vertex {x} outside [0, {n}) (seq {seq})")
-        du = self._deg[u] + 1
-        dv = self._deg[v] + 1
-        if self._bound is None:
-            self._top = max(self._top, du, dv)
-            epoch = (self._top - 1).bit_length()
-        elif du > self._bound or dv > self._bound:
-            x, dx = (u, du) if du > self._bound else (v, dv)
-            raise StreamInputError(
-                f"degree {dx} at vertex {x} exceeds the configured bound {self._bound} (seq {seq})"
-            )
-        else:
-            epoch = 0
-        self._deg[u] = du
-        self._deg[v] = dv
-        chain = self._epochs.get(epoch)
-        if chain is None:
-            config = self.config if self.baseline else epoch_config(self.config, epoch)
-            chain = self._epochs[epoch] = [self._engine(config, epoch, 0)]
-        if edge is None or edge.seq != seq or type(edge) is not Edge:
-            edge = Edge(u, v, seq)
-        return self._submit(chain, 0, edge)
+    def feed(self, rows: Iterable[Row]) -> Emissions:
+        """Take the next arrivals, rows that unpack as (u, v, seq), and
+        return the emissions of every interval they complete.  Each row is
+        emitted as (u, v, seq) with seq its arrival position; the seq it
+        carries is not read.
+
+        A bad row raises StreamInputError naming its seq.  The rows before
+        it are taken as if fed alone: buffered, counted, and their
+        emissions returned by the next feed or finalize.  The bad row uses
+        up its seq and leaves no degree behind; the rows after it are not
+        read."""
+        n, deg, bound = self.config.n, self._deg, self._bound
+        seq, top = self._seq, self._top
+        epoch = max(top - 1, 0).bit_length()  # 0 for a known bound, whose top stays 0
+        out, self._owed = self._owed, []
+        accepted: list[Row] = []
+        failed = True
+        try:
+            for u, v, _ in rows:
+                if u == v:
+                    raise StreamInputError(f"self-loop at vertex {u} (seq {seq})")
+                if not (0 <= u < n and 0 <= v < n):
+                    x = v if 0 <= u < n else u
+                    raise StreamInputError(f"vertex {x} outside [0, {n}) (seq {seq})")
+                du = deg[u] + 1
+                dv = deg[v] + 1
+                if bound is None:
+                    if du > top or dv > top:
+                        top = du if du > dv else dv
+                        if (top - 1).bit_length() != epoch:
+                            # the epochs only rise: the rows so far are all epoch's
+                            if accepted:
+                                out += self._submit(self._chain(epoch), 0, accepted)
+                                accepted = []
+                            epoch = (top - 1).bit_length()
+                elif du > bound or dv > bound:
+                    x, dx = (u, du) if du > bound else (v, dv)
+                    raise StreamInputError(
+                        f"degree {dx} at vertex {x} exceeds the configured bound {bound} (seq {seq})"
+                    )
+                deg[u] = du
+                deg[v] = dv
+                accepted.append((u, v, seq))
+                seq += 1
+            failed = False
+        finally:
+            self._seq = seq + failed
+            self._top = top
+            if accepted:
+                out += self._submit(self._chain(epoch), 0, accepted)
+            if failed:
+                self._owed = out
+        return out
 
     def finalize(self) -> Emissions:
         # every epoch still holds buffered edges; drain them in epoch order,
         # and walk each chain top-down: flush, close, forward.  enumerate
         # reads the live list, so it reaches the levels a flush appends.
-        out: Emissions = []
+        out, self._owed = self._owed, []
         for epoch in sorted(self._epochs):
             chain = self._epochs[epoch]
             for level, engine in enumerate(chain):
                 emissions, leftovers = engine.flush()
                 engine.close()
-                out.extend(emissions)
-                out.extend(self._forward(chain, level, leftovers))
+                out += emissions
+                out += self._forward(chain, level, leftovers)
         return out
 
-    def run(self, edges: Iterable[Edge]) -> Iterator[tuple[Edge, str]]:
-        """Feed every edge, then finalize, yielding emissions as they appear."""
-        for e in edges:
-            yield from self.feed(e.u, e.v, e)
+    def run(self, rows: Iterable[Row]) -> Iterator[tuple[Row, str]]:
+        """Feed rows an interval-sized chunk at a time, then finalize,
+        yielding emissions as they appear.  If reading rows fails, the rows
+        read before the failure are fed first, so a bad row among them is
+        the error raised, as it is the first in arrival order."""
+        rows = iter(rows)
+        size = self.config.interval_size
+        while True:
+            chunk: list[Row] = []
+            try:
+                chunk.extend(islice(rows, size))  # keeps what it read if rows raises
+            except Exception:
+                yield from self.feed(chunk)
+                raise
+            if not chunk:
+                break
+            yield from self.feed(chunk)
         yield from self.finalize()
 
     def engines(self) -> list[PhaseEngine]:
@@ -136,27 +173,39 @@ class StreamColorer:
             trace=self.trace,
         )
 
-    def _submit(self, chain: list[PhaseEngine], level: int, e: Edge) -> Emissions:
-        emissions, leftovers = chain[level].ingest(e)
-        if leftovers:
-            emissions = emissions + self._forward(chain, level, leftovers)
-        return emissions
+    def _chain(self, epoch: int) -> list[PhaseEngine]:
+        chain = self._epochs.get(epoch)
+        if chain is None:
+            config = self.config if self.baseline else epoch_config(self.config, epoch)
+            chain = self._epochs[epoch] = [self._engine(config, epoch, 0)]
+        return chain
 
-    def _forward(self, chain: list[PhaseEngine], level: int, leftovers: list[Edge]) -> Emissions:
+    def _submit(self, chain: list[PhaseEngine], level: int, rows: list[Row]) -> Emissions:
+        """Hand rows to chain[level] an interval at a time, forwarding the
+        edges each full interval defers before handing it more."""
+        engine = chain[level]
+        out: Emissions = []
+        start = 0
+        while start < len(rows):
+            stop = start + engine.room
+            emissions, leftovers = engine.ingest(rows[start:stop])
+            out += emissions
+            out += self._forward(chain, level, leftovers)
+            start = stop
+        return out
+
+    def _forward(self, chain: list[PhaseEngine], level: int, leftovers: list[Row]) -> Emissions:
         """Submit the edges deferred at level to the level below it."""
         if not leftovers:
             return []
         if len(chain) == level + 1:
             chain.append(self._engine(chain[level].config, chain[level].epoch, level + 1))
-        out: Emissions = []
-        for e in leftovers:
-            out.extend(self._submit(chain, level + 1, e))
-        return out
+        return self._submit(chain, level + 1, leftovers)
 
 
 def _run(
     config: RunConfig,
-    edges: Iterable[Edge],
+    edges: Iterable[Row],
     *,
     trace: TraceRecorder | None,
     baseline: bool,
@@ -169,15 +218,15 @@ def _run(
 
 
 def run_stream(
-    config: RunConfig, edges: Iterable[Edge], *, trace: TraceRecorder | None = None
+    config: RunConfig, edges: Iterable[Row], *, trace: TraceRecorder | None = None
 ) -> tuple[Emissions, RunMetrics]:
-    """Color a stream in one pass; returns the (edge, color token)
-    emissions and the run's metrics.  Edges are re-sequenced by arrival
-    order, so iterables of bare (u, v) carriers work as long as .u/.v/.seq
-    exist."""
+    """Color a stream in one pass; returns the ((u, v, seq), color token)
+    emissions and the run's metrics.  edges are rows that unpack as
+    (u, v, seq), such as Edges or read_stream's body; each is re-sequenced
+    by arrival order, so the seq it carries is not read."""
     return _run(config, edges, trace=trace, baseline=False)
 
 
-def run_baseline(config: RunConfig, edges: Iterable[Edge]) -> tuple[Emissions, RunMetrics]:
+def run_baseline(config: RunConfig, edges: Iterable[Row]) -> tuple[Emissions, RunMetrics]:
     """Color a stream with the per-interval fresh-palette reference scheme."""
     return _run(config, edges, trace=None, baseline=True)

@@ -10,9 +10,9 @@ from __future__ import annotations
 import hashlib
 import random
 from dataclasses import dataclass
-from operator import attrgetter
+from operator import itemgetter
 
-from .model import Edge, EngineInvariantError
+from .model import EngineInvariantError, Row
 
 __all__ = [
     "RandomSource",
@@ -23,7 +23,7 @@ __all__ = [
 ]
 
 _SEED_MASK = 0xFFFFFFFFFFFFFFFF
-_seq = attrgetter("seq")
+_seq = itemgetter(2)
 
 
 def mod_slot(base: int, offset: int, size: int) -> int:
@@ -45,8 +45,8 @@ def gap_check(r_u: int, r_v: int, d: int, size: int) -> bool:
     return gap < 2 * d or gap > size - 2 * d
 
 
-def first_fit_slots(edges: list[Edge], slot_limit: int) -> list[int]:
-    """The slot of each edge, in order: the lowest one free at both
+def first_fit_slots(edges: list[Row], slot_limit: int) -> list[int]:
+    """The slot of each (u, v, seq) edge, in order: the lowest one free at both
     endpoints.  Each vertex's taken slots are one bit mask, so an edge costs
     two int lookups and no hashing of the edge itself.  Running out of slots
     is an internal invariant violation: callers size the limit at 2D - 1 or
@@ -54,24 +54,25 @@ def first_fit_slots(edges: list[Edge], slot_limit: int) -> list[int]:
     used: dict[int, int] = {}
     get = used.get
     out: list[int] = []
-    for e in edges:
-        u, v = e.u, e.v
-        taken = get(u, 0) | get(v, 0)
+    for u, v, seq in edges:
+        at_u = get(u, 0)
+        at_v = get(v, 0)
+        taken = at_u | at_v
         bit = ~taken & (taken + 1)  # lowest clear bit of taken
         slot = bit.bit_length() - 1
         if slot >= slot_limit:
             raise EngineInvariantError(
-                f"palette exhausted: edge ({u},{v},{e.seq}) needs slot {slot} of {slot_limit}"
+                f"palette exhausted: edge ({u},{v},{seq}) needs slot {slot} of {slot_limit}"
             )
-        used[u] = get(u, 0) | bit
-        used[v] = get(v, 0) | bit
+        used[u] = at_u | bit
+        used[v] = at_v | bit
         out.append(slot)
     return out
 
 
 def greedy_edge_color(
-    edges: list[Edge], degree_bound: int, palette: list[str]
-) -> list[tuple[Edge, str]]:
+    edges: list[Row], degree_bound: int, palette: list[str]
+) -> list[tuple[Row, str]]:
     """Properly color a multigraph with first-fit over an explicit palette,
     visiting edges in ascending arrival order; returns (edge, color) pairs
     in that order.

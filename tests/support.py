@@ -109,7 +109,7 @@ def seqs_of(edges):
 
 
 def emitted_seqs(emissions):
-    return sorted(e.seq for e, _ in emissions)
+    return sorted(seq for (_, _, seq), _ in emissions)
 
 
 def make_edges(pairs):

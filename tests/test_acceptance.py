@@ -85,8 +85,8 @@ def run_grid_cell(n, delta, order, seed):
         )
     verify = verify_proper(emissions, edges)
     conserved = (
-        Counter((e.u, e.v, e.seq) for e in edges)
-        == Counter((e.u, e.v, e.seq) for e, _ in emissions)
+        Counter(tuple(e) for e in edges)
+        == Counter(row for row, _ in emissions)
     )
     used, budget, budget_violations = color_budget_check(metrics)
     return GridRun(
@@ -259,8 +259,8 @@ def plant_adjacent_copy(emissions, rng):
         edge_j, _ = emissions[j]
         partners = [
             k
-            for k, (e, _) in enumerate(emissions)
-            if k != j and {e.u, e.v} & {edge_j.u, edge_j.v}
+            for k, ((u, v, _), _) in enumerate(emissions)
+            if k != j and {u, v} & set(edge_j[:2])
         ]
         if partners:
             corrupted = list(emissions)

@@ -398,6 +398,52 @@ def test_non_ascii_stream_byte_is_an_input_error_without_output(command, stream_
     assert sorted(p.name for p in out_dir.iterdir()) == ["g.wse"]
 
 
+# int() reads each of these as a number; the file grammar does not
+@pytest.mark.parametrize(
+    "text, error",
+    [
+        ("wse v1 16 4 2\n0 1\n1_0 +3\n", "line 3: endpoints must be integers, got '1_0 +3'"),
+        ("wse v1 16 4 2\n0 1\n+1 2\n", "line 3: endpoints must be integers, got '+1 2'"),
+        ("wse v1 16 4 2\n0 1\n-1 2\n", "line 3: endpoints must be integers, got '-1 2'"),
+        ("wse v1 1_6 4 1\n0 1\n", "line 1: expected header 'wse v1 <n> <delta> <m>', got 'wse v1 1_6 4 1'"),
+    ],
+    ids=["underscore-and-plus", "plus", "minus", "header-underscore"],
+)
+def test_non_decimal_stream_integers_are_input_errors_without_output(text, error, tmp_path, capsys):
+    stream = tmp_path / "s.wse"
+    stream.write_text(text)
+    colored = tmp_path / "fine.colored"
+    colored.write_text("0 1 0 E0.L0.BASE.0\n")
+    code, _, err = run_cli(capsys, "color", str(stream), "--metrics", str(tmp_path / "m.json"))
+    assert (code, err.splitlines()[-1]) == (2, f"error: {error}")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["fine.colored", "s.wse"]
+    code, out, err = run_cli(capsys, "verify", str(colored), str(stream))
+    assert (code, out, err.splitlines()[-1]) == (2, "", f"error: {error}")
+
+
+@pytest.mark.parametrize("line", ["1_0 1 0", "+0 1 0", "0 -1 0", "0 1 +0", "0 1 -0"])
+def test_non_decimal_colored_integers_are_input_errors(line, stream_path, capsys):
+    colored = stream_path.parent / "g.colored"
+    assert run_cli(capsys, "color", str(stream_path), "--out", str(colored))[0] == 0
+    with_bytes_at_line(colored, 100, f"{line} E0.L0.BASE.0\n".encode())
+    code, out, err = run_cli(capsys, "verify", str(colored), str(stream_path))
+    assert (code, out) == (2, "")
+    assert err.splitlines() == [
+        f"error: line 100: endpoints and seq must be integers, got '{line} E0.L0.BASE.0'"
+    ]
+
+
+def test_a_bad_row_is_reported_before_a_bad_line_after_it(tmp_path, capsys):
+    # the engine reads the stream an interval at a time; an error is still
+    # the first one in arrival order, here a degree before a malformed line
+    stream = tmp_path / "s.wse"
+    stream.write_text("wse v1 8 1 4\n0 1\n0 2\n3 x\n4 5\n")
+    code, _, err = run_cli(capsys, "color", str(stream), "--metrics", str(tmp_path / "m.json"))
+    assert code == 2
+    assert err.splitlines()[-1] == "error: degree 2 at vertex 0 exceeds the configured bound 1 (seq 1)"
+    assert [p.name for p in tmp_path.iterdir()] == ["s.wse"]
+
+
 def test_non_ascii_colored_byte_is_an_input_error(stream_path, capsys):
     colored = stream_path.parent / "g.colored"
     assert run_cli(capsys, "color", str(stream_path), "--out", str(colored))[0] == 0

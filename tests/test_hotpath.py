@@ -1,7 +1,7 @@
-"""Structural guard on the untraced color path: bookkeeping happens per
-interval or per scope, not per edge, and colors stay token strings from
-palette to file.  Counts calls instead of timing them, so it holds on any
-machine."""
+"""Structural guard on the untraced color path: rows enter the engine an
+interval at a time, as plain tuples, bookkeeping happens per interval or
+per scope, not per edge, and colors stay token strings from palette to
+file.  Counts calls instead of timing them, so it holds on any machine."""
 
 import sys
 
@@ -10,7 +10,9 @@ import pytest
 import wsecolor
 from wsecolor.audit import MetricsCollector, SpaceMeter
 from wsecolor.cli import main
-from wsecolor.model import ColorId
+from wsecolor.model import ColorId, Edge
+from wsecolor.phase_engine import PhaseEngine
+from wsecolor.pipeline import StreamColorer
 
 N, DELTA, M = 256, 64, 4096
 
@@ -18,9 +20,12 @@ N, DELTA, M = 256, 64, 4096
 @pytest.fixture
 def counts(monkeypatch):
     """Count calls to encode_color (wherever it was imported by name),
-    SpaceMeter.add, MetricsCollector.note_emission and the validation of
-    every ColorId built through its dataclass constructor."""
-    calls = {"encode_color": 0, "SpaceMeter.add": 0, "note_emission": 0, "ColorId.__post_init__": 0}
+    SpaceMeter.add, MetricsCollector.note_emission, StreamColorer.feed,
+    PhaseEngine.ingest, the validation of every ColorId built through its
+    dataclass constructor, and every Edge(...) construction."""
+    calls = dict.fromkeys(
+        ("encode_color", "SpaceMeter.add", "note_emission", "ColorId.__post_init__", "feed", "ingest", "Edge"), 0
+    )
 
     def counted(key, fn):
         def wrapper(*args, **kwargs):
@@ -43,6 +48,9 @@ def counts(monkeypatch):
     monkeypatch.setattr(
         ColorId, "__post_init__", counted("ColorId.__post_init__", ColorId.__post_init__)
     )
+    monkeypatch.setattr(StreamColorer, "feed", counted("feed", StreamColorer.feed))
+    monkeypatch.setattr(PhaseEngine, "ingest", counted("ingest", PhaseEngine.ingest))
+    monkeypatch.setattr(Edge, "__new__", counted("Edge", Edge.__new__))
     return calls
 
 
@@ -65,6 +73,11 @@ def test_color_path_does_per_interval_bookkeeping(tmp_path, capsys, counts):
     assert counts["ColorId.__post_init__"] == 0
     assert counts["SpaceMeter.add"] < 0.1 * M
     assert counts["note_emission"] < 0.1 * M
+    # the file's int rows reach the engines as they are, an interval at a
+    # time: no Edge, and no feed or ingest call per edge
+    assert counts["Edge"] == 0
+    assert 0 < counts["feed"] < 0.1 * M
+    assert 0 < counts["ingest"] < 0.1 * M
 
     # the counters see the read side: verify parses each distinct token once
     tokens = {line.split()[3] for line in out.read_text().splitlines()}
@@ -91,3 +104,6 @@ def test_class_path_meters_per_interval(tmp_path, capsys, counts):
     assert counts["encode_color"] == 0
     assert counts["ColorId.__post_init__"] == 0
     assert counts["SpaceMeter.add"] < 0.2 * m
+    assert counts["Edge"] == 0
+    assert 0 < counts["feed"] < 0.1 * m
+    assert 0 < counts["ingest"] < 0.1 * m

@@ -105,7 +105,7 @@ def make_engine(config, trace=None, role=None):
 def feed_all(engine, edges):
     emissions, leftovers = [], []
     for e in edges:
-        em, left = engine.ingest(e)
+        em, left = engine.ingest([e])
         emissions.extend(em)
         leftovers.extend(left)
     return emissions, leftovers
@@ -120,7 +120,7 @@ def test_buffering_holds_until_interval_full():
     assert engine.buffered == 3
     # the buffer is charged when its interval is processed, not per edge
     assert meter.total == 0
-    em, left = engine.ingest(Edge(6, 7, 3))
+    em, left = engine.ingest([Edge(6, 7, 3)])
     assert len(em) + len(left) == 4
     assert engine.buffered == 0
     assert meter.category_peaks["buffer"] == 4
@@ -150,7 +150,7 @@ def test_interval_colorer_buffer_peak_is_the_largest_interval(role, count, peak)
     colorer, meter, _ = make_engine(cfg, role=role)
     colored = 0
     for e in make_edges([(i % 16, 16 + i % 16) for i in range(count)]):
-        em, left = colorer.ingest(e)
+        em, left = colorer.ingest([e])
         assert not left
         colored += len(em)
         assert meter.total == 0
@@ -166,11 +166,32 @@ def test_ingest_validates_edges():
         cfg = resolve_config(n=8, delta=4, delta_mode="unknown" if mode == "unknown" else "known")
         colorer = StreamColorer(cfg, baseline=mode == "baseline")
         with pytest.raises(StreamInputError, match=r"self-loop at vertex 3 \(seq 0\)"):
-            colorer.feed(3, 3)
+            colorer.feed([(3, 3, 0)])
         with pytest.raises(StreamInputError, match=r"vertex 8 outside \[0, 8\) \(seq 1\)"):
-            colorer.feed(0, 8)
+            colorer.feed([(0, 8, 1)])
         with pytest.raises(StreamInputError, match=r"vertex -1 outside \[0, 8\) \(seq 2\)"):
-            colorer.feed(-1, 2)
+            colorer.feed([(-1, 2, 2)])
+
+
+def test_ingest_takes_a_whole_interval_in_one_call():
+    cfg = resolve_config(n=8, delta=16, interval_size=4)
+    engine, meter, _ = make_engine(cfg)
+    edges = make_edges([(0, 1), (2, 3), (4, 5), (6, 7), (0, 2), (1, 3)])
+    assert engine.ingest(edges[:2]) == ([], [])
+    assert (engine.buffered, engine.room) == (2, 2)
+    em, left = engine.ingest(edges[2:4])
+    assert sorted(e.seq for e, _ in em) + sorted(e.seq for e in left) == [0, 1, 2, 3]
+    assert (engine.buffered, engine.room) == (0, 4)
+    assert meter.category_peaks["buffer"] == 4
+
+
+def test_ingest_past_the_interval_is_an_engine_bug():
+    # StreamColorer cuts rows at the interval boundary, so more than room is
+    # never bad input
+    cfg = resolve_config(n=8, delta=16, interval_size=4)
+    engine, _, _ = make_engine(cfg)
+    with pytest.raises(EngineInvariantError, match="took 5 edges with room for 4"):
+        engine.ingest(make_edges([(0, 1), (2, 3), (4, 5), (6, 7), (0, 2)]))
 
 
 def test_interval_conserves_edges():

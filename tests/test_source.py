@@ -115,8 +115,7 @@ def test_default_check_runs_visit_every_arrival_order():
     assert {target: runs for target, (runs, _, _) in CHECKS.items() if runs < len(ORDER_POLICIES)} == {}
 
 
-# the readers yield plain int rows; an Edge per line is built only where the
-# engine needs one (cli.py, starmap(Edge, body))
+# the readers yield plain int rows, and the engine takes them as they are
 FILE_READERS = frozenset(("read_stream", "read_colored"))
 
 
