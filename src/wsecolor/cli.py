@@ -16,6 +16,7 @@ import csv
 import functools
 import io
 import json
+import math
 import os
 import sys
 import time
@@ -229,6 +230,15 @@ def _int_list(text: str) -> list[int]:
         raise argparse.ArgumentTypeError(f"expected comma-separated integers, got {text!r}") from None
 
 
+def _edge_count(n: int, delta: int, edge_factor: float) -> int:
+    """m = int(n*delta*edge_factor), the edge count bench and check
+    generate; a factor that gives no finite count is a usage error."""
+    m = n * delta * edge_factor
+    if not math.isfinite(m):
+        raise StreamInputError(f"edge factor must give a finite edge count, got {edge_factor}")
+    return int(m)
+
+
 def cmd_bench(args: argparse.Namespace) -> int:
     orders = args.orders.split(",")
     algorithms = args.algorithms.split(",")
@@ -238,6 +248,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
     for algorithm in algorithms:
         if algorithm not in ("wse", "baseline"):
             raise StreamInputError(f"unknown algorithm {algorithm!r}; choose wse or baseline")
+    edge_counts = {(n, delta): _edge_count(n, delta, args.edge_factor) for n in args.n for delta in args.delta}
     _effective(
         "bench",
         n=args.n,
@@ -255,7 +266,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
         writer.writerow(BENCH_COLUMNS)
         for n in args.n:
             for delta in args.delta:
-                m = int(n * delta * args.edge_factor)
+                m = edge_counts[n, delta]
                 for policy in orders:
                     for s in range(args.seeds):
                         seed = args.seed + s
@@ -293,7 +304,7 @@ def _workload(
 def _check_runs(args: argparse.Namespace, runs: int, n: int) -> Iterator:
     """(i, order, config, edges) with n vertices: run i has seed args.seed + i
     and cycles the arrival orders."""
-    m = int(n * args.delta * args.edge_factor)
+    m = _edge_count(n, args.delta, args.edge_factor)
     for i in range(runs):
         order = ORDER_POLICIES[i % len(ORDER_POLICIES)]
         yield (i, order, *_workload(n, args.delta, m, order, args.seed + i, args.kappa))
@@ -351,7 +362,7 @@ def cmd_check(args: argparse.Namespace) -> int:
         # refused before the first run, which may take minutes
         least = "one run" if fewest == 1 else f"{fewest} runs"
         raise StreamInputError(f"check {args.target} needs at least {least}, got --runs {runs}")
-    m = int(args.n * args.delta * args.edge_factor)
+    m = _edge_count(args.n, args.delta, args.edge_factor)
     if m < 1:
         raise StreamInputError(
             f"check {args.target} needs at least one edge per run, got m = int(n*delta*edge_factor) = {m}"

@@ -274,9 +274,12 @@ def _resolve_interval_size(n: int, factor: str | float | int | None) -> int:
             factor = float(factor)
         except ValueError:
             raise StreamInputError(f"interval factor must be 1, 'logn', or a float, got {factor!r}") from None
-    if factor <= 0:
+    if not factor > 0:  # NaN included
         raise StreamInputError(f"interval factor must be positive, got {factor}")
-    return max(1, math.ceil(n * float(factor)))
+    size = n * float(factor)
+    if not math.isfinite(size):
+        raise StreamInputError(f"interval factor must give a finite interval size, got {factor}")
+    return max(1, math.ceil(size))
 
 
 def resolve_config(

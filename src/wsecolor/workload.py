@@ -219,11 +219,17 @@ def read_colored(fh: IO[str]) -> Iterator[tuple[Row, str]]:
     line, with the triple as plain ints.
 
     A bad line raises a line-numbered StreamFormatError when it is reached,
-    after every good line before it has been yielded.  Each distinct color
-    token is decoded and validated once, where it first appears, and every
-    spelling of a color yields one string: its canonical token.
+    after every good line before it has been yielded.  Each distinct head,
+    the token up to its last dot, is decoded and validated once, where it
+    first appears; a later token with that head only has its slot, leading
+    zeros dropped, appended to the canonical head.  Every spelling of a
+    color yields one string: its canonical token.
     """
     canonical: dict[str, str] = {}
+    # A valid token is a head, a dot and a slot of ASCII digits, so a token
+    # with a known head decodes exactly when its slot is digits, to the
+    # canonical head plus str(int(slot)), and int fails as the decoder's does.
+    heads: dict[str, str] = {}  # raw head -> canonical head, trailing dot included
     for lineno, line in enumerate(fh, start=1):
         fields = line.split()
         if len(fields) != 4:
@@ -241,8 +247,14 @@ def read_colored(fh: IO[str]) -> Iterator[tuple[Row, str]]:
         u, v, seq = int(a), int(b), int(c)
         color = canonical.get(token)
         if color is None:
+            head, _, slot = token.rpartition(".")
+            prefix = heads.get(head)
             try:
-                color = encode_color(decode_color(token))
+                if prefix is not None and slot.isascii() and slot.isdigit():
+                    color = prefix + str(int(slot))
+                else:
+                    color = encode_color(decode_color(token))
+                    heads[head] = color[: color.rindex(".") + 1]
             except ValueError as err:
                 raise StreamFormatError(f"line {lineno}: {err}") from None
             # a canonical token maps to itself, so each color is one string

@@ -545,6 +545,40 @@ def test_failed_bench_leaves_no_partial_csv(tmp_path, capsys):
     assert [p.name for p in tmp_path.iterdir()] == ["kept.csv"]
 
 
+@pytest.mark.parametrize(
+    "factor, error",
+    [
+        ("nan", "must be positive, got nan"),
+        ("inf", "must give a finite interval size, got inf"),
+        ("1e400", "must give a finite interval size, got inf"),
+    ],
+)
+@pytest.mark.parametrize("command", ["color", "baseline"])
+def test_non_finite_interval_factor_is_a_usage_error_without_output(command, factor, error, stream_path, capsys):
+    metrics = str(stream_path.parent / "m.json")
+    code, out, err = run_cli(capsys, command, str(stream_path), "--metrics", metrics, "--interval-factor", factor)
+    assert code == 2
+    assert out == ""
+    assert err.splitlines() == [f"error: interval factor {error}"]
+    assert sorted(p.name for p in stream_path.parent.iterdir()) == ["g.wse"]
+
+
+@pytest.mark.parametrize("factor", ["nan", "inf", "-inf", "1e308"])
+@pytest.mark.parametrize(
+    "command", [("bench", "--seeds", "1"), ("check", "depth", "--runs", "1")], ids=["bench", "check"]
+)
+def test_non_finite_edge_factor_is_a_usage_error_without_output(command, factor, tmp_path, capsys):
+    # 1e308 is finite, but n*delta*1e308 is not
+    argv = (*command, "--n", "64", "--delta", "16", f"--edge-factor={factor}")
+    if command[0] == "bench":
+        argv += ("--out", str(tmp_path / "x.csv"))
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.splitlines() == [f"error: edge factor must give a finite edge count, got {float(factor)}"]
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_bench_rejects_unknown_algorithm(capsys):
     code, _, err = run_cli(capsys, "bench", "--algorithms", "magic")
     assert code == 2

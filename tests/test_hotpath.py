@@ -79,11 +79,14 @@ def test_color_path_does_per_interval_bookkeeping(tmp_path, capsys, counts):
     assert 0 < counts["feed"] < 0.1 * M
     assert 0 < counts["ingest"] < 0.1 * M
 
-    # the counters see the read side: verify parses each distinct token once
+    # the counters see the read side: verify decodes each distinct head (the
+    # token up to its last dot) once, and only appends the slots after it
     tokens = {line.split()[3] for line in out.read_text().splitlines()}
+    heads = {token.rpartition(".")[0] for token in tokens}
     assert main(["verify", str(out), str(stream)]) == 0
     capsys.readouterr()
-    assert counts["encode_color"] == counts["ColorId.__post_init__"] == len(tokens)
+    assert counts["encode_color"] == counts["ColorId.__post_init__"] == len(heads)
+    assert len(heads) < len(tokens)
 
 
 def test_class_path_meters_per_interval(tmp_path, capsys, counts):

@@ -306,6 +306,57 @@ def test_colored_spellings_of_one_color_read_as_one_canonical_token():
     assert decode_color(colors[0]) == ColorId.base(0, 0, 3)
 
 
+def test_colored_known_head_with_a_padded_slot_reads_as_the_canonical_token():
+    text = "0 1 0 E0.L0.P1.D8.B17.42\n1 2 1 E0.L0.P1.D8.B17.03\n2 3 2 E0.L0.P1.D8.B17.3\n"
+    colors = [color for _, color in read_colored(io.StringIO(text))]
+    assert colors == ["E0.L0.P1.D8.B17.42", "E0.L0.P1.D8.B17.3", "E0.L0.P1.D8.B17.3"]
+    assert colors[1] is colors[2]
+
+
+def test_colored_non_canonical_head_reads_as_the_canonical_head():
+    text = "0 1 0 E01.L0.BASE.3\n1 2 1 E01.L0.BASE.4\n"
+    colors = [color for _, color in read_colored(io.StringIO(text))]
+    assert colors == ["E1.L0.BASE.3", "E1.L0.BASE.4"]
+
+
+@pytest.mark.parametrize(
+    "slot", ["x", "", "\uff13", "-1", "9" * 5000], ids=["x", "empty", "fullwidth", "minus", "long"]
+)
+def test_colored_bad_slot_after_a_known_head_raises_the_decoders_message(slot):
+    # the slot of a known head is not decoded again, but a bad one fails
+    # exactly as decode_color fails on the whole token
+    token = "E0.L0.P1.D8.B17." + slot
+    with pytest.raises(ValueError) as decoded:
+        decode_color(token)
+    text = f"0 1 0 E0.L0.P1.D8.B17.42\n1 2 1 {token}\n"
+    with pytest.raises(StreamFormatError) as read:
+        list(read_colored(io.StringIO(text)))
+    assert str(read.value) == f"line 2: {decoded.value}"
+
+
+@st.composite
+def padded_tokens(draw):
+    """A valid color token with up to two leading zeros on any field."""
+    def field(low=0):
+        return "0" * draw(st.integers(0, 2)) + str(draw(st.integers(low, 3)))
+
+    head = f"E{field()}.L{field()}."
+    kind = draw(st.sampled_from(("BASE", "LOW", *FAMILIES)))
+    if kind == "BASE":
+        return f"{head}BASE.{field()}"
+    if kind == "LOW":
+        return f"{head}P{field()}.I{field()}.LOW.{field()}"
+    return f"{head}P{field()}.D{field()}.{kind}{field(1)}.{field()}"
+
+
+@given(st.lists(padded_tokens(), min_size=1, max_size=30))
+def test_colored_tokens_read_as_their_decoded_canonical_form(tokens):
+    text = "".join(f"0 1 {seq} {token}\n" for seq, token in enumerate(tokens))
+    colors = [color for _, color in read_colored(io.StringIO(text))]
+    assert colors == [encode_color(decode_color(token)) for token in tokens]
+    assert len({id(color) for color in colors}) == len(set(colors))
+
+
 def test_colored_reports_a_repeated_bad_token_at_its_first_line():
     text = "0 1 0 E0.L0.BASE.3\n1 2 1 E0.L0.NOPE.3\n2 3 2 E0.L0.NOPE.3\n"
     with pytest.raises(StreamFormatError, match="line 2"):
