@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import json
 import math
-import statistics
 from array import array
 from dataclasses import asdict, dataclass
 from typing import IO, Iterable
@@ -349,10 +348,11 @@ def verify_proper(
     arguments may be one-shot iterables.  input_edges is read to the end
     first and must be positional: the edge at position i has seq i, as
     read_stream, order_stream and run_stream produce; anything else raises
-    ValueError.  colored is then read once.  Per edge only four int columns
-    are held: the endpoints, a color index and a link to the next edge of
-    that color.  The conflict reported is the one an ascending-seq scan
-    meets first.
+    ValueError.  colored is then read once, and each matched edge keeps a
+    reference to its color; no per-color table exists until colored is
+    exhausted, so a reader's own token tables are freed before the one
+    table here is built.  Colors are grouped by equality, not identity.
+    The conflict reported is the one an ascending-seq scan meets first.
     """
     us, vs = array("q"), array("q")
     for u, v, seq in input_edges:
@@ -364,68 +364,65 @@ def verify_proper(
     if m and min(min(us), min(vs)) < 0:
         raise ValueError("input vertices must be non-negative")
 
-    # Each color token gets a small index.  An input seq is matched by the
-    # first colored line with its exact triple; every other line is
-    # surplus, and only the smallest surplus triple is kept.
-    color_of = array("q", [-1]) * m
-    index_of: dict[str, int] = {}
-    colors: list[str] = []
+    # An input seq is matched by the first colored line with its exact
+    # triple and keeps that line's color; every other line is surplus, and
+    # only the smallest surplus triple is kept.
+    color_of: list[str | None] = [None] * m
     surplus = None
     for (u, v, s), color in colored:
-        if 0 <= s < m and color_of[s] < 0 and u == us[s] and v == vs[s]:
-            index = index_of.get(color)
-            if index is None:
-                index = index_of[color] = len(colors)
-                colors.append(color)
-            color_of[s] = index
+        if 0 <= s < m and color_of[s] is None and u == us[s] and v == vs[s]:
+            color_of[s] = color
         elif surplus is None or (u, v, s) < surplus:
             surplus = (u, v, s)
     bits = []
-    if -1 in color_of:
-        missing = min((us[s], vs[s], s) for s in range(m) if color_of[s] < 0)
+    if None in color_of:
+        missing = min((us[s], vs[s], s) for s in range(m) if color_of[s] is None)
         bits.append(f"missing {missing}")
     if surplus is not None:
         bits.append(f"unexpected {surplus}")
     if bits:
         return VerifyResult(status="mismatch", detail="; ".join(bits))
 
-    # Each color's edges are chained in ascending seq: head[c] is the first
-    # and after[s] the next.  Scanning a chain, held[x] is the last color
-    # seen at vertex x and holder[x] its seq, so a chain's first repeat at u
-    # (then v) is its earliest conflict.  The smallest second seq over all
-    # chains is the conflict an ascending-seq scan of the stream meets first.
-    head = array("q", [-1]) * len(colors)
+    # Each color's edges are chained in ascending seq: head[color] is the
+    # chain's first seq, which names it, and after[s] the next.  Scanning a
+    # chain, held[x] is the name of the last chain seen at vertex x and
+    # holder[x] its seq, so a chain's first repeat at u (then v) is its
+    # earliest conflict.  The smallest second seq over all chains is the
+    # conflict an ascending-seq scan of the stream meets first.
+    head: dict[str, int] = {}
     after = array("q", [-1]) * m
     for s in range(m - 1, -1, -1):
-        after[s] = head[color_of[s]]
-        head[color_of[s]] = s
+        color = color_of[s]
+        after[s] = head.get(color, -1)
+        head[color] = s
     n = max(max(us), max(vs)) + 1 if m else 0
     held = array("q", [-1]) * n
     holder = array("q", [0]) * n
     witness = None
     limit = m
-    for c in range(len(colors)):
-        s = head[c]
+    for c in head.values():
+        s = c
         while 0 <= s < limit:
             u, v = us[s], vs[s]
             if held[u] == c:
-                witness, limit = (s, holder[u], u, c), s
+                witness, limit = (s, holder[u], u), s
                 break
             held[u], holder[u] = c, s
             if held[v] == c and holder[v] != s:
-                witness, limit = (s, holder[v], v, c), s
+                witness, limit = (s, holder[v], v), s
                 break
             held[v], holder[v] = c, s
             s = after[s]
     if witness is None:
         return VerifyResult(status="ok")
-    second, first, x, c = witness
+    second, first, x = witness
+    color = color_of[second]
     return VerifyResult(
         status="conflict",
-        detail=f"color {colors[c]} repeats at vertex {x}",
+        detail=f"color {color} repeats at vertex {x}",
         first=Edge(us[first], vs[first], first),
         second=Edge(us[second], vs[second], second),
-        color=colors[c],
+        color=color,
     )
 
 
@@ -681,6 +678,8 @@ def space_check(metrics: RunMetrics) -> list[str]:
 def space_gate(pairs: list[tuple[RunMetrics, RunMetrics]]) -> tuple[bool, str]:
     """Runs of one recipe at n and 2n: no run has a space_check finding, and
     the mean level-0 peak ratio is at most SPACE_RATIO_LIMIT."""
+    import statistics  # only the check gates need it, so runs never load it
+
     findings = sum(len(space_check(m)) for pair in pairs for m in pair)
     mean = statistics.fmean(big.level0_peak() / small.level0_peak() for small, big in pairs)
     detail = (f"mean level-0 peak ratio {mean:.3f} at doubled n (limit {SPACE_RATIO_LIMIT}), "
@@ -728,6 +727,8 @@ def leftover_stats(metrics_list: list[RunMetrics], kappa: int) -> LeftoverReport
         raise ValueError(
             f"need at least {LEFTOVER_MIN_RUNS} runs for a stable leftover mean, got {len(metrics_list)}"
         )
+    import statistics
+
     fractions = []
     for m in metrics_list:
         if m.input_edges <= 0:

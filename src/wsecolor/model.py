@@ -276,7 +276,11 @@ def _resolve_interval_size(n: int, factor: str | float | int | None) -> int:
             raise StreamInputError(f"interval factor must be 1, 'logn', or a float, got {factor!r}") from None
     if not factor > 0:  # NaN included
         raise StreamInputError(f"interval factor must be positive, got {factor}")
-    size = n * float(factor)
+    try:
+        factor = float(factor)
+    except OverflowError:  # an int beyond float range
+        factor = math.inf
+    size = n * factor
     if not math.isfinite(size):
         raise StreamInputError(f"interval factor must give a finite interval size, got {factor}")
     return max(1, math.ceil(size))

@@ -7,10 +7,16 @@ label-scoped randomness.
 
 from __future__ import annotations
 
-import hashlib
 import random
 from dataclasses import dataclass
 from operator import itemgetter
+
+# hashlib serves blake2b from _blake2 too (never from OpenSSL), so the draws
+# are the same either way; importing it directly keeps OpenSSL unloaded
+try:
+    from _blake2 import blake2b
+except ImportError:  # an interpreter built without _blake2
+    from hashlib import blake2b
 
 from .model import EngineInvariantError, Row
 
@@ -105,7 +111,7 @@ class RandomSource:
         return RandomSource(self.seed, self.path + tuple(str(x) for x in labels))
 
     def rng(self) -> random.Random:
-        digest = hashlib.blake2b(
+        digest = blake2b(
             "/".join(self.path).encode("utf-8"),
             digest_size=8,
             key=(self.seed & _SEED_MASK).to_bytes(8, "little"),

@@ -188,6 +188,9 @@ def test_interval_factor_parsing():
         resolve_config(n=8, delta=4, interval_factor="fast")
     with pytest.raises(StreamInputError):
         resolve_config(n=8, delta=4, interval_factor=-1)
+    # an int beyond float range, as a non-finite float is
+    with pytest.raises(StreamInputError, match="^interval factor must give a finite interval size, got inf$"):
+        resolve_config(n=8, delta=4, interval_factor=10**400)
 
 
 def test_explicit_interval_size_wins():

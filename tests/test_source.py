@@ -1,13 +1,19 @@
 """Source hygiene: every name a module of the package imports is used, the
 parsed color form stays at the modules that parse or re-export it, the
-release gates stay defined in one module, and the file readers build no
-per-line Edge."""
+release gates stay defined in one module, the file readers build no
+per-line Edge, and importing the command line loads no module a run does
+not use."""
 
 import ast
+import hashlib
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+from wsecolor import primitives
 from wsecolor.cli import CHECKS
 from wsecolor.workload import ORDER_POLICIES
 
@@ -148,3 +154,22 @@ def test_edge_names_are_found():
 def test_file_readers_build_no_edges():
     workload = next(p for p in SOURCES if p.name == "workload.py")
     assert edge_names_in(workload.read_text(encoding="utf-8"), FILE_READERS) == []
+
+
+# OpenSSL (which `import hashlib` loads) and statistics with decimal are
+# megabytes of every color, verify and gen child's resident floor
+UNUSED_AT_RUNTIME = ("_hashlib", "statistics", "decimal")
+
+
+def test_cli_import_leaves_unused_modules_unloaded():
+    probe = "import sys, wsecolor.cli; print(*sorted(set(sys.argv[1:]) & set(sys.modules)))"
+    env = {**os.environ, "PYTHONPATH": str(Path(primitives.__file__).resolve().parents[1])}
+    done = subprocess.run(
+        [sys.executable, "-c", probe, *UNUSED_AT_RUNTIME], env=env, capture_output=True, text=True, check=True
+    )
+    assert done.stdout.split() == []
+
+
+def test_draws_hash_with_the_blake2b_hashlib_serves():
+    # so taking blake2b from _blake2 moves no draw
+    assert primitives.blake2b is hashlib.blake2b
