@@ -11,12 +11,9 @@ import random
 from dataclasses import dataclass
 from operator import itemgetter
 
-# hashlib serves blake2b from _blake2 too (never from OpenSSL), so the draws
-# are the same either way; importing it directly keeps OpenSSL unloaded
-try:
-    from _blake2 import blake2b
-except ImportError:  # an interpreter built without _blake2
-    from hashlib import blake2b
+# hashlib serves blake2b from _blake2 (never from OpenSSL), so the draws are
+# the same; importing it directly keeps OpenSSL unloaded
+from _blake2 import blake2b
 
 from .model import EngineInvariantError, Row
 

@@ -164,9 +164,9 @@ UNUSED_AT_RUNTIME = ("_hashlib", "statistics", "decimal")
 def test_cli_import_leaves_unused_modules_unloaded():
     probe = "import sys, wsecolor.cli; print(*sorted(set(sys.argv[1:]) & set(sys.modules)))"
     env = {**os.environ, "PYTHONPATH": str(Path(primitives.__file__).resolve().parents[1])}
-    done = subprocess.run(
-        [sys.executable, "-c", probe, *UNUSED_AT_RUNTIME], env=env, capture_output=True, text=True, check=True
-    )
+    # -S runs no site hooks, so only the package's own imports are counted
+    command = [sys.executable, "-S", "-c", probe, *UNUSED_AT_RUNTIME]
+    done = subprocess.run(command, env=env, capture_output=True, text=True, check=True)
     assert done.stdout.split() == []
 
 
