@@ -34,7 +34,7 @@ from .audit import (
     trace_audit,
     verify_proper,
 )
-from .model import Edge, EngineInvariantError, RunConfig, StreamInputError, resolve_config
+from .model import EngineInvariantError, Row, RunConfig, StreamInputError, resolve_config
 from .pipeline import StreamColorer, run_baseline, run_stream
 from .workload import (
     ORDER_POLICIES,
@@ -295,7 +295,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
 
 def _workload(
     n: int, delta: int, m: int, policy: str, seed: int, kappa: int
-) -> tuple[RunConfig, list[Edge]]:
+) -> tuple[RunConfig, list[Row]]:
     """A generated stream in the given arrival order, and its run config."""
     edges = order_stream(gen_multigraph(n, delta, m, seed=seed), policy, seed=seed + 10_007)
     return resolve_config(n=n, delta=delta, kappa=kappa, seed=seed, m=m), edges

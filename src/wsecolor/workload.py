@@ -10,10 +10,13 @@ field is ASCII decimal digits only.
 from __future__ import annotations
 
 import random
+from collections import Counter
 from dataclasses import dataclass
+from itertools import count, repeat, starmap
+from operator import itemgetter
 from typing import IO, Iterable, Iterator
 
-from .model import Edge, Row, StreamInputError, decode_color, encode_color
+from .model import Row, StreamInputError, decode_color, encode_color
 
 __all__ = [
     "ORDER_POLICIES",
@@ -47,8 +50,9 @@ class StreamHeader:
 
 def gen_multigraph(
     n: int, delta: int, m: int, *, allow_parallel: bool = True, seed: int = 0
-) -> list[Edge]:
-    """Random degree-bounded multigraph via rejection sampling.
+) -> list[Row]:
+    """Random degree-bounded multigraph via rejection sampling, as
+    (u, v, seq) rows of plain ints, seq the row's position.
 
     Uniform endpoint pairs, rejecting self-loops, saturated endpoints, and
     (optionally) repeated pairs.  Degree caps can strand capacity on one
@@ -60,52 +64,68 @@ def gen_multigraph(
         raise StreamInputError(f"vertex count must be >= 1, got {n}")
     if m < 0:
         raise StreamInputError(f"edge count must be >= 0, got {m}")
-    if delta < 0:
-        raise StreamInputError(f"degree bound must be >= 0, got {delta}")
+    if delta < 1:
+        # the bound every colorer takes (normalize_delta), so color reads what gen writes
+        raise StreamInputError(f"degree bound must be >= 1, got {delta}")
     if m > n * delta // 2:
-        raise StreamInputError(
-            f"{m} edges cannot fit {n} vertices of degree at most {delta}"
-        )
+        raise StreamInputError(f"{m} edges cannot fit {n} vertices of degree at most {delta}")
     if m > 0 and n < 2:
         raise StreamInputError("need at least 2 vertices for loop-free edges")
 
-    rng = random.Random(seed)
-    deg = [0] * n
+    # Random(seed).randrange(n) per endpoint, its draws made in C:
+    # getrandbits(n.bit_length()) until the value is below n
+    draws = filter(n.__gt__, map(random.Random(seed).getrandbits, repeat(n.bit_length())))
+    room = [delta] * n  # free degree per vertex
     used: set[tuple[int, int]] = set()
-    edges: list[Edge] = []
+    rows: list[Row] = []
     attempts = 0
     budget = 1000 * m + 100_000
-    unsaturated = n  # vertices below the degree bound
-    while len(edges) < m:
-        if unsaturated < 2:
-            raise StreamInputError(
-                f"gave up after {attempts} attempts with {len(edges)}/{m} edges placed; "
-                "no two vertices have free degree left"
-            )
+    unsaturated = n  # vertices with free degree
+    pairs = zip(draws, draws) if m else ()  # no edges, no draws
+    for u, v in pairs:
         attempts += 1
         if attempts > budget:
             raise StreamInputError(
-                f"gave up after {budget} attempts with {len(edges)}/{m} edges placed; "
+                f"gave up after {budget} attempts with {len(rows)}/{m} edges placed; "
                 "the degree bound is too tight for rejection sampling"
             )
-        u = rng.randrange(n)
-        v = rng.randrange(n)
-        if u == v or deg[u] >= delta or deg[v] >= delta:
+        if u == v or not room[u] or not room[v]:
             continue
         if not allow_parallel:
-            pair = (min(u, v), max(u, v))
+            pair = (u, v) if u < v else (v, u)
             if pair in used:
                 continue
             used.add(pair)
-        deg[u] += 1
-        deg[v] += 1
-        unsaturated -= (deg[u] == delta) + (deg[v] == delta)
-        edges.append(Edge(u, v, len(edges)))
-    return edges
+        room[u] -= 1
+        room[v] -= 1
+        rows.append((u, v, len(rows)))
+        if len(rows) == m:
+            break
+        unsaturated -= (not room[u]) + (not room[v])
+        if unsaturated < 2:
+            raise StreamInputError(
+                f"gave up after {attempts} attempts with {len(rows)}/{m} edges placed; "
+                "no two vertices have free degree left"
+            )
+    return rows
 
 
-def order_stream(edges: list[Edge], policy: str, seed: int = 0) -> list[Edge]:
-    """Permute a stream and re-sequence it by the new positions.
+def _shuffle(rows: list[Row], rng: random.Random) -> None:
+    """rng.shuffle(rows) with its draws inline: Fisher-Yates from the top,
+    each j drawn as randrange(i + 1) draws it, getrandbits of the bound's
+    bit length until the value is below the bound."""
+    getrandbits = rng.getrandbits
+    for i in reversed(range(1, len(rows))):
+        k = (i + 1).bit_length()
+        j = getrandbits(k)
+        while j > i:
+            j = getrandbits(k)
+        rows[i], rows[j] = rows[j], rows[i]
+
+
+def order_stream(edges: list[Row], policy: str, seed: int = 0) -> list[Row]:
+    """Permute a stream and re-sequence it by the new positions, as
+    (u, v, seq) rows of plain ints.
 
     arrival-random shuffles uniformly; vertex-sorted sorts by normalized
     endpoints; degree-burst emits each vertex's edges contiguously, highest
@@ -114,19 +134,19 @@ def order_stream(edges: list[Edge], policy: str, seed: int = 0) -> list[Edge]:
     """
     if policy == "arrival-random":
         out = list(edges)
-        random.Random(seed).shuffle(out)
+        _shuffle(out, random.Random(seed))
     elif policy == "vertex-sorted":
-        out = sorted(edges, key=lambda e: (min(e.u, e.v), max(e.u, e.v), e.seq))
+        # a row (u, v, seq) with u <= v is its own key
+        out = sorted(edges, key=lambda r: r if r[0] <= r[1] else (r[1], r[0], r[2]))
     elif policy == "degree-burst":
-        deg: dict[int, int] = {}
-        for e in edges:
-            deg[e.u] = deg.get(e.u, 0) + 1
-            deg[e.v] = deg.get(e.v, 0) + 1
-        def owner(e: Edge) -> int:
-            return max(e.u, e.v, key=lambda x: (deg[x], x))
-        groups: dict[int, list[Edge]] = {}
-        for e in edges:
-            groups.setdefault(owner(e), []).append(e)
+        deg = Counter(map(itemgetter(0), edges))
+        deg.update(map(itemgetter(1), edges))
+        # each edge goes to its endpoint of higher (degree, vertex)
+        groups: dict[int, list[Row]] = {}
+        for row in edges:
+            u, v, _ = row
+            du, dv = deg[u], deg[v]
+            groups.setdefault(v if dv > du or (dv == du and v > u) else u, []).append(row)
         out = []
         for o in sorted(groups, key=lambda x: (-deg[x], x)):
             out.extend(groups[o])
@@ -134,17 +154,17 @@ def order_stream(edges: list[Edge], policy: str, seed: int = 0) -> list[Edge]:
         raise StreamInputError(
             f"unknown order policy {policy!r}; choose one of {', '.join(ORDER_POLICIES)}"
         )
-    return [Edge(e.u, e.v, i) for i, e in enumerate(out)]
+    return list(zip(map(itemgetter(0), out), map(itemgetter(1), out), count()))
 
 
 # ---------------------------------------------------------------------------
 # file formats
 
 
-def write_stream(fh: IO[str], n: int, delta: int, edges: list[Edge]) -> None:
+def write_stream(fh: IO[str], n: int, delta: int, edges: list[Row]) -> None:
     fh.write(f"{MAGIC} {VERSION} {n} {delta} {len(edges)}\n")
-    for e in edges:
-        fh.write(f"{e.u} {e.v}\n")
+    # format drops the unused seq argument
+    fh.writelines(starmap("{} {}\n".format, edges))
 
 
 def _decimal(fields: Iterable[str]) -> bool:

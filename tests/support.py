@@ -4,11 +4,14 @@ every vertex's incident edges."""
 
 from __future__ import annotations
 
+import random
+
 from hypothesis import strategies as st
 
 from wsecolor import (
     Edge,
     RunMetrics,
+    StreamInputError,
     VerifyResult,
     decode_color,
     gen_multigraph,
@@ -75,6 +78,87 @@ def color_run(n, delta, m, *, order="arrival-random", seed=0, trace=None, **over
     return edges, emissions, metrics, config
 
 
+def oracle_gen_multigraph(n, delta, m, *, allow_parallel=True, seed=0):
+    """gen_multigraph as plainly as it can be written: an Edge per placed
+    edge, each endpoint one Random.randrange(n) call.  gen_multigraph must
+    return its edges as plain tuples and raise its errors word for word."""
+    if n < 1:
+        raise StreamInputError(f"vertex count must be >= 1, got {n}")
+    if m < 0:
+        raise StreamInputError(f"edge count must be >= 0, got {m}")
+    if delta < 1:
+        raise StreamInputError(f"degree bound must be >= 1, got {delta}")
+    if m > n * delta // 2:
+        raise StreamInputError(f"{m} edges cannot fit {n} vertices of degree at most {delta}")
+    if m > 0 and n < 2:
+        raise StreamInputError("need at least 2 vertices for loop-free edges")
+
+    rng = random.Random(seed)
+    deg = [0] * n
+    used = set()
+    edges = []
+    attempts = 0
+    budget = 1000 * m + 100_000
+    unsaturated = n
+    while len(edges) < m:
+        if unsaturated < 2:
+            raise StreamInputError(
+                f"gave up after {attempts} attempts with {len(edges)}/{m} edges placed; "
+                "no two vertices have free degree left"
+            )
+        attempts += 1
+        if attempts > budget:
+            raise StreamInputError(
+                f"gave up after {budget} attempts with {len(edges)}/{m} edges placed; "
+                "the degree bound is too tight for rejection sampling"
+            )
+        u = rng.randrange(n)
+        v = rng.randrange(n)
+        if u == v or deg[u] >= delta or deg[v] >= delta:
+            continue
+        if not allow_parallel:
+            pair = (min(u, v), max(u, v))
+            if pair in used:
+                continue
+            used.add(pair)
+        deg[u] += 1
+        deg[v] += 1
+        unsaturated -= (deg[u] == delta) + (deg[v] == delta)
+        edges.append(Edge(u, v, len(edges)))
+    return edges
+
+
+def oracle_order_stream(edges, policy, seed=0):
+    """order_stream through Random.shuffle, max with a key and Edges."""
+    if policy == "arrival-random":
+        out = list(edges)
+        random.Random(seed).shuffle(out)
+    elif policy == "vertex-sorted":
+        out = sorted(edges, key=lambda e: (min(e.u, e.v), max(e.u, e.v), e.seq))
+    elif policy == "degree-burst":
+        deg = {}
+        for e in edges:
+            deg[e.u] = deg.get(e.u, 0) + 1
+            deg[e.v] = deg.get(e.v, 0) + 1
+        groups = {}
+        for e in edges:
+            groups.setdefault(max(e.u, e.v, key=lambda x: (deg[x], x)), []).append(e)
+        out = []
+        for o in sorted(groups, key=lambda x: (-deg[x], x)):
+            out.extend(groups[o])
+    else:
+        raise StreamInputError(
+            f"unknown order policy {policy!r}; "
+            "choose one of arrival-random, vertex-sorted, degree-burst"
+        )
+    return [Edge(e.u, e.v, i) for i, e in enumerate(out)]
+
+
+def oracle_stream_text(n, delta, edges):
+    """write_stream's text, one formatted line per Edge."""
+    return f"wse v1 {n} {delta} {len(edges)}\n" + "".join(f"{e.u} {e.v}\n" for e in edges)
+
+
 def fake_metrics(*, input_edges, leftover0, peak0=100, colors=1):
     """A minimal RunMetrics for exercising the statistics helpers without a
     full engine run."""
@@ -105,7 +189,7 @@ def decoded(emissions):
 
 
 def seqs_of(edges):
-    return sorted(e.seq for e in edges)
+    return sorted(seq for _, _, seq in edges)
 
 
 def emitted_seqs(emissions):

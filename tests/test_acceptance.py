@@ -279,9 +279,9 @@ def test_11_base_case_and_verifier(capsys):
         emissions, metrics = run_stream(config, edges)
         status = verify_proper(emissions, edges).status
         deg = Counter()
-        for e in edges:
-            deg[e.u] += 1
-            deg[e.v] += 1
+        for u, v, _ in edges:
+            deg[u] += 1
+            deg[v] += 1
         limit = 2 * max(deg.values()) - 1
         if status != "ok" or metrics.depth != 0 or metrics.colors_used > limit:
             failures.append(

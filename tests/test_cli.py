@@ -1,6 +1,7 @@
 """End-to-end command-line coverage, run in process through main()."""
 
 import csv
+import hashlib
 import io
 import json
 import tracemalloc
@@ -65,6 +66,38 @@ def test_gen_to_stdout(capsys):
     assert code == 0
     assert out.splitlines()[0] == "wse v1 4 2 2"
     assert json.loads(err.splitlines()[0])["command"] == "gen"
+
+
+# sha256 of `gen --n 64 --delta 16 --m 400 --seed 3 --order <order> --order-seed 4`,
+# frozen from the Random.randrange / Random.shuffle generator
+GEN_SHA256 = {
+    "none": "d8f211b34d9435595f571e4c5a1b7c8f6953b52fd3456ae5c13922b47d0bcabd",
+    "arrival-random": "328324649ca5411076af201a6bdfc54a0ec83ad33ec57c91c0fe758fffa70460",
+    "vertex-sorted": "fbebd369b9e3fec80a48c6d3e48b8b8b6d1a95bfa132b2c37e535c9ffce0ece0",
+    "degree-burst": "71b024b1491dccc2a471d8cf70bef8c5894970208a5c7fd3377d2c3dc1e90ad3",
+}
+
+
+@pytest.mark.parametrize("order", GEN_SHA256)
+def test_gen_stream_bytes_are_frozen(order, capsys, tmp_path):
+    path = tmp_path / "g.wse"
+    code, _, _ = run_cli(
+        capsys, "gen", "--n", "64", "--delta", "16", "--m", "400",
+        "--seed", "3", "--order", order, "--order-seed", "4", str(path),
+    )
+    assert code == 0
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == GEN_SHA256[order]
+
+
+@pytest.mark.parametrize("delta", ["0", "-1"])
+def test_gen_rejects_a_bound_color_refuses(delta, capsys, tmp_path):
+    # every colorer takes delta >= 1, so gen writes no stream it would refuse
+    code, _, err = run_cli(
+        capsys, "gen", "--n", "4", "--delta", delta, "--m", "0", str(tmp_path / "z.wse")
+    )
+    assert code == 2
+    assert f"degree bound must be >= 1, got {delta}" in err
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_gen_rejects_overfull_request(capsys, tmp_path):
@@ -359,7 +392,7 @@ def test_over_degree_stream_rejected_without_output(command, tmp_path, capsys):
 def declared_17_stream(path):
     """The n=64 stream of true max degree 44, declared as delta 17."""
     edges = gen_multigraph(64, 64, 1024, seed=1)
-    path.write_text("wse v1 64 17 1024\n" + "".join(f"{e.u} {e.v}\n" for e in edges))
+    path.write_text("wse v1 64 17 1024\n" + "".join(f"{u} {v}\n" for u, v, _ in edges))
 
 
 @pytest.mark.parametrize("command", ["color", "baseline"])

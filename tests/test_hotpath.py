@@ -1,8 +1,10 @@
 """Structural guard on the untraced color path: rows enter the engine an
 interval at a time, as plain tuples, bookkeeping happens per interval or
 per scope, not per edge, and colors stay token strings from palette to
-file.  Counts calls instead of timing them, so it holds on any machine."""
+file.  The gen path builds plain rows and makes its draws inline.  Counts
+calls instead of timing them, so it holds on any machine."""
 
+import random
 import sys
 
 import pytest
@@ -17,6 +19,16 @@ from wsecolor.pipeline import StreamColorer
 N, DELTA, M = 256, 64, 4096
 
 
+def counted(calls, key, fn):
+    """fn, counting its calls in calls[key]."""
+
+    def wrapper(*args, **kwargs):
+        calls[key] += 1
+        return fn(*args, **kwargs)
+
+    return wrapper
+
+
 @pytest.fixture
 def counts(monkeypatch):
     """Count calls to encode_color (wherever it was imported by name),
@@ -26,32 +38,40 @@ def counts(monkeypatch):
     calls = dict.fromkeys(
         ("encode_color", "SpaceMeter.add", "note_emission", "ColorId.__post_init__", "feed", "ingest", "Edge"), 0
     )
-
-    def counted(key, fn):
-        def wrapper(*args, **kwargs):
-            calls[key] += 1
-            return fn(*args, **kwargs)
-
-        return wrapper
-
     original = wsecolor.model.encode_color
-    wrapped = counted("encode_color", original)
+    wrapped = counted(calls, "encode_color", original)
     for name, module in list(sys.modules.items()):
         if name.startswith("wsecolor") and getattr(module, "encode_color", None) is original:
             monkeypatch.setattr(module, "encode_color", wrapped)
-    monkeypatch.setattr(SpaceMeter, "add", counted("SpaceMeter.add", SpaceMeter.add))
+    monkeypatch.setattr(SpaceMeter, "add", counted(calls, "SpaceMeter.add", SpaceMeter.add))
     monkeypatch.setattr(
         MetricsCollector,
         "note_emission",
-        counted("note_emission", MetricsCollector.note_emission),
+        counted(calls, "note_emission", MetricsCollector.note_emission),
     )
     monkeypatch.setattr(
-        ColorId, "__post_init__", counted("ColorId.__post_init__", ColorId.__post_init__)
+        ColorId, "__post_init__", counted(calls, "ColorId.__post_init__", ColorId.__post_init__)
     )
-    monkeypatch.setattr(StreamColorer, "feed", counted("feed", StreamColorer.feed))
-    monkeypatch.setattr(PhaseEngine, "ingest", counted("ingest", PhaseEngine.ingest))
-    monkeypatch.setattr(Edge, "__new__", counted("Edge", Edge.__new__))
+    monkeypatch.setattr(StreamColorer, "feed", counted(calls, "feed", StreamColorer.feed))
+    monkeypatch.setattr(PhaseEngine, "ingest", counted(calls, "ingest", PhaseEngine.ingest))
+    monkeypatch.setattr(Edge, "__new__", counted(calls, "Edge", Edge.__new__))
     return calls
+
+
+@pytest.mark.parametrize("order", ["none", "arrival-random", "vertex-sorted", "degree-burst"])
+def test_gen_path_builds_rows_and_draws_inline(order, tmp_path, capsys, counts, monkeypatch):
+    # each endpoint and each swap is drawn with getrandbits as randrange and
+    # shuffle draw it, without a Python frame per draw; no Edge is built
+    for name in ("randrange", "shuffle"):
+        counts[name] = 0
+        monkeypatch.setattr(random.Random, name, counted(counts, name, getattr(random.Random, name)))
+    stream = tmp_path / "g.wse"
+    gen = ["gen", "--n", str(N), "--delta", str(DELTA), "--m", str(M), "--simple"]
+    assert main([*gen, "--seed", "1", "--order", order, str(stream)]) == 0
+    capsys.readouterr()
+
+    assert len(stream.read_text().splitlines()) == M + 1
+    assert counts["Edge"] == counts["randrange"] == counts["shuffle"] == 0
 
 
 def test_color_path_does_per_interval_bookkeeping(tmp_path, capsys, counts):

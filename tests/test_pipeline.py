@@ -349,7 +349,7 @@ def test_run_emits_the_input_triples():
 
 def test_run_resequences_other_carriers():
     # seqs that disagree with arrival order are rebuilt, not trusted
-    shifted = [Edge(e.u, e.v, e.seq + 100) for e in gen_multigraph(64, 16, 256, seed=3)]
+    shifted = [Edge(u, v, seq + 100) for u, v, seq in gen_multigraph(64, 16, 256, seed=3)]
     emissions, _ = run_stream(resolve_config(n=64, delta=16, m=256), shifted)
     assert emitted_seqs(emissions) == list(range(256))
     by_seq = {seq: (u, v) for (u, v, seq), _ in emissions}

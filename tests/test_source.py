@@ -156,6 +156,15 @@ def test_file_readers_build_no_edges():
     assert edge_names_in(workload.read_text(encoding="utf-8"), FILE_READERS) == []
 
 
+# gen builds, orders and writes plain int rows too
+GENERATOR = frozenset(("gen_multigraph", "order_stream", "write_stream"))
+
+
+def test_generator_builds_no_edges():
+    workload = next(p for p in SOURCES if p.name == "workload.py")
+    assert edge_names_in(workload.read_text(encoding="utf-8"), GENERATOR) == []
+
+
 # OpenSSL (which `import hashlib` loads) and statistics with decimal are
 # megabytes of every color, verify and gen child's resident floor
 UNUSED_AT_RUNTIME = ("_hashlib", "statistics", "decimal")

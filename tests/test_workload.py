@@ -5,7 +5,7 @@ import re
 import time
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from wsecolor import (
@@ -25,19 +25,26 @@ from wsecolor import (
 from wsecolor.model import FAMILIES
 from wsecolor.workload import ORDER_POLICIES, StreamFormatError
 
-from support import damaged_colorings, find_conflicts, make_edges
+from support import (
+    damaged_colorings,
+    find_conflicts,
+    make_edges,
+    oracle_gen_multigraph,
+    oracle_order_stream,
+    oracle_stream_text,
+)
 
 
 def degrees(edges):
     deg = {}
-    for e in edges:
-        deg[e.u] = deg.get(e.u, 0) + 1
-        deg[e.v] = deg.get(e.v, 0) + 1
+    for u, v, _ in edges:
+        deg[u] = deg.get(u, 0) + 1
+        deg[v] = deg.get(v, 0) + 1
     return deg
 
 
 def pair_multiset(edges):
-    return sorted((min(e.u, e.v), max(e.u, e.v)) for e in edges)
+    return sorted((min(u, v), max(u, v)) for u, v, _ in edges)
 
 
 # -- generator ---------------------------------------------------------------
@@ -46,7 +53,7 @@ def pair_multiset(edges):
 def test_gen_degree_one_forces_a_matching():
     edges = gen_multigraph(4, 1, 2, seed=0)
     assert len(edges) == 2
-    endpoints = [x for e in edges for x in (e.u, e.v)]
+    endpoints = [x for u, v, _ in edges for x in (u, v)]
     assert len(set(endpoints)) == 4
 
 
@@ -57,7 +64,7 @@ def test_gen_two_vertices_forces_parallel_edges():
 
 def test_gen_sequences_by_position():
     edges = gen_multigraph(16, 4, 20, seed=1)
-    assert [e.seq for e in edges] == list(range(20))
+    assert [seq for _, _, seq in edges] == list(range(20))
 
 
 @st.composite
@@ -74,8 +81,8 @@ def test_gen_respects_the_degree_bound(params, seed):
     n, delta, m = params
     edges = gen_multigraph(n, delta, m, seed=seed)
     assert len(edges) == m
-    assert all(e.u != e.v for e in edges)
-    assert all(0 <= e.u < n and 0 <= e.v < n for e in edges)
+    assert all(u != v for u, v, _ in edges)
+    assert all(0 <= u < n and 0 <= v < n for u, v, _ in edges)
     assert max(degrees(edges).values(), default=0) <= delta
     assert edges == gen_multigraph(n, delta, m, seed=seed)
 
@@ -106,13 +113,53 @@ def test_gen_stops_once_one_vertex_holds_all_free_degree():
         (4, 2, 5, "cannot fit"),
         (1, 4, 1, "at least 2 vertices"),
         (0, 4, 0, "vertex count"),
-        (4, -1, 0, "degree bound"),
+        (4, -1, 0, "degree bound must be >= 1, got -1"),
+        (4, 0, 0, "degree bound must be >= 1, got 0"),
         (4, 2, -1, "edge count"),
     ],
 )
 def test_gen_rejects_bad_parameters(n, delta, m, message):
     with pytest.raises(StreamInputError, match=message):
         gen_multigraph(n, delta, m)
+
+
+def outcome(fn, *args, **kwargs):
+    """fn's rows, or the message of the StreamInputError it raised."""
+    try:
+        return fn(*args, **kwargs)
+    except StreamInputError as err:
+        return str(err)
+
+
+@st.composite
+def gen_cases(draw):
+    n = draw(st.integers(min_value=0, max_value=16))
+    delta = draw(st.integers(min_value=-1, max_value=6))
+    # up to just past the packing ceiling, where sampling gives up or refuses
+    m = draw(st.integers(min_value=-1, max_value=max(n * delta // 2, 0) + 2))
+    policy = draw(st.sampled_from(ORDER_POLICIES + ("sorted",)))
+    return n, delta, m, draw(st.booleans()), policy
+
+
+@settings(max_examples=300, deadline=None)
+@given(gen_cases(), st.integers(min_value=0, max_value=2**64))
+@example((2, 3, 2, False, "arrival-random"), 0)  # out of attempts
+@example((256, 64, 8192, True, "degree-burst"), 5)  # free degree stranded
+@example((40, 6, 100, True, "arrival-random"), 2**40)
+def test_gen_and_order_match_the_randrange_oracle(case, seed):
+    n, delta, m, allow_parallel, policy = case
+    rows = outcome(gen_multigraph, n, delta, m, allow_parallel=allow_parallel, seed=seed)
+    edges = outcome(oracle_gen_multigraph, n, delta, m, allow_parallel=allow_parallel, seed=seed)
+    assert rows == edges
+    if isinstance(edges, str):
+        return
+    assert {type(row) for row in rows} <= {tuple}
+    ordered = outcome(order_stream, rows, policy, seed=seed + 1)
+    expected = outcome(oracle_order_stream, edges, policy, seed=seed + 1)
+    assert ordered == expected
+    if not isinstance(expected, str):
+        assert {type(row) for row in ordered} <= {tuple}
+        assert stream_text(n, delta, ordered) == oracle_stream_text(n, delta, expected)
 
 
 # -- orderings ---------------------------------------------------------------
@@ -127,7 +174,7 @@ def test_order_preserves_the_multiset_and_reseqs(policy):
     edges = gen_multigraph(12, 4, 20, seed=7)
     out = order_stream(edges, policy, seed=3)
     assert pair_multiset(out) == pair_multiset(edges)
-    assert [e.seq for e in out] == list(range(20))
+    assert [seq for _, _, seq in out] == list(range(20))
 
 
 def test_arrival_random_is_seed_deterministic():
@@ -140,7 +187,7 @@ def test_arrival_random_is_seed_deterministic():
 def test_vertex_sorted_frozen_order():
     edges = make_edges([(2, 1), (0, 3), (1, 0), (0, 3)])
     out = order_stream(edges, "vertex-sorted")
-    assert [(e.u, e.v) for e in out] == [(1, 0), (0, 3), (0, 3), (2, 1)]
+    assert out == [(1, 0, 0), (0, 3, 1), (0, 3, 2), (2, 1, 3)]
 
 
 def test_degree_burst_frozen_order():
@@ -148,13 +195,13 @@ def test_degree_burst_frozen_order():
     # and goes to the larger id, so vertex 0's burst comes first.
     edges = make_edges([(1, 2), (0, 1), (0, 2), (0, 3)])
     out = order_stream(edges, "degree-burst")
-    assert [(e.u, e.v) for e in out] == [(0, 1), (0, 2), (0, 3), (1, 2)]
+    assert out == [(0, 1, 0), (0, 2, 1), (0, 3, 2), (1, 2, 3)]
 
 
 def test_degree_burst_keeps_arrival_order_within_a_burst():
     edges = make_edges([(0, 3), (0, 1), (0, 2)])
     out = order_stream(edges, "degree-burst")
-    assert [(e.u, e.v) for e in out] == [(0, 3), (0, 1), (0, 2)]
+    assert out == [(0, 3, 0), (0, 1, 1), (0, 2, 2)]
 
 
 def test_order_rejects_unknown_policy():
