@@ -15,7 +15,7 @@ from math import isqrt
 
 from .audit import SpaceMeter, TraceRecorder
 from .model import FAMILIES, Row, token_prefix
-from .primitives import RandomSource, first_fit_slots, gap_check, mod_slot
+from .primitives import RandomSource, first_fit_slots, gap_check
 
 __all__ = ["ClassState", "step1_high_high", "step2_high_low"]
 
@@ -29,7 +29,8 @@ class ClassState:
     threshold; prior tallies count earlier intervals per index.  The window
     is the set of (anchor, family, slot) triples taken at high vertices
     within the current interval only; later intervals are protected by the
-    index sets and counters instead.
+    index sets and counters instead.  The two steps read and write these
+    stores directly; nothing leaves them before release.
     """
 
     def __init__(
@@ -50,8 +51,6 @@ class ClassState:
         self.level = level
         self.phase = phase
         self.d = d
-        self.delta = delta
-        self.kappa = kappa
         self.palette_size = 2 * kappa * d
         self.palette_count = kappa * delta // d
         self.block_width = isqrt(delta)
@@ -75,10 +74,6 @@ class ClassState:
         self.interval: int | None = None
         # per-interval token prefix of each family, up to the slot
         self._prefixes: dict[str, str] = {}
-        self.index_inserts = 0
-        self.counter_creates = 0
-
-    # -- bookkeeping helpers ------------------------------------------------
 
     def offset_of(self, v: int) -> int:
         r = self.offsets.get(v)
@@ -102,37 +97,11 @@ class ClassState:
                               "sigma": sigma, "prior": self.prior_counts.get(sigma, 0)})
         return sigma
 
-    def prior(self) -> int:
-        assert self.sigma is not None
-        return self.prior_counts.get(self.sigma, 0)
-
-    def index_fresh(self, v: int) -> bool:
-        return self.sigma not in self.index_sets.get(v, ())
-
-    def mark_index_used(self, v: int) -> None:
-        used = self.index_sets.setdefault(v, set())
-        if self.sigma not in used:
-            used.add(self.sigma)
-            self._meter.add("index_sets", 1)
-            self.index_inserts += 1
-
-    def init_counter(self, u: int) -> None:
-        key = (u, self.sigma)
-        if key not in self.counters:
-            self.counters[key] = 0
-            self._meter.add("counters", 1)
-            self.counter_creates += 1
-            if self._trace is not None:
-                self._trace.emit({"kind": "counter-init", **self._head, "interval": self.interval,
-                                  "vertex": u, "index": self.sigma})
-
-    def counter_of(self, u: int) -> int | None:
-        return self.counters.get((u, self.sigma))
-
     def bump_counter(self, u: int, *, assigned: bool) -> None:
-        # Runs after every enumerated high-low edge, deferred or not; the
-        # counter's trajectory must depend only on the stream and the index
-        # draws, never on the offsets.
+        """Runs after every enumerated high-low edge, deferred or not; the
+        counter's trajectory must depend only on the stream and the index
+        draws, never on the offsets.  The offset-independence canary patches
+        this method to plant a lazy-bump engine, so it must not be inlined."""
         key = (u, self.sigma)
         value = self.counters.get(key)
         if value is None:
@@ -141,15 +110,6 @@ class ClassState:
         if self._trace is not None:
             self._trace.emit({"kind": "counter-bump", **self._head, "interval": self.interval,
                               "vertex": u, "index": self.sigma, "value": value + 1, "assigned": assigned})
-
-    def record_slot(self, anchor: int, family: str, slot: int) -> None:
-        # The window is metered per interval: its first word here, so the
-        # category appears on the meter when it first holds anything, and
-        # the rest in end_interval.  Nothing metered shrinks in between, so
-        # the peaks come out as if every slot were charged as it is taken.
-        if not self.window:
-            self._meter.add("window", 1)
-        self.window.add((anchor, family, slot))
 
     def end_interval(self) -> None:
         assert self.sigma is not None
@@ -166,18 +126,13 @@ class ClassState:
     def release(self) -> None:
         """Phase end: hand every tracked word back to the meter."""
         self._meter.add("offsets", -len(self.offsets))
-        self._meter.add("index_sets", -sum(len(s) for s in self.index_sets.values()))
+        self._meter.add("index_sets", -sum(map(len, self.index_sets.values())))
         self._meter.add("counters", -len(self.counters))
         self._meter.add("prior_counts", -len(self.prior_counts))
         self.offsets.clear()
         self.index_sets.clear()
         self.counters.clear()
         self.prior_counts.clear()
-
-    def color(self, family: str, slot: int) -> str:
-        """The token of this interval's family color at slot."""
-        assert self.sigma is not None
-        return f"{self._prefixes[family]}{slot}"
 
 
 def step1_high_high(
@@ -190,16 +145,19 @@ def step1_high_high(
     before.  The sub-multigraph induced on U is first-fit colored from the
     A family; every class edge (high-high or high-low) incident on a high
     vertex outside U is deferred wholesale.  Afterwards the index is marked
-    used at every high vertex, so a repeat draw exiles the vertex next time.
+    used at every vertex of U (the rest already hold it), so a repeat draw
+    exiles the vertex next time.
     """
-    usable = {v for v in high if state.index_fresh(v)}
+    sigma, index_sets = state.sigma, state.index_sets
+    usable = {v for v in high if sigma not in index_sets.get(v, ())}
     kept = [e for e in h1 if e[0] in usable and e[1] in usable]
+    prefix = state._prefixes["A"]
     trace = state._trace
     if trace is not None:
         head = {**state._head, "interval": state.interval}
     emissions: list[tuple[Row, str]] = []
     for e, slot in zip(kept, first_fit_slots(kept, state.palette_size)):
-        emissions.append((e, state.color("A", slot)))
+        emissions.append((e, f"{prefix}{slot}"))
         if trace is not None:
             u, v, seq = e
             trace.emit({"kind": "high-assign", **head, "u": u, "v": v, "seq": seq, "slot": slot})
@@ -210,9 +168,17 @@ def step1_high_high(
     if trace is not None:
         for u, v, seq in leftovers:
             trace.emit({"kind": "exile", **head, "u": u, "v": v, "seq": seq})
-    for v in high:
-        state.mark_index_used(v)
+    for v in usable:
+        index_sets.setdefault(v, set()).add(sigma)
+    state._meter.add("index_sets", len(usable))
     return emissions, leftovers, usable
+
+
+# per family: the tally its slot reads, then its cap, conflict and assign cases
+_CASES = {
+    "C": ("counter", "cap-leftover", "counter-conflict", "counter-assign"),
+    "B": ("prior", "index-cap-leftover", "block-conflict", "block-assign"),
+}
 
 
 def step2_high_low(
@@ -242,22 +208,29 @@ def step2_high_low(
 
     emissions: list[tuple[Row, str]] = []
     leftovers: list[Row] = []
-    size, d, width = state.palette_size, state.d, state.block_width
-    prior = state.prior()  # the tallies only move in end_interval
+    size, d, width, cap = state.palette_size, state.d, state.block_width, state.counter_cap
+    sigma, interval = state.sigma, state.interval
+    offsets, counters, window, prefixes = state.offsets, state.counters, state.window, state._prefixes
+    meter = state._meter
+    prior = state.prior_counts.get(sigma, 0)  # the tallies only move in end_interval
     prior_full = prior >= state.prior_cap
-    offsets, window = state.offsets, state.window
     trace = state._trace
     if trace is not None:
         emit = trace.emit
         # each decision's line up to its low endpoint, rendered once per call
         head = json.dumps(
-            {"kind": "mixed-decision", **state._head, "interval": state.interval, "index": state.sigma}
+            {"kind": "mixed-decision", **state._head, "interval": interval, "index": sigma}
         )[:-1] + ", "
 
     for u in sorted(per_low):
-        if deg[u] > width:
-            state.init_counter(u)
-        has_counter = state.counter_of(u) is not None
+        key = (u, sigma)
+        if key not in counters and deg[u] > width:
+            counters[key] = 0
+            meter.add("counters", 1)
+            if trace is not None:
+                emit({"kind": "counter-init", **state._head, "interval": interval,
+                      "vertex": u, "index": sigma})
+        has_counter = key in counters
         r_u = offsets.get(u)
         for b, (v, seq, e) in enumerate(sorted(per_low[u])):
             assigned = False
@@ -277,33 +250,32 @@ def step2_high_low(
                     r_v = state.offset_of(v)
                 if gap_check(r_u, r_v, d, size):
                     case = "gap-leftover"
-                elif has_counter:
-                    tally_key, tally = "counter", state.counter_of(u)
-                    if tally >= state.counter_cap:
-                        case = "cap-leftover"
-                    else:
-                        slot = mod_slot(r_u, tally, size)
-                        if (v, "C", slot) in window:
-                            case = "counter-conflict"
-                        else:
-                            emissions.append((e, state.color("C", slot)))
-                            state.record_slot(v, "C", slot)
-                            assigned = True
-                            case = "counter-assign"
-                elif prior_full:
-                    tally_key, tally, case = "prior", prior, "index-cap-leftover"
                 else:
-                    tally_key, tally = "prior", prior
-                    offset = b + width * prior
-                    assert offset < state.counter_cap  # b < block width when no counter exists
-                    slot = mod_slot(r_u, offset, size)
-                    if (v, "B", slot) in window:
-                        case = "block-conflict"
+                    if has_counter:
+                        family = "C"
+                        tally = offset = counters[key]
+                        full = tally >= cap
                     else:
-                        emissions.append((e, state.color("B", slot)))
-                        state.record_slot(v, "B", slot)
-                        assigned = True
-                        case = "block-assign"
+                        family, tally, full = "B", prior, prior_full
+                        offset = b + width * prior
+                    tally_key, cap_case, conflict_case, assign_case = _CASES[family]
+                    if full:
+                        case = cap_case
+                    else:
+                        assert offset < cap  # b < block width when no counter exists
+                        slot = (r_u + offset) % size
+                        if (v, family, slot) in window:
+                            case = conflict_case
+                        else:
+                            emissions.append((e, f"{prefixes[family]}{slot}"))
+                            # the window is metered per interval, its first word
+                            # here and the rest in end_interval; nothing metered
+                            # shrinks in between, so the peaks match a per-slot charge
+                            if not window:
+                                meter.add("window", 1)
+                            window.add((v, family, slot))
+                            assigned = True
+                            case = assign_case
                 if not assigned:
                     leftovers.append(e)
             if trace is not None:

@@ -145,10 +145,6 @@ class PhaseEngine:
         self._phase_edges = 0
 
     @property
-    def buffered(self) -> int:
-        return len(self._buffer)
-
-    @property
     def room(self) -> int:
         """The edges the current interval still takes."""
         return self.config.interval_size - len(self._buffer)
@@ -233,8 +229,8 @@ class PhaseEngine:
                     phase=self._phase,
                     d=d,
                     sqrt_delta=self.config.sqrt_delta,
-                    index_inserts=state.index_inserts,
-                    counter_creates=state.counter_creates,
+                    index_inserts=sum(map(len, state.index_sets.values())),
+                    counter_creates=len(state.counters),
                     phase_edges=self._phase_edges,
                 )
             )

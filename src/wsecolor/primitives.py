@@ -1,8 +1,7 @@
 """Low-level machinery shared across the engine.
 
-First-fit multigraph edge coloring inside a bounded palette, modular slot
-arithmetic, the circular offset-distance rule, and deterministic
-label-scoped randomness.
+First-fit multigraph edge coloring inside a bounded palette, the circular
+offset-distance rule, and deterministic label-scoped randomness.
 """
 
 from __future__ import annotations
@@ -22,18 +21,10 @@ __all__ = [
     "first_fit_slots",
     "gap_check",
     "greedy_edge_color",
-    "mod_slot",
 ]
 
 _SEED_MASK = 0xFFFFFFFFFFFFFFFF
 _seq = itemgetter(2)
-
-
-def mod_slot(base: int, offset: int, size: int) -> int:
-    """Slot index `offset` positions after `base` on a circular palette."""
-    if size < 1:
-        raise EngineInvariantError(f"palette size must be positive, got {size}")
-    return (base + offset) % size
 
 
 def gap_check(r_u: int, r_v: int, d: int, size: int) -> bool:

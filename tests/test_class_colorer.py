@@ -64,8 +64,8 @@ def test_prior_counts_histogram():
     drawn = []
     for i in range(6):
         sigma = s.begin_interval(i)
-        # prior() reports how many earlier intervals in the phase drew this index
-        assert s.prior() == drawn.count(sigma)
+        # the tally counts the earlier intervals in the phase that drew this index
+        assert s.prior_counts.get(sigma, 0) == drawn.count(sigma)
         drawn.append(sigma)
         s.end_interval()
     for sigma in set(drawn):
@@ -73,55 +73,16 @@ def test_prior_counts_histogram():
 
 
 def test_index_marking():
-    s = make_state()
-    s.begin_interval(0)
-    assert s.index_fresh(5)
-    s.mark_index_used(5)
-    assert not s.index_fresh(5)
-    assert s.index_fresh(6)
-
-
-def test_counter_lifecycle_and_bump_flag():
-    trace = TraceRecorder()
-    s = make_state(trace=trace)
-    s.begin_interval(0)
-    assert s.counter_of(3) is None
-    s.bump_counter(3, assigned=False)  # no counter yet: nothing to advance
-    assert s.counter_of(3) is None
-    s.init_counter(3)
-    assert s.counter_of(3) == 0
-    s.init_counter(3)  # idempotent
-    assert s.counter_of(3) == 0
-    s.bump_counter(3, assigned=True)
-    s.bump_counter(3, assigned=False)
-    assert s.counter_of(3) == 2
-    bumps = [r for r in trace.records if r["kind"] == "counter-bump"]
-    assert [b["assigned"] for b in bumps] == [True, False]
-    assert [b["value"] for b in bumps] == [1, 2]
-
-
-def test_window_cleared_on_interval_end():
-    s = make_state()
-    s.begin_interval(0)
-    s.record_slot(9, "B", 3)
-    assert len(s.window) == 1
-    s.end_interval()
-    assert len(s.window) == 0
-
-
-def test_release_returns_every_word():
     meter = SpaceMeter()
     s = make_state(meter=meter)
     s.begin_interval(0)
-    s.offset_of(1)
-    s.offset_of(2)
-    s.mark_index_used(1)
-    s.init_counter(7)
-    s.record_slot(1, "C", 5)
-    s.end_interval()
-    assert meter.total > 0
-    s.release()
-    assert meter.total == 0
+    step1_high_high([], [], {5}, s)
+    assert s.index_sets == {5: {s.sigma}}
+    # a second pass in the interval exiles 5 and marks only the fresh 6
+    _, _, usable = step1_high_high([], [], {5, 6}, s)
+    assert usable == {6}
+    assert s.index_sets == {5: {s.sigma}, 6: {s.sigma}}
+    assert meter.current["index_sets"] == 2
 
 
 # -- step 2 scenarios (d=4, delta=16, kappa=32: K=256, width=4) --------------
@@ -129,6 +90,56 @@ def test_release_returns_every_word():
 
 def run_step2(state, h2, usable, high, deg):
     return step2_high_low(h2, usable, high, deg, state)
+
+
+def counter(state, u):
+    return state.counters.get((u, state.sigma))
+
+
+def test_counter_lifecycle_and_bump_flag():
+    trace = TraceRecorder()
+    s = make_state(trace=trace)
+    s.begin_interval(0)
+    s.bump_counter(3, assigned=False)  # no counter yet: nothing to advance
+    assert s.counters == {}
+    # gaps 8 (clear of 2d) and 1 (inside it): one assignment, then a deferral
+    s.offsets.update({3: 7, 9: 15, 11: 8})
+    h2 = [Edge(3, 9, 0), Edge(3, 11, 1)]
+    emissions, leftovers = run_step2(s, h2, {9, 11}, {9, 11}, {3: 5, 9: 8, 11: 8})
+    assert [e.seq for e, _ in emissions] == [0] and [e.seq for e in leftovers] == [1]
+    assert s.counters == {(3, s.sigma): 2}
+    # a later call in the interval finds the counter and creates none
+    run_step2(s, [Edge(3, 9, 2)], {9}, {9}, {3: 5, 9: 8})
+    assert counter(s, 3) == 3
+    inits = [r for r in trace.records if r["kind"] == "counter-init"]
+    assert [(r["vertex"], r["index"]) for r in inits] == [(3, s.sigma)]
+    bumps = [r for r in trace.records if r["kind"] == "counter-bump"]
+    assert [b["assigned"] for b in bumps] == [True, False, True]
+    assert [b["value"] for b in bumps] == [1, 2, 3]
+
+
+def test_window_cleared_on_interval_end():
+    s = make_state()
+    s.begin_interval(0)
+    s.offsets.update({3: 7, 9: 15})
+    run_step2(s, [Edge(3, 9, 0)], {9}, {9}, {3: 1, 9: 8})
+    assert s.window == {(9, "B", 7)}
+    s.end_interval()
+    assert s.window == set()
+
+
+def test_release_returns_every_word():
+    meter = SpaceMeter()
+    s = make_state(meter=meter)
+    s.begin_interval(0)
+    h2 = [Edge(3, 9, 0)]
+    _, _, usable = step1_high_high([], h2, {9}, s)
+    run_step2(s, h2, usable, {9}, {3: 5, 9: 8})
+    s.end_interval()
+    held = {c: meter.current[c] for c in ("offsets", "index_sets", "counters", "prior_counts")}
+    assert held == {"offsets": 2, "index_sets": 1, "counters": 1, "prior_counts": 1}
+    s.release()
+    assert meter.total == 0
 
 
 def test_counter_path_frozen_slot():
@@ -142,7 +153,7 @@ def test_counter_path_frozen_slot():
     [color] = decoded(emissions)
     assert (color.kind, color.slot) == ("C", 10)  # (7 + 3) mod 256
     assert color.index == s.sigma
-    assert s.counter_of(3) == 4  # bumped after the assignment
+    assert counter(s, 3) == 4  # bumped after the assignment
     [dec] = [r for r in trace.records if r["kind"] == "mixed-decision"]
     assert dec["case"] == "counter-assign"
     assert dec["low"] == 3 and dec["high"] == 9
@@ -159,6 +170,24 @@ def test_block_path_frozen_slots():
     slots = [(c.kind, c.slot) for c in decoded(emissions)]
     # b walks 0, 1 over the low vertex's edges; block shifted by width * prior
     assert slots == [("B", 11), ("B", 12)]  # (7+0+4*1), (7+1+4*1)
+
+
+def test_slots_wrap_around_the_palette():
+    # d=8, kappa=16: K=256, width 8, counter cap 16; r_u=250 plus offset 10 is slot 4
+    c = make_state(d=8, delta=64, kappa=16)
+    c.begin_interval(0)
+    c.offsets.update({3: 250, 9: 20})  # gap 26, clear of 2d = 16
+    c.counters[(3, c.sigma)] = 10
+    emissions, _ = run_step2(c, [Edge(3, 9, 0)], {9}, {9}, {3: 9, 9: 16})
+    assert [(x.kind, x.slot) for x in decoded(emissions)] == [("C", 4)]
+    b = make_state(d=8, delta=64, kappa=16)
+    b.begin_interval(0)
+    b.offsets.update({3: 250, 9: 20})
+    b.prior_counts[b.sigma] = 1
+    h2 = [Edge(3, 9, seq) for seq in range(3)]
+    emissions, _ = run_step2(b, h2, {9}, {9}, {3: 3, 9: 16})
+    # b + width * prior walks 8, 9, 10 past 250
+    assert [(x.kind, x.slot) for x in decoded(emissions)] == [("B", 2), ("B", 3), ("B", 4)]
 
 
 def test_gap_defers_both_sides():
@@ -180,7 +209,7 @@ def test_counter_cap_defers_but_still_bumps():
     emissions, leftovers = run_step2(s, [Edge(3, 9, 0)], {9}, {9}, {3: 5, 9: 8})
     assert emissions == []
     assert [e.seq for e in leftovers] == [0]
-    assert s.counter_of(3) == 9  # deferred edges advance the counter too
+    assert counter(s, 3) == 9  # deferred edges advance the counter too
 
 
 def test_prior_cap_defers():
@@ -216,7 +245,7 @@ def test_counter_conflict_at_shared_anchor():
     assert [e.seq for e in leftovers] == [1]
     cases = [r["case"] for r in trace.records if r["kind"] == "mixed-decision"]
     assert cases == ["counter-assign", "counter-conflict"]
-    assert s.counter_of(1) == 1 and s.counter_of(2) == 1  # the conflict still bumps
+    assert counter(s, 1) == 1 and counter(s, 2) == 1  # the conflict still bumps
     assert s.window == {(9, "C", 7)}
 
 
@@ -245,7 +274,7 @@ def test_exiled_edges_enumerate_for_counters():
     # v=9 not usable: step 1 already deferred everything it touches
     emissions, leftovers = run_step2(s, [Edge(3, 9, 0)], set(), {9}, {3: 5, 9: 8})
     assert emissions == [] and leftovers == []
-    assert s.counter_of(3) == 1  # created (degree 5 > width 4) and advanced
+    assert counter(s, 3) == 1  # created (degree 5 > width 4) and advanced
 
 
 def test_counter_created_only_past_width():
@@ -253,7 +282,7 @@ def test_counter_created_only_past_width():
     s.begin_interval(0)
     s.offsets.update({3: 7, 9: 15})
     run_step2(s, [Edge(3, 9, 0)], {9}, {9}, {3: 4, 9: 8})  # degree == width: no counter
-    assert s.counter_of(3) is None
+    assert s.counters == {}
 
 
 def test_low_vertices_visited_in_ascending_id():
@@ -280,7 +309,7 @@ def test_step1_colors_fresh_high_pairs():
     slots = [c.slot for c in decoded(emissions)]
     assert slots == [0, 1]  # first fit over parallel edges
     assert all(c.kind == "A" for c in decoded(emissions))
-    assert not s.index_fresh(5) and not s.index_fresh(6)
+    assert s.index_sets == {5: {s.sigma}, 6: {s.sigma}}
 
 
 def test_step1_exiles_stale_vertices_wholesale():
@@ -302,7 +331,7 @@ def test_step1_marks_index_at_every_high_vertex():
     s = make_state()
     s.begin_interval(0)
     step1_high_high([], [Edge(3, 9, 0)], {9}, s)
-    assert not s.index_fresh(9)
+    assert s.index_sets == {9: {s.sigma}}
 
 
 def test_repeat_index_next_interval_exiles():
@@ -320,7 +349,9 @@ def test_repeat_index_next_interval_exiles():
 def test_color_fields_carry_class_identity():
     s = make_state(d=8, delta=64)
     s.begin_interval(2)
-    color = decode_color(s.color("B", 17))
+    s.offsets.update({3: 17, 9: 100})
+    [(_, token)], _ = run_step2(s, [Edge(3, 9, 0)], {9}, {9}, {3: 1, 9: 16})
+    color = decode_color(token)
     assert (color.epoch, color.level, color.phase, color.d) == (0, 0, 0, 8)
     assert color.kind == "B"
     assert color.index == s.sigma

@@ -117,12 +117,12 @@ def test_buffering_holds_until_interval_full():
     pairs = [(0, 1), (2, 3), (4, 5)]
     emissions, leftovers = feed_all(engine, make_edges(pairs))
     assert emissions == [] and leftovers == []
-    assert engine.buffered == 3
+    assert engine.room == 1
     # the buffer is charged when its interval is processed, not per edge
     assert meter.total == 0
     em, left = engine.ingest([Edge(6, 7, 3)])
     assert len(em) + len(left) == 4
-    assert engine.buffered == 0
+    assert engine.room == 4
     assert meter.category_peaks["buffer"] == 4
     assert meter.current["buffer"] == 0
 
@@ -178,10 +178,10 @@ def test_ingest_takes_a_whole_interval_in_one_call():
     engine, meter, _ = make_engine(cfg)
     edges = make_edges([(0, 1), (2, 3), (4, 5), (6, 7), (0, 2), (1, 3)])
     assert engine.ingest(edges[:2]) == ([], [])
-    assert (engine.buffered, engine.room) == (2, 2)
+    assert engine.room == 2
     em, left = engine.ingest(edges[2:4])
     assert sorted(e.seq for e, _ in em) + sorted(e.seq for e in left) == [0, 1, 2, 3]
-    assert (engine.buffered, engine.room) == (0, 4)
+    assert engine.room == 4
     assert meter.category_peaks["buffer"] == 4
 
 
@@ -270,7 +270,7 @@ def test_flush_colors_first_partial_interval_as_base_case():
     assert {c.kind for c in decoded(emissions)} == {"BASE"}
     assert find_conflicts(emissions) == []
     engine.close()
-    assert engine.buffered == 0
+    assert engine.room == cfg.interval_size
     assert meter.total == 0
     metrics = collector.build(config=cfg, engines=[engine], input_edges=3, wall_ms=0.0)
     assert metrics.base_cases == {(0, 0): 3}

@@ -1,5 +1,4 @@
-"""Slot arithmetic, the offset-distance rule, first-fit coloring, and
-scoped randomness."""
+"""The offset-distance rule, first-fit coloring, and scoped randomness."""
 
 import pytest
 from hypothesis import given
@@ -11,26 +10,9 @@ from wsecolor.primitives import (
     first_fit_slots,
     gap_check,
     greedy_edge_color,
-    mod_slot,
 )
 
 from support import find_conflicts, make_edges
-
-
-def test_mod_slot_frozen():
-    assert mod_slot(250, 10, 256) == 4
-    assert mod_slot(0, 0, 1) == 0
-    assert mod_slot(7, 3, 256) == 10
-
-
-def test_mod_slot_rejects_empty_palette():
-    with pytest.raises(EngineInvariantError):
-        mod_slot(1, 1, 0)
-
-
-@given(st.integers(0, 10**6), st.integers(0, 10**6), st.integers(1, 4096))
-def test_mod_slot_in_range(base, offset, size):
-    assert 0 <= mod_slot(base, offset, size) < size
 
 
 # frozen circular distances for K=256, d=4: defer iff gap < 8 or gap > 248

@@ -1,5 +1,5 @@
-"""Source hygiene: every name a module of the package imports is used, the
-parsed color form stays at the modules that parse or re-export it, the
+"""Source hygiene: every name a module of the package imports is used, every
+function and method it defines is named somewhere in it, the parsed color form stays at the modules that parse or re-export it, the
 release gates stay defined in one module, the file readers build no
 per-line Edge, and importing the command line loads no module a run does
 not use."""
@@ -57,6 +57,62 @@ def test_unused_imports_are_found():
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+def dead_definitions(sources: dict[str, str]) -> list[str]:
+    """Module-level functions and class methods that no source names.  A
+    definition counts as named when any of the sources reads its name as a
+    name or an attribute, or lists it in an __all__; dunders are exempt."""
+    defined: list[tuple[str, str, str]] = []
+    named: set[str] = set()
+    for module, source in sources.items():
+        tree = ast.parse(source)
+        for node in tree.body:
+            if isinstance(node, ast.FunctionDef):
+                defined.append((module, node.name, node.name))
+            elif isinstance(node, ast.ClassDef):
+                defined += [
+                    (module, f"{node.name}.{fn.name}", fn.name)
+                    for fn in node.body
+                    if isinstance(fn, ast.FunctionDef)
+                ]
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                named.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                named.add(node.attr)
+            elif isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+            ):
+                named.update(ast.literal_eval(node.value))
+    return [
+        f"{module}: {qualified}"
+        for module, qualified, name in defined
+        if name not in named and not (name.startswith("__") and name.endswith("__"))
+    ]
+
+
+def test_dead_definitions_are_found():
+    sources = {
+        "a.py": (
+            "__all__ = ['exported']\n"
+            "def exported(): pass\n"
+            "def helper(): pass\n"
+            "def dead(): return helper()\n"
+            "class Store:\n"
+            "    def __len__(self): return 0\n"
+            "    @property\n"
+            "    def size(self): return 1\n"
+            "    def unread(self): return self.size\n"
+        ),
+        "b.py": "from .a import Store\nx = Store().unread\ndef orphan():\n    pass\n",
+    }
+    assert dead_definitions(sources) == ["a.py: dead", "b.py: orphan"]
+
+
+def test_no_dead_definitions():
+    sources = {path.name: path.read_text(encoding="utf-8") for path in SOURCES}
+    assert dead_definitions(sources) == []
 
 
 # the engine passes colors as token strings; only these modules may name the
