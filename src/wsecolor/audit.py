@@ -12,8 +12,7 @@ from __future__ import annotations
 import json
 import math
 from array import array
-from dataclasses import asdict, dataclass
-from typing import IO, Iterable
+from typing import IO, Iterable, NamedTuple
 
 from .model import Edge, EngineInvariantError, RunConfig, epoch_config
 from .primitives import RandomSource
@@ -145,8 +144,7 @@ class SpaceMeter:
 # run metrics
 
 
-@dataclass(frozen=True)
-class ScopeStat:
+class ScopeStat(NamedTuple):
     """Distinct-color usage of one palette scope against its budget."""
 
     kind: str  # "class" | "low" | "base" | "fresh"
@@ -159,8 +157,7 @@ class ScopeStat:
     interval: int | None = None
 
 
-@dataclass(frozen=True)
-class ClassPhaseStat:
+class ClassPhaseStat(NamedTuple):
     """Per-(phase, class) structural tallies used by the space check."""
 
     epoch: int
@@ -177,8 +174,7 @@ def _level_key(epoch: int, level: int) -> str:
     return f"e{epoch}.l{level}"
 
 
-@dataclass
-class RunMetrics:
+class RunMetrics(NamedTuple):
     """Everything a finished run reports about itself.
 
     Dict fields are keyed by (epoch, level) tuples in memory and by
@@ -211,7 +207,13 @@ class RunMetrics:
     def to_dict(self) -> dict:
         """The fields in declaration order, after a schema tag; every dict
         field but config is re-keyed by level and sorted."""
-        doc = {"schema": "wsecolor-metrics-v1", **asdict(self)}
+        doc = {
+            "schema": "wsecolor-metrics-v1",
+            **self._asdict(),
+            "config": self.config._asdict(),
+            "scopes": [s._asdict() for s in self.scopes],
+            "class_phase_stats": [s._asdict() for s in self.class_phase_stats],
+        }
         for name, value in doc.items():
             if isinstance(value, dict) and name != "config":
                 doc[name] = {_level_key(e, l): v for (e, l), v in sorted(value.items())}
@@ -319,8 +321,7 @@ class MetricsCollector:
 # output verification
 
 
-@dataclass(frozen=True)
-class VerifyResult:
+class VerifyResult(NamedTuple):
     """Outcome of verify_proper: ok, a color conflict, or a multiset
     mismatch between input and output."""
 
@@ -697,8 +698,7 @@ def depth_gate(runs: list[RunMetrics], delta: int) -> tuple[bool, str]:
     return within >= math.ceil(0.9 * len(runs)) and fallbacks == 0, detail
 
 
-@dataclass(frozen=True)
-class LeftoverReport:
+class LeftoverReport(NamedTuple):
     runs: int
     mean: float
     ci_low: float

@@ -20,7 +20,6 @@ import math
 import os
 import sys
 import time
-from dataclasses import asdict
 from typing import IO, Callable, ContextManager, Iterator
 
 from .audit import (
@@ -148,6 +147,15 @@ def _run_from_file(args: argparse.Namespace, baseline: bool) -> int:
             raise StreamInputError("reading from stdin requires an explicit --out path")
         out_path = args.stream + ".colored"
     trace_path = getattr(args, "trace", None)
+    # staged files replace their targets one by one, so two outputs on one
+    # file would leave only the last; stdout and devices are written in place
+    named: dict[str, str] = {}
+    for option, path in (("--out", out_path), ("--metrics", args.metrics), ("--trace", trace_path)):
+        if path is None or path == "-" or (os.path.exists(path) and not os.path.isfile(path)):
+            continue
+        first = named.setdefault(os.path.realpath(path), option)
+        if first != option:
+            raise StreamInputError(f"{first} and {option} name the same file {path!r}")
     with _staged_outputs() as open_out, _open_in(args.stream) as fh:
         header, body = read_stream(fh)
         config = resolve_config(
@@ -166,7 +174,7 @@ def _run_from_file(args: argparse.Namespace, baseline: bool) -> int:
             out=out_path,
             metrics=args.metrics,
             trace=trace_path,
-            config=asdict(config),
+            config=config._asdict(),
         )
         # the trace streams into its staged file as the run goes
         with open_out(trace_path) if trace_path else contextlib.nullcontext() as tfh:

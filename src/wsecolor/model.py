@@ -7,14 +7,13 @@ family, palette index, slot), and two colors are equal exactly when every
 coordinate matches.  Palette disjointness is therefore a construction
 property, and a color exists only once an edge actually receives it.  The
 engine passes each color as its canonical token string; ColorId is the
-parsed, validated form that decode_color returns.
+parsed form that decode_color returns.
 """
 
 from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass, field, replace
 from typing import NamedTuple, NoReturn
 
 __all__ = [
@@ -52,7 +51,6 @@ class EngineInvariantError(RuntimeError):
 KIND_BASE = "BASE"
 KIND_LOW = "LOW"
 FAMILIES = ("A", "B", "C")
-_KINDS = frozenset((KIND_BASE, KIND_LOW, *FAMILIES))
 
 
 class Edge(NamedTuple):
@@ -74,16 +72,14 @@ class Edge(NamedTuple):
 Row = tuple[int, int, int]
 
 
-@dataclass(frozen=True, slots=True)
-class ColorId:
-    """A structured color name.
+class ColorId(NamedTuple):
+    """A structured color name, as decode_color returns it.
 
     kind selects the namespace: BASE for the whole-buffer base case, LOW for
     per-interval fresh palettes (the under-threshold bucket, the baseline,
     and the depth-cap fallback), and A/B/C for the three per-class palette
-    families.  Fields not used by a kind stay None.  token is the canonical
-    string, rendered once when the color is built; equality and hashing
-    agree because the token is a function of the compared fields.
+    families.  Fields not used by a kind stay None.  Nothing checks them
+    here: decode_color's pattern admits only fields that fit their kind.
     """
 
     epoch: int
@@ -94,48 +90,6 @@ class ColorId:
     interval: int | None = None
     d: int | None = None
     index: int | None = None
-    token: str = field(init=False, compare=False, repr=False)
-
-    def __post_init__(self) -> None:
-        if self.kind not in _KINDS:
-            raise ValueError(f"unknown color kind {self.kind!r}")
-        if self.epoch < 0 or self.level < 0 or self.slot < 0:
-            raise ValueError("epoch, level, and slot must be non-negative")
-        if self.kind == KIND_BASE:
-            if (self.phase, self.interval, self.d, self.index) != (None, None, None, None):
-                raise ValueError("base colors carry no phase/interval/class fields")
-        elif self.kind == KIND_LOW:
-            if self.phase is None or self.interval is None:
-                raise ValueError("interval colors need phase and interval")
-            if self.d is not None or self.index is not None:
-                raise ValueError("interval colors carry no class fields")
-        else:
-            if self.phase is None or self.d is None or self.index is None:
-                raise ValueError("palette-family colors need phase, class, and index")
-            if self.interval is not None:
-                raise ValueError("palette-family colors carry no interval field")
-            if self.index < 1:
-                raise ValueError("palette index is 1-based")
-        token = token_prefix(self.epoch, self.level, self.kind, phase=self.phase,
-                             interval=self.interval, d=self.d, index=self.index) + str(self.slot)
-        object.__setattr__(self, "token", token)
-
-    def __hash__(self) -> int:
-        return hash(self.token)
-
-    @classmethod
-    def base(cls, epoch: int, level: int, slot: int) -> ColorId:
-        return cls(epoch, level, KIND_BASE, slot)
-
-    @classmethod
-    def low(cls, epoch: int, level: int, phase: int, interval: int, slot: int) -> ColorId:
-        return cls(epoch, level, KIND_LOW, slot, phase=phase, interval=interval)
-
-    @classmethod
-    def palette(
-        cls, epoch: int, level: int, phase: int, d: int, family: str, index: int, slot: int
-    ) -> ColorId:
-        return cls(epoch, level, family, slot, phase=phase, d=d, index=index)
 
 
 def token_prefix(epoch: int, level: int, kind: str, *, phase: int | None = None,
@@ -153,7 +107,8 @@ def token_prefix(epoch: int, level: int, kind: str, *, phase: int | None = None,
 
 def encode_color(color: ColorId) -> str:
     """Render a ColorId as its canonical dotted string."""
-    return color.token
+    epoch, level, kind, slot, phase, interval, d, index = color
+    return token_prefix(epoch, level, kind, phase=phase, interval=interval, d=d, index=index) + str(slot)
 
 
 _FAMILY_TOKEN = re.compile(r"([ABC])(0*[1-9][0-9]*)\Z")  # palette indices are 1-based
@@ -186,10 +141,10 @@ def decode_color(text: str) -> ColorId:
         _reject(text)
     epoch, level, base_slot, phase, interval, d, family, index, slot = match.groups()
     if base_slot is not None:
-        return ColorId.base(int(epoch), int(level), int(base_slot))
+        return ColorId(int(epoch), int(level), KIND_BASE, int(base_slot))
     if interval is not None:
-        return ColorId.low(int(epoch), int(level), int(phase), int(interval), int(slot))
-    return ColorId.palette(int(epoch), int(level), int(phase), int(d), family, int(index), int(slot))
+        return ColorId(int(epoch), int(level), KIND_LOW, int(slot), phase=int(phase), interval=int(interval))
+    return ColorId(int(epoch), int(level), family, int(slot), phase=int(phase), d=int(d), index=int(index))
 
 
 def _reject(text: str) -> NoReturn:
@@ -241,8 +196,7 @@ def normalize_delta(raw: int) -> int:
     return value
 
 
-@dataclass(frozen=True)
-class RunConfig:
+class RunConfig(NamedTuple):
     """Fully resolved run parameters: the values a run is configured with.
 
     declared_delta is the degree bound as the caller gave it, and a known
@@ -333,4 +287,4 @@ def epoch_config(config: RunConfig, epoch: int) -> RunConfig:
     the normalized 2**e."""
     if config.delta_mode == "known":
         return config
-    return replace(config, delta=normalize_delta(1 << epoch))
+    return config._replace(delta=normalize_delta(1 << epoch))

@@ -7,8 +7,8 @@ offset-distance rule, and deterministic label-scoped randomness.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from operator import itemgetter
+from typing import NamedTuple
 
 # hashlib serves blake2b from _blake2 (never from OpenSSL), so the draws are
 # the same; importing it directly keeps OpenSSL unloaded
@@ -82,8 +82,7 @@ def greedy_edge_color(
     return [(e, palette[s]) for e, s in zip(ordered, first_fit_slots(ordered, len(palette)))]
 
 
-@dataclass(frozen=True)
-class RandomSource:
+class RandomSource(NamedTuple):
     """Deterministic randomness scoped by a label path.
 
     Draws depend only on (seed, path): equal seed and path always replay the

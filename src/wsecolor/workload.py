@@ -11,10 +11,9 @@ from __future__ import annotations
 
 import random
 from collections import Counter
-from dataclasses import dataclass
 from itertools import count, repeat, starmap
 from operator import itemgetter
-from typing import IO, Iterable, Iterator
+from typing import IO, Iterable, Iterator, NamedTuple
 
 from .model import Row, StreamInputError, decode_color, encode_color
 
@@ -41,8 +40,7 @@ class StreamFormatError(StreamInputError):
     """A stream or colored file failed to parse; message carries the line."""
 
 
-@dataclass(frozen=True)
-class StreamHeader:
+class StreamHeader(NamedTuple):
     n: int
     delta: int
     m: int

@@ -1,7 +1,6 @@
 """The verifier, the trace audits, the statistics helpers, and the
 dual-run counter check with its regression canary."""
 
-import dataclasses
 import io
 import json
 from collections import Counter
@@ -121,7 +120,7 @@ def test_verify_reads_a_one_shot_input_iterator_like_a_list(case):
     colored, edges = _path_cases()[case]
     from_list = verify_proper(colored, edges)
     from_iter = verify_proper(colored, (e for e in edges))
-    # dataclass equality: status, detail, first, second and color all match
+    # record equality: status, detail, first, second and color all match
     assert from_iter == from_list
     assert from_list.status == {"ok": "ok", "conflict": "conflict"}.get(case, "mismatch")
 
@@ -487,7 +486,7 @@ def test_color_budget_clean_run():
 
 def test_color_budget_flags_overflow():
     _, _, metrics, _ = color_run(64, 16, 256, seed=0)
-    inflated = dataclasses.replace(metrics, colors_used=10**9)
+    inflated = metrics._replace(colors_used=10**9)
     _, _, violations = color_budget_check(inflated)
     assert violations
 
@@ -590,9 +589,9 @@ def test_trace_audit_counts_the_assignments_it_audits():
 def test_depth_gate_frozen_thresholds():
     def runs(deep, fallbacks=0):
         shallow = fake_metrics(input_edges=100, leftover0=0)
-        too_deep = dataclasses.replace(shallow, depth=17)  # bound at delta 64 is 16
+        too_deep = shallow._replace(depth=17)  # bound at delta 64 is 16
         out = [too_deep] * deep + [shallow] * (20 - deep)
-        out[-1] = dataclasses.replace(out[-1], fallback_intervals=fallbacks)
+        out[-1] = out[-1]._replace(fallback_intervals=fallbacks)
         return out
 
     assert depth_gate(runs(2), 64) == (True, "18/20 runs within depth 16, 0 fallback intervals")
@@ -604,7 +603,7 @@ def test_space_gate_frozen_thresholds():
     def pair(ratio, stats=()):
         small = fake_metrics(input_edges=1, leftover0=0)
         big = fake_metrics(input_edges=1, leftover0=0, peak0=100 * ratio)
-        return small, dataclasses.replace(big, class_phase_stats=list(stats))
+        return small, big._replace(class_phase_stats=list(stats))
 
     assert SPACE_RATIO_LIMIT == 2.5
     detail = "mean level-0 peak ratio 2.500 at doubled n (limit 2.5), 0 structural findings"

@@ -528,6 +528,37 @@ def test_color_replaces_existing_outputs_on_success(stream_path, tmp_path, capsy
     assert not [p for p in tmp_path.iterdir() if p.name.endswith(".tmp")]
 
 
+@pytest.mark.parametrize(
+    "command, first, second",
+    [
+        ("color", "--out", "--metrics"),
+        ("color", "--out", "--trace"),
+        ("color", "--metrics", "--trace"),
+        ("baseline", "--out", "--metrics"),
+    ],
+)
+def test_two_outputs_on_one_file_are_rejected_without_output(command, first, second, stream_path, tmp_path, capsys):
+    # each staged output replaces its target, so one file could keep only one
+    paths = {"--out": str(tmp_path / "o.colored"), "--metrics": str(tmp_path / "m.json")}
+    if command == "color":
+        paths["--trace"] = str(tmp_path / "t.jsonl")
+    paths[first] = str(tmp_path / "same.txt")
+    paths[second] = f"{tmp_path}/./same.txt"  # another spelling of the same file
+    argv = [arg for option, path in paths.items() for arg in (option, path)]
+    code, _, err = run_cli(capsys, command, str(stream_path), *argv)
+    assert code == 2
+    assert f"{first} and {second} name the same file" in err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["g.wse"]
+
+
+def test_outputs_on_stdout_or_a_device_may_coincide(stream_path, capsys):
+    code, out, _ = run_cli(
+        capsys, "color", str(stream_path), "--out", "/dev/null", "--metrics", "-", "--trace", "/dev/null"
+    )
+    assert code == 0
+    assert json.loads(out)["input_edges"] == 256
+
+
 def test_baseline_output_verifies(stream_path, tmp_path, capsys):
     out_path = tmp_path / "b.colored"
     code, out, _ = run_cli(

@@ -33,10 +33,9 @@ def counted(calls, key, fn):
 def counts(monkeypatch):
     """Count calls to encode_color (wherever it was imported by name),
     SpaceMeter.add, MetricsCollector.note_emission, StreamColorer.feed,
-    PhaseEngine.ingest, the validation of every ColorId built through its
-    dataclass constructor, and every Edge(...) construction."""
+    PhaseEngine.ingest, and every ColorId(...) and Edge(...) construction."""
     calls = dict.fromkeys(
-        ("encode_color", "SpaceMeter.add", "note_emission", "ColorId.__post_init__", "feed", "ingest", "Edge"), 0
+        ("encode_color", "SpaceMeter.add", "note_emission", "ColorId", "feed", "ingest", "Edge"), 0
     )
     original = wsecolor.model.encode_color
     wrapped = counted(calls, "encode_color", original)
@@ -49,11 +48,9 @@ def counts(monkeypatch):
         "note_emission",
         counted(calls, "note_emission", MetricsCollector.note_emission),
     )
-    monkeypatch.setattr(
-        ColorId, "__post_init__", counted(calls, "ColorId.__post_init__", ColorId.__post_init__)
-    )
     monkeypatch.setattr(StreamColorer, "feed", counted(calls, "feed", StreamColorer.feed))
     monkeypatch.setattr(PhaseEngine, "ingest", counted(calls, "ingest", PhaseEngine.ingest))
+    monkeypatch.setattr(ColorId, "__new__", counted(calls, "ColorId", ColorId.__new__))
     monkeypatch.setattr(Edge, "__new__", counted(calls, "Edge", Edge.__new__))
     return calls
 
@@ -90,7 +87,7 @@ def test_color_path_does_per_interval_bookkeeping(tmp_path, capsys, counts):
     # colors are written as the tokens the palettes hold: nothing encodes
     # a color or builds a ColorId on the way to the file
     assert counts["encode_color"] == 0
-    assert counts["ColorId.__post_init__"] == 0
+    assert counts["ColorId"] == 0
     assert counts["SpaceMeter.add"] < 0.1 * M
     assert counts["note_emission"] < 0.1 * M
     # the file's int rows reach the engines as they are, an interval at a
@@ -105,7 +102,7 @@ def test_color_path_does_per_interval_bookkeeping(tmp_path, capsys, counts):
     heads = {token.rpartition(".")[0] for token in tokens}
     assert main(["verify", str(out), str(stream)]) == 0
     capsys.readouterr()
-    assert counts["encode_color"] == counts["ColorId.__post_init__"] == len(heads)
+    assert counts["encode_color"] == counts["ColorId"] == len(heads)
     assert len(heads) < len(tokens)
 
 
@@ -125,7 +122,7 @@ def test_class_path_meters_per_interval(tmp_path, capsys, counts):
     capsys.readouterr()
 
     assert counts["encode_color"] == 0
-    assert counts["ColorId.__post_init__"] == 0
+    assert counts["ColorId"] == 0
     assert counts["SpaceMeter.add"] < 0.2 * m
     assert counts["Edge"] == 0
     assert 0 < counts["feed"] < 0.1 * m

@@ -1,6 +1,5 @@
 """Color identifiers, their wire format, and config resolution."""
 
-import dataclasses
 import re
 
 import pytest
@@ -49,17 +48,17 @@ def test_normalize_delta_properties(raw):
 
 
 def test_encode_frozen_strings():
-    assert encode_color(ColorId.base(0, 2, 5)) == "E0.L2.BASE.5"
-    assert encode_color(ColorId.low(1, 0, 3, 12, 7)) == "E1.L0.P3.I12.LOW.7"
-    assert encode_color(ColorId.palette(0, 1, 2, 8, "B", 17, 42)) == "E0.L1.P2.D8.B17.42"
-    assert encode_color(ColorId.palette(0, 0, 0, 4, "A", 1, 0)) == "E0.L0.P0.D4.A1.0"
-    assert encode_color(ColorId.palette(2, 3, 1, 16, "C", 99, 511)) == "E2.L3.P1.D16.C99.511"
+    assert encode_color(ColorId(0, 2, "BASE", 5)) == "E0.L2.BASE.5"
+    assert encode_color(ColorId(1, 0, "LOW", 7, phase=3, interval=12)) == "E1.L0.P3.I12.LOW.7"
+    assert encode_color(ColorId(0, 1, "B", 42, phase=2, d=8, index=17)) == "E0.L1.P2.D8.B17.42"
+    assert encode_color(ColorId(0, 0, "A", 0, phase=0, d=4, index=1)) == "E0.L0.P0.D4.A1.0"
+    assert encode_color(ColorId(2, 3, "C", 511, phase=1, d=16, index=99)) == "E2.L3.P1.D16.C99.511"
 
 
 def test_decode_frozen_strings():
-    assert decode_color("E0.L2.BASE.5") == ColorId.base(0, 2, 5)
-    assert decode_color("E1.L0.P3.I12.LOW.7") == ColorId.low(1, 0, 3, 12, 7)
-    assert decode_color("E0.L1.P2.D8.B17.42") == ColorId.palette(0, 1, 2, 8, "B", 17, 42)
+    assert decode_color("E0.L2.BASE.5") == ColorId(0, 2, "BASE", 5)
+    assert decode_color("E1.L0.P3.I12.LOW.7") == ColorId(1, 0, "LOW", 7, phase=3, interval=12)
+    assert decode_color("E0.L1.P2.D8.B17.42") == ColorId(0, 1, "B", 42, phase=2, d=8, index=17)
 
 
 BAD_TOKENS = [
@@ -112,17 +111,17 @@ def color_ids(draw):
     which = draw(st.sampled_from(["base", "low", "palette"]))
     epoch, level, slot = draw(nonneg), draw(nonneg), draw(nonneg)
     if which == "base":
-        return ColorId.base(epoch, level, slot)
+        return ColorId(epoch, level, "BASE", slot)
     if which == "low":
-        return ColorId.low(epoch, level, draw(nonneg), draw(nonneg), slot)
-    return ColorId.palette(
+        return ColorId(epoch, level, "LOW", slot, phase=draw(nonneg), interval=draw(nonneg))
+    return ColorId(
         epoch,
         level,
-        draw(nonneg),
-        draw(st.sampled_from([4, 8, 16, 32, 256])),
         draw(st.sampled_from(["A", "B", "C"])),
-        draw(st.integers(min_value=1, max_value=8192)),
         slot,
+        phase=draw(nonneg),
+        d=draw(st.sampled_from([4, 8, 16, 32, 256])),
+        index=draw(st.integers(min_value=1, max_value=8192)),
     )
 
 
@@ -140,17 +139,44 @@ def test_encoding_is_injective(a, b):
 @given(color_ids(), st.integers(min_value=0, max_value=2))
 def test_pattern_parse_matches_field_parse(color, pad):
     # zero-padded numbers are not canonical but still decode to the same color
-    text = re.sub(r"([0-9]+)", lambda m: "0" * pad + m.group(1), color.token)
-    assert decode_color(text) == color
-
-
-@given(color_ids())
-def test_token_is_the_encoding_and_stays_out_of_repr(color):
-    assert encode_color(color) == color.token
-    twin = decode_color(color.token)
+    text = re.sub(r"([0-9]+)", lambda m: "0" * pad + m.group(1), encode_color(color))
+    twin = decode_color(text)
     assert twin == color and twin is not color
     assert hash(twin) == hash(color)
-    assert "token" not in repr(color)
+
+
+# the optional fields each kind of color carries; ColorId checks nothing,
+# so decode_color must yield only colors that keep these rules
+OPTIONAL_FIELDS = ("phase", "interval", "d", "index")
+FIELDS_OF_KIND = {"BASE": (), "LOW": ("phase", "interval"), **dict.fromkeys("ABC", ("phase", "d", "index"))}
+
+# every token shape, each number a digit run with leading zeros allowed
+_digits = st.from_regex(r"[0-9]{1,4}", fullmatch=True)
+color_texts = st.one_of(
+    st.builds("E{}.L{}.BASE.{}".format, _digits, _digits, _digits),
+    st.builds("E{}.L{}.P{}.I{}.LOW.{}".format, _digits, _digits, _digits, _digits, _digits),
+    st.builds(
+        "E{}.L{}.P{}.D{}.{}{}.{}".format,
+        _digits, _digits, _digits, _digits, st.sampled_from("ABC"), _digits, _digits,
+    ),
+)
+
+
+@given(color_texts)
+def test_decoded_colors_keep_the_field_rules_of_their_kind(text):
+    try:
+        color = decode_color(text)
+    except ColorFormatError:
+        # a family index of zero, however padded, is the one shape rejected
+        assert re.fullmatch(r".*\.[ABC]0+\.[0-9]+", text)
+        return
+    assert color.kind in FIELDS_OF_KIND
+    present = tuple(name for name in OPTIONAL_FIELDS if getattr(color, name) is not None)
+    assert present == FIELDS_OF_KIND[color.kind]
+    if color.index is not None:
+        assert color.index >= 1
+    ints = [x for x in color if type(x) is int]
+    assert len(ints) == 3 + len(present) and min(ints) >= 0
 
 
 # -- config resolution -------------------------------------------------------
@@ -229,11 +255,11 @@ def test_seed_masked_to_64_bits():
 
 def test_config_holds_only_the_values_a_run_chooses():
     cfg = resolve_config(n=8, delta=5, seed=9, m=20, delta_mode="unknown")
-    assert [f.name for f in dataclasses.fields(cfg)] == [
+    assert list(cfg._fields) == [
         "n", "delta", "declared_delta", "kappa", "interval_size", "max_depth", "seed", "delta_mode",
     ]
     assert (cfg.delta, cfg.declared_delta, cfg.seed) == (16, 5, 9)
     # an epoch runs at its own normalized bound; the declared one stays
     lower = epoch_config(cfg, 5)
     assert (lower.delta, lower.declared_delta) == (64, 5)
-    assert lower == dataclasses.replace(cfg, delta=64)
+    assert lower == cfg._replace(delta=64)

@@ -223,7 +223,8 @@ def test_generator_builds_no_edges():
 
 # OpenSSL (which `import hashlib` loads) and statistics with decimal are
 # megabytes of every color, verify and gen child's resident floor
-UNUSED_AT_RUNTIME = ("_hashlib", "statistics", "decimal")
+# dataclasses pulls in inspect, with ast, dis and tokenize: about 1 MB more
+UNUSED_AT_RUNTIME = ("_hashlib", "statistics", "decimal", "dataclasses", "inspect")
 
 
 def test_cli_import_leaves_unused_modules_unloaded():

@@ -327,9 +327,9 @@ def test_stream_format_error_is_an_input_error():
 
 def test_colored_roundtrip():
     emissions = [
-        (Edge(0, 1, 0), encode_color(ColorId.base(0, 0, 3))),
-        (Edge(1, 2, 1), encode_color(ColorId.palette(0, 1, 2, 8, "B", 17, 42))),
-        (Edge(2, 3, 2), encode_color(ColorId.low(1, 0, 3, 12, 7))),
+        (Edge(0, 1, 0), encode_color(ColorId(0, 0, "BASE", 3))),
+        (Edge(1, 2, 1), encode_color(ColorId(0, 1, "B", 42, phase=2, d=8, index=17))),
+        (Edge(2, 3, 2), encode_color(ColorId(1, 0, "LOW", 7, phase=3, interval=12))),
     ]
     fh = io.StringIO()
     write_colored(fh, emissions)
@@ -355,7 +355,7 @@ def test_colored_spellings_of_one_color_read_as_one_canonical_token():
     colors = [color for _, color in read_colored(io.StringIO(text))]
     assert colors == ["E0.L0.BASE.3"] * 3
     assert len({id(color) for color in colors}) == 1
-    assert decode_color(colors[0]) == ColorId.base(0, 0, 3)
+    assert decode_color(colors[0]) == ColorId(0, 0, "BASE", 3)
 
 
 def test_colored_known_head_with_a_padded_slot_reads_as_the_canonical_token():
@@ -456,10 +456,10 @@ def test_colored_file_supports_the_verifier(tmp_path):
 
 _small = st.integers(0, 99)
 _tokens = st.one_of(
-    st.builds(ColorId.base, _small, _small, _small),
-    st.builds(ColorId.low, _small, _small, _small, _small, _small),
+    st.builds(ColorId, _small, _small, st.just("BASE"), _small),
+    st.builds(ColorId, _small, _small, st.just("LOW"), _small, phase=_small, interval=_small),
     st.builds(
-        ColorId.palette, _small, _small, _small, _small, st.sampled_from(FAMILIES), st.integers(1, 99), _small
+        ColorId, _small, _small, st.sampled_from(FAMILIES), _small, phase=_small, d=_small, index=st.integers(1, 99)
     ),
 ).map(encode_color)
 
