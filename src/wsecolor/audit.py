@@ -271,7 +271,7 @@ class MetricsCollector:
         self, *, config: RunConfig, engines: Iterable, input_edges: int, wall_ms: float
     ) -> RunMetrics:
         """engines are the run's PhaseEngines, in epoch and level order.
-        From each, build reads epoch, level, role, interval_index (its
+        From each, build reads epoch, level, fresh, interval_index (its
         interval count), phases, deferred (edges deferred by its class
         intervals), base_bound (the degree bound of its base case, or None)
         and meter (its SpaceMeter).  A level's peaks appear only if its
@@ -309,7 +309,7 @@ class MetricsCollector:
             peak_words_by_category={
                 k: dict(x.meter.category_peaks) for k, x in levels.items() if x.meter.peak
             },
-            fallback_intervals=sum(x.interval_index for x in levels.values() if x.role == "fallback"),
+            fallback_intervals=sum(x.interval_index for x in levels.values() if x.fresh),
             base_cases={k: x.base_bound for k, x in levels.items() if x.base_bound is not None},
             scopes=scope_stats,
             class_phase_stats=list(self._class_phase_stats),

@@ -13,7 +13,6 @@ from __future__ import annotations
 import argparse
 import contextlib
 import csv
-import functools
 import io
 import json
 import math
@@ -34,7 +33,7 @@ from .audit import (
     verify_proper,
 )
 from .model import EngineInvariantError, Row, RunConfig, StreamInputError, resolve_config
-from .pipeline import StreamColorer, run_baseline, run_stream
+from .pipeline import StreamColorer, baseline_config, run_baseline, run_stream
 from .workload import (
     ORDER_POLICIES,
     gen_multigraph,
@@ -140,7 +139,7 @@ def cmd_gen(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _run_from_file(args: argparse.Namespace, baseline: bool) -> int:
+def _run_from_file(args: argparse.Namespace) -> int:
     out_path = args.out
     if out_path is None:
         if args.stream == "-":
@@ -148,12 +147,13 @@ def _run_from_file(args: argparse.Namespace, baseline: bool) -> int:
         out_path = args.stream + ".colored"
     trace_path = getattr(args, "trace", None)
     # staged files replace their targets one by one, so two outputs on one
-    # file would leave only the last; stdout and devices are written in place
+    # file would leave only the last, and two on stdout would interleave;
+    # devices are written in place and may be shared
     named: dict[str, str] = {}
     for option, path in (("--out", out_path), ("--metrics", args.metrics), ("--trace", trace_path)):
-        if path is None or path == "-" or (os.path.exists(path) and not os.path.isfile(path)):
+        if path is None or (path != "-" and os.path.exists(path) and not os.path.isfile(path)):
             continue
-        first = named.setdefault(os.path.realpath(path), option)
+        first = named.setdefault(path if path == "-" else os.path.realpath(path), option)
         if first != option:
             raise StreamInputError(f"{first} and {option} name the same file {path!r}")
     with _staged_outputs() as open_out, _open_in(args.stream) as fh:
@@ -165,11 +165,13 @@ def _run_from_file(args: argparse.Namespace, baseline: bool) -> int:
             seed=args.seed,
             m=header.m,
             interval_factor=args.interval_factor,
-            max_depth=args.max_depth,
+            max_depth=getattr(args, "max_depth", None),
             delta_mode="unknown" if getattr(args, "unknown_delta", False) else "known",
         )
+        if args.command == "baseline":
+            config = baseline_config(config)
         _effective(
-            "baseline" if baseline else "color",
+            args.command,
             stream=args.stream,
             out=out_path,
             metrics=args.metrics,
@@ -179,7 +181,7 @@ def _run_from_file(args: argparse.Namespace, baseline: bool) -> int:
         # the trace streams into its staged file as the run goes
         with open_out(trace_path) if trace_path else contextlib.nullcontext() as tfh:
             trace = TraceRecorder(sink=tfh) if tfh is not None else None
-            colorer = StreamColorer(config, trace=trace, baseline=baseline)
+            colorer = StreamColorer(config, trace=trace)
             start = time.perf_counter()
             with open_out(out_path) as out_fh:
                 write_colored(out_fh, colorer.run(body))
@@ -256,6 +258,8 @@ def cmd_bench(args: argparse.Namespace) -> int:
     for algorithm in algorithms:
         if algorithm not in ("wse", "baseline"):
             raise StreamInputError(f"unknown algorithm {algorithm!r}; choose wse or baseline")
+    if args.seeds < 1:
+        raise StreamInputError(f"bench needs at least one seed, got --seeds {args.seeds}")
     edge_counts = {(n, delta): _edge_count(n, delta, args.edge_factor) for n in args.n for delta in args.delta}
     _effective(
         "bench",
@@ -403,7 +407,6 @@ def _add_engine_flags(p: argparse.ArgumentParser) -> None:
         default=None,
         help="interval size as a multiple of n: a number, or 'logn'",
     )
-    p.add_argument("--max-depth", type=int, default=None, help="recursion depth cap override")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -435,8 +438,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--metrics", default="-", help="metrics JSON path (default: stdout)")
     p.add_argument("--trace", default=None, help="write decision trace JSON lines here")
     p.add_argument("--unknown-delta", action="store_true", help="ignore the declared max degree")
+    p.add_argument("--max-depth", type=int, default=None, help="recursion depth cap override")
     _add_engine_flags(p)
-    p.set_defaults(func=functools.partial(_run_from_file, baseline=False))
+    p.set_defaults(func=_run_from_file)
 
     p = sub.add_parser("verify", help="verify a colored file against its stream")
     p.add_argument("colored", help="colored output path")
@@ -448,7 +452,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default=None, help="colored output path (default: <stream>.colored)")
     p.add_argument("--metrics", default="-", help="metrics JSON path (default: stdout)")
     _add_engine_flags(p)
-    p.set_defaults(func=functools.partial(_run_from_file, baseline=True))
+    p.set_defaults(func=_run_from_file)
 
     p = sub.add_parser("bench", help="run a benchmark grid and emit CSV")
     p.add_argument("--n", type=_int_list, default="64,256", help="comma-separated vertex counts")

@@ -6,10 +6,9 @@ split by max endpoint degree: edges below the square-root threshold get a
 fresh per-interval palette, the rest are routed to their degree class.
 Classes keep per-phase state; a phase ends after sqrt(delta) intervals and
 discards everything it held.  A level whose whole input fits in its first
-interval is the base case: flush colors it outright.  The baseline and a
-level at the depth cap run the same buffer with a fresh palette per
-interval and no classes.  Edges arrive here already validated by the
-stream driver.
+interval is the base case: flush colors it outright.  A level at the
+depth cap runs the same buffer with a fresh palette per interval and no
+classes.  Edges arrive here already validated by the stream driver.
 """
 
 from __future__ import annotations
@@ -101,11 +100,11 @@ def classify_interval(edges: list[Row], deg: dict[int, int], delta: int) -> tupl
 class PhaseEngine:
     """Drives one recursion level: ingest, interval processing, phase turns.
 
-    role None runs the degree classes.  "baseline" and "fallback" color
-    every interval, the final partial one included, from a fresh palette of
-    2 * delta - 1 LOW colors and defer nothing: the baseline scheme, and
-    the terminal level once the recursion depth cap is reached.  The caller
-    owns the recursion; this engine only reports leftovers.
+    A level below config.max_depth runs the degree classes.  A fresh level,
+    one at the depth cap, colors every interval, the final partial one
+    included, from a fresh palette of 2 * delta - 1 LOW colors and defers
+    nothing; at cap 0 that is the baseline scheme.  The caller owns the
+    recursion; this engine only reports leftovers.
 
     The engine keeps its level's accounting: meter, its SpaceMeter;
     interval_index, the intervals processed; phases, the phases started;
@@ -119,17 +118,15 @@ class PhaseEngine:
         *,
         epoch: int,
         level: int,
-        role: str | None = None,
         sigma_source: RandomSource,
         offset_source: RandomSource,
         collector: MetricsCollector,
         trace: TraceRecorder | None = None,
     ) -> None:
-        assert role in (None, "baseline", "fallback")
         self.config = config
         self.epoch = epoch
         self.level = level
-        self.role = role
+        self.fresh = level >= config.max_depth
         self._sigma = sigma_source
         self._offset = offset_source
         self.meter = SpaceMeter()
@@ -167,7 +164,7 @@ class PhaseEngine:
         buffered: color it outright from BASE colors and defer nothing."""
         if not self._buffer:
             return [], []
-        if self.interval_index > 0 or self.role is not None:
+        if self.interval_index > 0 or self.fresh:
             return self._process_interval()
         edges = self._take()
         bound = max(compute_degrees(edges).values())
@@ -247,7 +244,7 @@ class PhaseEngine:
         return out
 
     def _process_interval(self) -> tuple[Emissions, list[Row]]:
-        if self.role is not None:
+        if self.fresh:
             return self._fresh_interval()
         cfg = self.config
         index = self.interval_index

@@ -8,8 +8,8 @@ unknown, and hands each epoch's level-0 engine its rows an interval at a
 time.  Every deferred edge flows to the next level, which runs the same
 machinery with its own randomness and colors; a level at the depth cap
 colors each interval from a fresh palette and never defers, so runs always
-terminate.  run_baseline colors the raw stream that same way for
-comparison runs.
+terminate.  The baseline is that level alone: baseline_config caps the
+depth at 0.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from .model import Row, RunConfig, StreamInputError, epoch_config
 from .phase_engine import Emissions, PhaseEngine
 from .primitives import RandomSource
 
-__all__ = ["StreamColorer", "run_baseline", "run_stream"]
+__all__ = ["StreamColorer", "baseline_config", "run_baseline", "run_stream"]
 
 
 class StreamColorer:
@@ -32,22 +32,19 @@ class StreamColorer:
     owns each epoch's chain of levels and the run's metrics, trace and
     random roots.
 
-    A known degree bound, and the baseline, use epoch 0 and reject the first
-    row that lifts an endpoint above config.declared_delta, the bound as
-    given rather than as normalized.  An unknown bound routes each row to
-    the epoch of the running max degree, (top - 1).bit_length(), whose
-    engines run at epoch_config(config, epoch).
+    A known degree bound uses epoch 0 and rejects the first row that lifts
+    an endpoint above config.declared_delta, the bound as given rather than
+    as normalized.  An unknown bound routes each row to the epoch of the
+    running max degree, (top - 1).bit_length(), whose engines run at
+    epoch_config(config, epoch).
 
     Both random roots derive from config.seed; engines are built on first
     use, so a root replaced before the first feed seeds every engine.
     """
 
-    def __init__(
-        self, config: RunConfig, *, trace: TraceRecorder | None = None, baseline: bool = False
-    ) -> None:
+    def __init__(self, config: RunConfig, *, trace: TraceRecorder | None = None) -> None:
         self.config = config
         self.trace = trace
-        self.baseline = baseline
         self.collector = MetricsCollector()
         self.sigma_root = RandomSource(config.seed, ("sigma",))
         self.offset_root = RandomSource(config.seed, ("offsets",))
@@ -55,9 +52,7 @@ class StreamColorer:
         self._deg = [0] * config.n
         self._top = 0
         # None routes by the running max degree instead of enforcing a bound
-        self._bound = (
-            None if config.delta_mode == "unknown" and not baseline else config.declared_delta
-        )
+        self._bound = None if config.delta_mode == "unknown" else config.declared_delta
         # each epoch's chain of engines, indexed by level
         self._epochs: dict[int, list[PhaseEngine]] = {}
         # the emissions of a feed stopped by a bad row, owed to the next call
@@ -160,13 +155,10 @@ class StreamColorer:
         )
 
     def _engine(self, config: RunConfig, epoch: int, level: int) -> PhaseEngine:
-        fresh = self.baseline or level >= config.max_depth
-        role = ("baseline" if self.baseline else "fallback") if fresh else None
         return PhaseEngine(
             config,
             epoch=epoch,
             level=level,
-            role=role,
             sigma_source=self.sigma_root.child("e", epoch, "l", level),
             offset_source=self.offset_root.child("e", epoch, "l", level),
             collector=self.collector,
@@ -176,8 +168,7 @@ class StreamColorer:
     def _chain(self, epoch: int) -> list[PhaseEngine]:
         chain = self._epochs.get(epoch)
         if chain is None:
-            config = self.config if self.baseline else epoch_config(self.config, epoch)
-            chain = self._epochs[epoch] = [self._engine(config, epoch, 0)]
+            chain = self._epochs[epoch] = [self._engine(epoch_config(self.config, epoch), epoch, 0)]
         return chain
 
     def _submit(self, chain: list[PhaseEngine], level: int, rows: list[Row]) -> Emissions:
@@ -203,18 +194,10 @@ class StreamColorer:
         return self._submit(chain, level + 1, leftovers)
 
 
-def _run(
-    config: RunConfig,
-    edges: Iterable[Row],
-    *,
-    trace: TraceRecorder | None,
-    baseline: bool,
-) -> tuple[Emissions, RunMetrics]:
-    start = time.perf_counter()
-    colorer = StreamColorer(config, trace=trace, baseline=baseline)
-    emissions = list(colorer.run(edges))
-    wall_ms = (time.perf_counter() - start) * 1000.0
-    return emissions, colorer.metrics(wall_ms=wall_ms)
+def baseline_config(config: RunConfig) -> RunConfig:
+    """The baseline run of config: the per-interval fresh-palette colorer,
+    which is the depth-0 level under the declared bound."""
+    return config._replace(max_depth=0, delta_mode="known")
 
 
 def run_stream(
@@ -224,9 +207,13 @@ def run_stream(
     emissions and the run's metrics.  edges are rows that unpack as
     (u, v, seq), such as Edges or read_stream's body; each is re-sequenced
     by arrival order, so the seq it carries is not read."""
-    return _run(config, edges, trace=trace, baseline=False)
+    start = time.perf_counter()
+    colorer = StreamColorer(config, trace=trace)
+    emissions = list(colorer.run(edges))
+    wall_ms = (time.perf_counter() - start) * 1000.0
+    return emissions, colorer.metrics(wall_ms=wall_ms)
 
 
 def run_baseline(config: RunConfig, edges: Iterable[Row]) -> tuple[Emissions, RunMetrics]:
     """Color a stream with the per-interval fresh-palette reference scheme."""
-    return _run(config, edges, trace=None, baseline=True)
+    return run_stream(baseline_config(config), edges)

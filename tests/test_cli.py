@@ -19,6 +19,7 @@ from wsecolor import (
 from wsecolor import audit
 from wsecolor.audit import LEFTOVER_MIN_RUNS, TRACE_BATCH, trace_audit
 from wsecolor.cli import BENCH_COLUMNS, main
+from wsecolor.workload import ORDER_POLICIES
 
 
 def run_cli(capsys, *argv):
@@ -528,15 +529,16 @@ def test_color_replaces_existing_outputs_on_success(stream_path, tmp_path, capsy
     assert not [p for p in tmp_path.iterdir() if p.name.endswith(".tmp")]
 
 
-@pytest.mark.parametrize(
-    "command, first, second",
-    [
-        ("color", "--out", "--metrics"),
-        ("color", "--out", "--trace"),
-        ("color", "--metrics", "--trace"),
-        ("baseline", "--out", "--metrics"),
-    ],
-)
+# (command, first, second): every pair of a command's outputs
+OUTPUT_PAIRS = [
+    ("color", "--out", "--metrics"),
+    ("color", "--out", "--trace"),
+    ("color", "--metrics", "--trace"),
+    ("baseline", "--out", "--metrics"),
+]
+
+
+@pytest.mark.parametrize("command, first, second", OUTPUT_PAIRS)
 def test_two_outputs_on_one_file_are_rejected_without_output(command, first, second, stream_path, tmp_path, capsys):
     # each staged output replaces its target, so one file could keep only one
     paths = {"--out": str(tmp_path / "o.colored"), "--metrics": str(tmp_path / "m.json")}
@@ -548,6 +550,21 @@ def test_two_outputs_on_one_file_are_rejected_without_output(command, first, sec
     code, _, err = run_cli(capsys, command, str(stream_path), *argv)
     assert code == 2
     assert f"{first} and {second} name the same file" in err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["g.wse"]
+
+
+@pytest.mark.parametrize("command, first, second", OUTPUT_PAIRS)
+def test_two_outputs_on_stdout_are_rejected_without_output(command, first, second, stream_path, tmp_path, capsys):
+    # two outputs on stdout would interleave, and verify would refuse the mix
+    paths = {"--out": str(tmp_path / "o.colored"), "--metrics": str(tmp_path / "m.json")}
+    if command == "color":
+        paths["--trace"] = str(tmp_path / "t.jsonl")
+    paths[first] = paths[second] = "-"
+    argv = [arg for option, path in paths.items() for arg in (option, path)]
+    code, out, err = run_cli(capsys, command, str(stream_path), *argv)
+    assert code == 2
+    assert out == ""
+    assert f"{first} and {second} name the same file '-'" in err
     assert sorted(p.name for p in tmp_path.iterdir()) == ["g.wse"]
 
 
@@ -569,6 +586,35 @@ def test_baseline_output_verifies(stream_path, tmp_path, capsys):
     code, out, _ = run_cli(capsys, "verify", str(out_path), str(stream_path))
     assert code == 0
     assert out.startswith("ok:")
+
+
+@pytest.mark.parametrize("order", ORDER_POLICIES)
+def test_baseline_is_color_at_depth_cap_zero(order, tmp_path, capsys):
+    stream = tmp_path / "s.wse"
+    code, _, _ = run_cli(
+        capsys, "gen", "--n", "64", "--delta", "16", "--m", "256", "--seed", "5", "--order", order, str(stream)
+    )
+    assert code == 0
+    docs = {}
+    for command, extra in (("baseline", ()), ("color", ("--max-depth", "0"))):
+        out, metrics = tmp_path / f"{command}.colored", tmp_path / f"{command}.json"
+        code, _, err = run_cli(capsys, command, str(stream), "--out", str(out), "--metrics", str(metrics), *extra)
+        assert code == 0
+        assert json.loads(err)["config"]["max_depth"] == 0
+        docs[command] = json.loads(metrics.read_text())
+        del docs[command]["wall_ms"]
+    assert (tmp_path / "baseline.colored").read_bytes() == (tmp_path / "color.colored").read_bytes()
+    assert docs["baseline"] == docs["color"]
+    assert docs["baseline"]["fallback_intervals"] == sum(docs["baseline"]["interval_count"].values())
+
+
+def test_baseline_refuses_a_depth_cap(stream_path, capsys):
+    # the baseline is the depth-0 colorer; another cap would not be a baseline
+    with pytest.raises(SystemExit) as exit_info:
+        main(["baseline", str(stream_path), "--max-depth", "1"])
+    assert exit_info.value.code == 2
+    assert "unrecognized arguments: --max-depth 1" in capsys.readouterr().err
+    assert sorted(p.name for p in stream_path.parent.iterdir()) == ["g.wse"]
 
 
 # -- bench -------------------------------------------------------------------
@@ -640,6 +686,15 @@ def test_non_finite_edge_factor_is_a_usage_error_without_output(command, factor,
     assert code == 2
     assert out == ""
     assert err.splitlines() == [f"error: edge factor must give a finite edge count, got {float(factor)}"]
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("seeds", ["0", "-2"])
+def test_bench_rejects_fewer_than_one_seed_without_output(seeds, tmp_path, capsys):
+    code, out, err = run_cli(capsys, "bench", "--seeds", seeds, "--out", str(tmp_path / "x.csv"))
+    assert code == 2
+    assert out == ""
+    assert err.splitlines() == [f"error: bench needs at least one seed, got --seeds {seeds}"]
     assert list(tmp_path.iterdir()) == []
 
 

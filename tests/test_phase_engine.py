@@ -11,6 +11,7 @@ from wsecolor import (
     StreamColorer,
     StreamInputError,
     TraceRecorder,
+    baseline_config,
     resolve_config,
 )
 from wsecolor.phase_engine import (
@@ -87,13 +88,12 @@ def test_classify_partitions_every_edge(pairs):
 # -- engine harness ----------------------------------------------------------
 
 
-def make_engine(config, trace=None, role=None):
+def make_engine(config, trace=None):
     collector = MetricsCollector()
     engine = PhaseEngine(
         config,
         epoch=0,
         level=0,
-        role=role,
         sigma_source=RandomSource(config.seed, ("sigma",)).child("e", 0, "l", 0),
         offset_source=RandomSource(config.seed, ("offsets",)).child("e", 0, "l", 0),
         collector=collector,
@@ -142,12 +142,11 @@ def test_buffer_peak_is_the_largest_interval(count, peak):
     assert meter.total == 0
 
 
-@pytest.mark.parametrize("role", ["baseline", "fallback"])
 @pytest.mark.parametrize("count, peak", [(10, 4), (3, 3)], ids=["partial", "single"])
-def test_interval_colorer_buffer_peak_is_the_largest_interval(role, count, peak):
-    # the fresh-palette roles color every interval, the partial one included
-    cfg = resolve_config(n=32, delta=16, interval_size=4)
-    colorer, meter, _ = make_engine(cfg, role=role)
+def test_interval_colorer_buffer_peak_is_the_largest_interval(count, peak):
+    # a level at the depth cap colors every interval, the partial one included
+    cfg = resolve_config(n=32, delta=16, interval_size=4, max_depth=0)
+    colorer, meter, _ = make_engine(cfg)
     colored = 0
     for e in make_edges([(i % 16, 16 + i % 16) for i in range(count)]):
         em, left = colorer.ingest([e])
@@ -164,7 +163,7 @@ def test_ingest_validates_edges():
     # engines trust their input: StreamColorer.feed is the one boundary
     for mode in ("known", "unknown", "baseline"):
         cfg = resolve_config(n=8, delta=4, delta_mode="unknown" if mode == "unknown" else "known")
-        colorer = StreamColorer(cfg, baseline=mode == "baseline")
+        colorer = StreamColorer(baseline_config(cfg) if mode == "baseline" else cfg)
         with pytest.raises(StreamInputError, match=r"self-loop at vertex 3 \(seq 0\)"):
             colorer.feed([(3, 3, 0)])
         with pytest.raises(StreamInputError, match=r"vertex 8 outside \[0, 8\) \(seq 1\)"):
@@ -276,10 +275,10 @@ def test_flush_colors_first_partial_interval_as_base_case():
     assert metrics.base_cases == {(0, 0): 3}
 
 
-@pytest.mark.parametrize("role", ["baseline", "fallback"])
-def test_fresh_role_colors_first_partial_interval_from_low_palette(role):
-    cfg = resolve_config(n=8, delta=16)
-    engine, _, collector = make_engine(cfg, role=role)
+def test_fresh_level_colors_first_partial_interval_from_low_palette():
+    cfg = resolve_config(n=8, delta=16, max_depth=0)
+    engine, _, collector = make_engine(cfg)
+    assert engine.fresh
     feed_all(engine, make_edges([(0, 1), (1, 2), (0, 1)]))
     emissions, leftovers = engine.flush()
     engine.close()
@@ -290,7 +289,7 @@ def test_fresh_role_colors_first_partial_interval_from_low_palette(role):
     metrics = collector.build(config=cfg, engines=[engine], input_edges=3, wall_ms=0.0)
     assert metrics.base_cases == {}
     assert metrics.phase_count == {}
-    assert metrics.fallback_intervals == (1 if role == "fallback" else 0)
+    assert metrics.fallback_intervals == 1
 
 
 def test_overfull_degree_detected_at_interval():

@@ -12,6 +12,7 @@ from wsecolor import (
     StreamColorer,
     StreamInputError,
     TraceRecorder,
+    baseline_config,
     decode_color,
     gen_multigraph,
     order_stream,
@@ -297,7 +298,8 @@ def test_baseline_budget_and_properness():
     assert intervals == 4
     assert metrics.colors_used <= intervals * (2 * 16 - 1)
     assert metrics.depth == 0
-    assert metrics.fallback_intervals == 0
+    assert metrics.fallback_intervals == intervals
+    assert metrics.config == baseline_config(cfg)
     assert all(s.kind == "fresh" for s in metrics.scopes)
 
 
