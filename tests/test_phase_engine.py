@@ -88,14 +88,14 @@ def test_classify_partitions_every_edge(pairs):
 # -- engine harness ----------------------------------------------------------
 
 
-def make_engine(config, trace=None):
+def make_engine(config, trace=None, level=0):
     collector = MetricsCollector()
     engine = PhaseEngine(
         config,
         epoch=0,
-        level=0,
-        sigma_source=RandomSource(config.seed, ("sigma",)).child("e", 0, "l", 0),
-        offset_source=RandomSource(config.seed, ("offsets",)).child("e", 0, "l", 0),
+        level=level,
+        sigma_source=RandomSource(config.seed, ("sigma",)).child("e", 0, "l", level),
+        offset_source=RandomSource(config.seed, ("offsets",)).child("e", 0, "l", level),
         collector=collector,
         trace=trace,
     )
@@ -142,11 +142,22 @@ def test_buffer_peak_is_the_largest_interval(count, peak):
     assert meter.total == 0
 
 
+def fresh_engine(role, **params):
+    """A level at the depth cap: the baseline's depth-0 level, or the
+    fallback level reached at a nonzero cap."""
+    if role == "baseline":
+        cfg = baseline_config(resolve_config(**params))
+        return cfg, make_engine(cfg)
+    cfg = resolve_config(max_depth=2, **params)
+    return cfg, make_engine(cfg, level=2)
+
+
+@pytest.mark.parametrize("role", ["baseline", "fallback"])
 @pytest.mark.parametrize("count, peak", [(10, 4), (3, 3)], ids=["partial", "single"])
-def test_interval_colorer_buffer_peak_is_the_largest_interval(count, peak):
+def test_interval_colorer_buffer_peak_is_the_largest_interval(role, count, peak):
     # a level at the depth cap colors every interval, the partial one included
-    cfg = resolve_config(n=32, delta=16, interval_size=4, max_depth=0)
-    colorer, meter, _ = make_engine(cfg)
+    _, (colorer, meter, _) = fresh_engine(role, n=32, delta=16, interval_size=4)
+    assert colorer.fresh
     colored = 0
     for e in make_edges([(i % 16, 16 + i % 16) for i in range(count)]):
         em, left = colorer.ingest([e])
@@ -275,9 +286,9 @@ def test_flush_colors_first_partial_interval_as_base_case():
     assert metrics.base_cases == {(0, 0): 3}
 
 
-def test_fresh_level_colors_first_partial_interval_from_low_palette():
-    cfg = resolve_config(n=8, delta=16, max_depth=0)
-    engine, _, collector = make_engine(cfg)
+@pytest.mark.parametrize("role", ["baseline", "fallback"])
+def test_fresh_role_colors_first_partial_interval_from_low_palette(role):
+    cfg, (engine, _, collector) = fresh_engine(role, n=8, delta=16)
     assert engine.fresh
     feed_all(engine, make_edges([(0, 1), (1, 2), (0, 1)]))
     emissions, leftovers = engine.flush()
