@@ -245,8 +245,8 @@ class MetricsCollector:
         self._class_phase_stats: list[ClassPhaseStat] = []
 
     def note_emission(self, scope: tuple, budget: int, colors: list[str]) -> None:
-        """Record the colors one scope handed out in one go.  scope[1:3] is
-        the (epoch, level) every one of them was minted at."""
+        """Record the colors one scope handed out in one go.  scope is its
+        ScopeStat's (kind, epoch, level, phase, d, interval), None if unused."""
         if not colors:
             return
         key = scope[1:3]
@@ -262,7 +262,7 @@ class MetricsCollector:
     def note_class_phase(self, stat: ClassPhaseStat) -> None:
         """Record a finished (phase, class) and close its palette scope."""
         self._class_phase_stats.append(stat)
-        scope = ("class", stat.epoch, stat.level, stat.phase, stat.d)
+        scope = ("class", stat.epoch, stat.level, stat.phase, stat.d, None)
         entry = self._open.pop(scope, None)
         if entry is not None:
             self._counts[scope] = (entry[0], len(entry[1]))
@@ -284,15 +284,8 @@ class MetricsCollector:
         scope_stats: list[ScopeStat] = []
         per_level_colors: dict[tuple[int, int], int] = {}
         for scope, (budget, distinct) in sorted(counts.items(), key=lambda kv: repr(kv[0])):
-            kind, epoch, level = scope[0], scope[1], scope[2]
-            extra: dict = {}
-            if kind == "class":
-                extra = {"phase": scope[3], "d": scope[4]}
-            elif kind in ("low", "fresh"):
-                extra = {"interval": scope[3]}
-            scope_stats.append(
-                ScopeStat(kind=kind, epoch=epoch, level=level, budget=budget, distinct=distinct, **extra)
-            )
+            kind, epoch, level, phase, d, interval = scope
+            scope_stats.append(ScopeStat(kind, epoch, level, budget, distinct, phase, d, interval))
             per_level_colors[(epoch, level)] = per_level_colors.get((epoch, level), 0) + distinct
         depth = max((lvl for (_, lvl) in self._colored), default=0)
         return RunMetrics(

@@ -17,6 +17,7 @@ import io
 import json
 import math
 import os
+import stat
 import sys
 import time
 from typing import IO, Callable, ContextManager, Iterator
@@ -146,14 +147,25 @@ def _run_from_file(args: argparse.Namespace) -> int:
             raise StreamInputError("reading from stdin requires an explicit --out path")
         out_path = args.stream + ".colored"
     trace_path = getattr(args, "trace", None)
-    # staged files replace their targets one by one, so two outputs on one
-    # file would leave only the last, and two on stdout would interleave;
-    # devices are written in place and may be shared
-    named: dict[str, str] = {}
+    # staged files replace their targets one by one, so two outputs on one file
+    # or on the input stream would leave only the last, and two on stdout, by
+    # any name, would interleave; devices are written in place and may be shared
+    try:
+        stdout = os.fstat(sys.stdout.fileno())
+    except (OSError, ValueError):  # io.UnsupportedOperation: stdout has no descriptor
+        stdout = None
+    named = {} if args.stream == "-" else {os.path.realpath(args.stream): "the input stream"}
     for option, path in (("--out", out_path), ("--metrics", args.metrics), ("--trace", trace_path)):
-        if path is None or (path != "-" and os.path.exists(path) and not os.path.isfile(path)):
+        if path is None:
             continue
-        first = named.setdefault(path if path == "-" else os.path.realpath(path), option)
+        key = path if path == "-" else os.path.realpath(path)
+        if key != "-" and os.path.exists(path):
+            st = os.stat(path)
+            if stdout is not None and os.path.samestat(st, stdout) and not stat.S_ISCHR(st.st_mode):
+                key = "-"
+            elif not stat.S_ISREG(st.st_mode):
+                continue
+        first = named.setdefault(key, option)
         if first != option:
             raise StreamInputError(f"{first} and {option} name the same file {path!r}")
     with _staged_outputs() as open_out, _open_in(args.stream) as fh:

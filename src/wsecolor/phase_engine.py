@@ -60,41 +60,44 @@ def degree_classes(delta: int) -> list[int]:
     return [root << k for k in range((delta // root).bit_length())]
 
 
-def classify_interval(edges: list[Row], deg: dict[int, int], delta: int) -> tuple[list[Row], int, dict]:
-    """Split an interval's edges, whose subgraph degrees are deg, by max
-    endpoint degree, into (low, low_bound, per_class).
+def classify_interval(edges: list[Row], deg: dict[int, int], delta: int) -> tuple[list[Row], dict, dict]:
+    """Split an interval's edges, whose subgraph degrees are deg, by the
+    degree classes of their endpoints, into (low, per_class, high).
 
-    Below the square-root threshold an edge joins the shared low bucket;
-    otherwise its class is the power of two d with the max endpoint degree
-    in [d, 2d).  per_class[d] is (h1, h2): h1 holds the edges with both
-    endpoints in [d, 2d), h2 those with the other endpoint below d.
-    StreamColorer.feed keeps every degree within delta, so one above it
-    is an engine bug, not bad input.  low_bound, the largest
-    low-bucket top degree, bounds the low bucket's own degrees.
+    A vertex of degree at least the square-root threshold is high, in the
+    power-of-two class d with its degree in [d, 2d); high[d] is the set of
+    them.  An edge with no high endpoint joins the shared low bucket;
+    otherwise its class is the larger endpoint class d.  per_class[d] is
+    (h1, h2): h1 holds the edges with both endpoints in class d, h2 those
+    with the other endpoint below d.  StreamColorer.feed keeps every degree
+    within delta, so one above it is an engine bug, not bad input.
     """
     root = isqrt(delta)
+    class_of: dict[int, int] = {}
+    high: dict[int, set[int]] = {}
+    for v, dv in deg.items():
+        if dv >= root:
+            if dv > delta:
+                raise EngineInvariantError(
+                    f"interval degree {dv} exceeds the configured bound {delta}"
+                )
+            d = class_of[v] = 1 << (dv.bit_length() - 1)
+            high.setdefault(d, set()).add(v)
     low: list[Row] = []
-    low_bound = 0
     per_class: dict[int, tuple[list[Row], list[Row]]] = {}
+    get = class_of.get
     for e in edges:
-        du = deg[e[0]]
-        dv = deg[e[1]]
-        top = du if du > dv else dv
-        if top < root:
+        cu = get(e[0], 0)
+        cv = get(e[1], 0)
+        d = cu if cu > cv else cv
+        if not d:
             low.append(e)
-            if top > low_bound:
-                low_bound = top
             continue
-        if top > delta:
-            raise EngineInvariantError(
-                f"interval degree {top} exceeds the configured bound {delta}"
-            )
-        d = 1 << (top.bit_length() - 1)
         bucket = per_class.get(d)
         if bucket is None:
             bucket = per_class[d] = ([], [])
-        bucket[0 if min(du, dv) >= d else 1].append(e)
-    return low, low_bound, per_class
+        bucket[0 if cu == cv else 1].append(e)
+    return low, per_class, high
 
 
 class PhaseEngine:
@@ -170,7 +173,7 @@ class PhaseEngine:
         bound = max(compute_degrees(edges).values())
         self.base_bound = bound
         prefix = token_prefix(self.epoch, self.level, KIND_BASE)
-        scope = ("base", self.epoch, self.level)
+        scope = ("base", self.epoch, self.level, None, None, None)
         return color_greedy(edges, bound, prefix, 2 * bound - 1, scope, self._collector), []
 
     def close(self) -> None:
@@ -192,7 +195,7 @@ class PhaseEngine:
         self.interval_index = index + 1
         bound = max(compute_degrees(edges).values())
         prefix = token_prefix(self.epoch, self.level, KIND_LOW, phase=0, interval=index)
-        scope = ("fresh", self.epoch, self.level, index)
+        scope = ("fresh", self.epoch, self.level, None, None, index)
         return color_greedy(edges, bound, prefix, 2 * self.config.delta - 1, scope, self._collector), []
 
     def _start_phase(self, phase: int) -> None:
@@ -235,14 +238,6 @@ class PhaseEngine:
         self._states = {}
         self._phase = None
 
-    def _high_by_class(self, deg: dict[int, int]) -> dict[int, set[int]]:
-        root = self.config.sqrt_delta
-        out: dict[int, set[int]] = {}
-        for v, dv in deg.items():
-            if dv >= root:
-                out.setdefault(1 << (dv.bit_length() - 1), set()).add(v)
-        return out
-
     def _process_interval(self) -> tuple[Emissions, list[Row]]:
         if self.fresh:
             return self._fresh_interval()
@@ -260,13 +255,12 @@ class PhaseEngine:
             self._trace.emit({"kind": "interval-degrees", "epoch": self.epoch, "level": self.level,
                               "interval": index, "deg": deg})
 
-        low, low_bound, per_class = classify_interval(edges, deg, cfg.delta)
-        high_by_class = self._high_by_class(deg)
+        low, per_class, high_by_class = classify_interval(edges, deg, cfg.delta)
 
         low_prefix = token_prefix(self.epoch, self.level, KIND_LOW, phase=phase, interval=index)
-        low_scope = ("low", self.epoch, self.level, index)
+        low_scope = ("low", self.epoch, self.level, None, None, index)
         emissions = color_greedy(
-            low, low_bound, low_prefix, 2 * cfg.sqrt_delta - 1, low_scope, self._collector
+            low, cfg.sqrt_delta - 1, low_prefix, 2 * cfg.sqrt_delta - 1, low_scope, self._collector
         )
         leftovers: list[Row] = []
 
@@ -277,7 +271,7 @@ class PhaseEngine:
             em1, left1, usable = step1_high_high(h1, h2, high, state)
             em2, left2 = step2_high_low(h2, usable, high, deg, state)
             state.end_interval()
-            scope = ("class", self.epoch, self.level, phase, d)
+            scope = ("class", self.epoch, self.level, phase, d, None)
             budget = 3 * state.palette_count * state.palette_size
             colored = em1 + em2
             emissions.extend(colored)

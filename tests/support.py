@@ -5,11 +5,13 @@ every vertex's incident edges."""
 from __future__ import annotations
 
 import random
+from math import isqrt
 
 from hypothesis import strategies as st
 
 from wsecolor import (
     Edge,
+    EngineInvariantError,
     RunMetrics,
     StreamInputError,
     VerifyResult,
@@ -157,6 +159,33 @@ def oracle_order_stream(edges, policy, seed=0):
 def oracle_stream_text(n, delta, edges):
     """write_stream's text, one formatted line per Edge."""
     return f"wse v1 {n} {delta} {len(edges)}\n" + "".join(f"{e.u} {e.v}\n" for e in edges)
+
+
+def reference_classify(edges, deg, delta):
+    """classify_interval written per edge: each edge's class is the power
+    of two d with its max endpoint degree in [d, 2d), it goes to h1 when
+    its min endpoint degree is also at least d, and the high vertices of
+    each class come from a second, separate pass over deg.  classify_interval
+    must return the same (low, per_class, high), list order included, and
+    raise exactly when this does."""
+    root = isqrt(delta)
+    low = []
+    per_class = {}
+    for e in edges:
+        du, dv = deg[e[0]], deg[e[1]]
+        top = max(du, dv)
+        if top < root:
+            low.append(e)
+            continue
+        if top > delta:
+            raise EngineInvariantError(f"interval degree {top} exceeds the configured bound {delta}")
+        d = 1 << (top.bit_length() - 1)
+        per_class.setdefault(d, ([], []))[0 if min(du, dv) >= d else 1].append(e)
+    high = {}
+    for v, dv in deg.items():
+        if dv >= root:
+            high.setdefault(1 << (dv.bit_length() - 1), set()).add(v)
+    return low, per_class, high
 
 
 def fake_metrics(*, input_edges, leftover0, peak0=100, colors=1):

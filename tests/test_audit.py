@@ -32,6 +32,7 @@ from wsecolor.audit import (
     TRACE_BATCH,
     ClassPhaseStat,
     EngineInvariantError,
+    ScopeStat,
     assignment_structure_audit,
     audit_gate,
     depth_gate,
@@ -531,16 +532,17 @@ def test_space_meter_rejects_negative_balance():
 def test_note_emission_counts_a_scope_in_one_call():
     collector = MetricsCollector()
     cfg = resolve_config(n=4, delta=4)
-    collector.note_emission(("low", 0, 1, 0), 3, [])  # an empty bucket adds no scope
+    collector.note_emission(("low", 0, 1, None, None, 0), 3, [])  # an empty bucket adds no scope
     empty = collector.build(config=cfg, engines=[], input_edges=0, wall_ms=0.0)
     assert empty.scopes == [] and empty.colored_per_level == {}
 
     colors = [f"E0.L1.P0.I0.LOW.{s}" for s in (0, 1, 0)]
-    collector.note_emission(("low", 0, 1, 0), 3, colors)
+    collector.note_emission(("low", 0, 1, None, None, 0), 3, colors)
     metrics = collector.build(config=cfg, engines=[], input_edges=3, wall_ms=0.0)
     assert metrics.colored_per_level == {(0, 1): 3}
     assert metrics.colors_per_level == {(0, 1): 2}
     assert [(s.kind, s.budget, s.distinct) for s in metrics.scopes] == [("low", 3, 2)]
+    assert metrics.scopes[0] == ScopeStat("low", 0, 1, 3, 2, None, None, 0)
 
 
 def test_leftover_stats_refuses_small_samples():

@@ -1,6 +1,7 @@
 """The benchmark's layer-timing run wraps engine functions by name and fails
-when a name it expects calls on is gone.  This checks those names without
-running it, so a refactor that drops one fails here first."""
+when a name it expects calls on is gone, or when the wrappers change the
+output.  This checks those names without running it, then runs one layer
+pass per workload, so a refactor that drops one fails here first."""
 
 import importlib
 import inspect
@@ -9,7 +10,12 @@ from pathlib import Path
 
 import pytest
 
+import wsecolor
+
 BENCH = Path(__file__).resolve().parents[1] / "wsebench"
+# the source tree of the wsecolor these tests import, which the layer pass
+# must run
+SRC = Path(wsecolor.__file__).resolve().parents[1]
 
 
 @pytest.fixture(scope="module")
@@ -42,3 +48,14 @@ def test_expected_layer_names_resolve(layers):
         else:
             cls_name, meth = qual
             assert meth in vars(getattr(mod, cls_name)), f"{key}: not defined on {cls_name}"
+
+
+@pytest.mark.parametrize("name", ["uniform", "adversarial", "burst-traced"])
+def test_one_layer_pass_per_workload(layers, name, tmp_path):
+    # run_layers puts SRC on sys.path to import the CLI from it
+    path = list(sys.path)
+    try:
+        result = layers.run_layers(importlib.import_module("workloads").WORKLOADS[name], 1, 0.0, tmp_path, SRC)
+    finally:
+        sys.path[:] = path
+    assert result["correct"] and result["attempted"] == 1 and result["failed"] == 0

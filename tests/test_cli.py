@@ -4,7 +4,11 @@ import csv
 import hashlib
 import io
 import json
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import pytest
 
@@ -574,6 +578,45 @@ def test_outputs_on_stdout_or_a_device_may_coincide(stream_path, capsys):
     )
     assert code == 0
     assert json.loads(out)["input_edges"] == 256
+
+
+# every output option of each command that colors a stream
+OUTPUT_OPTIONS = [("color", "--out"), ("color", "--metrics"), ("color", "--trace"),
+                  ("baseline", "--out"), ("baseline", "--metrics")]
+
+
+@pytest.mark.parametrize("command, option", OUTPUT_OPTIONS)
+def test_an_output_on_the_input_stream_is_rejected_without_output(command, option, stream_path, tmp_path, capsys):
+    # the staged output would replace the stream it was colored from
+    before = stream_path.read_bytes()
+    paths = {"--out": str(tmp_path / "o.colored"), "--metrics": str(tmp_path / "m.json")}
+    if command == "color":
+        paths["--trace"] = str(tmp_path / "t.jsonl")
+    paths[option] = f"{tmp_path}/./g.wse"
+    argv = [arg for flag, path in paths.items() for arg in (flag, path)]
+    code, out, err = run_cli(capsys, command, str(stream_path), *argv)
+    assert code == 2
+    assert out == ""
+    assert f"the input stream and {option} name the same file" in err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["g.wse"]
+    assert stream_path.read_bytes() == before
+
+
+@pytest.mark.parametrize("stdout, out", [("pipe", "/dev/stdout"), ("file", "/dev/stdout"), ("file", "captured")])
+def test_stdout_by_another_name_counts_as_stdout(stdout, out, stream_path, tmp_path):
+    # run as a child, since capsys gives sys.stdout no descriptor; with the
+    # default --metrics -, a name for the file stdout writes to is a second
+    # output on stdout
+    env = {**os.environ, "PYTHONPATH": str(Path(audit.__file__).resolve().parents[1])}
+    captured = tmp_path / "captured"
+    command = [sys.executable, "-m", "wsecolor", "color", str(stream_path), "--out", out]
+    with open(captured, "w") as fh:
+        done = subprocess.run(command, cwd=tmp_path, env=env, stdout=subprocess.PIPE if stdout == "pipe" else fh,
+                              stderr=subprocess.PIPE, text=True, timeout=60)
+    assert done.returncode == 2
+    assert "--out and --metrics name the same file" in done.stderr
+    assert not done.stdout and captured.read_text() == ""
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["captured", "g.wse"]
 
 
 def test_baseline_output_verifies(stream_path, tmp_path, capsys):

@@ -22,7 +22,7 @@ from wsecolor.phase_engine import (
 )
 from wsecolor.primitives import RandomSource
 
-from support import decoded, find_conflicts, make_edges
+from support import decoded, find_conflicts, make_edges, reference_classify
 
 
 def test_degree_classes_frozen():
@@ -39,18 +39,21 @@ def test_compute_degrees_counts_multiplicity():
 
 def test_classify_frozen_examples():
     # delta 16, threshold 4: classes 4, 8, 16
-    _, _, hi_lo = classify_interval(make_edges([(1, 2)]), {1: 5, 2: 2}, 16)
+    _, hi_lo, high = classify_interval(make_edges([(1, 2)]), {1: 5, 2: 2}, 16)
     assert list(hi_lo) == [4]
     h1, h2 = hi_lo[4]
     assert len(h2) == 1 and h1 == []
+    assert high == {4: {1}}
 
-    low, _, per_class = classify_interval(make_edges([(1, 2)]), {1: 3, 2: 3}, 16)
+    low, per_class, high = classify_interval(make_edges([(1, 2)]), {1: 3, 2: 3}, 16)
     assert per_class == {} and len(low) == 1
+    assert high == {}
 
-    _, _, hi_hi = classify_interval(make_edges([(1, 2)]), {1: 9, 2: 12}, 16)
+    _, hi_hi, high = classify_interval(make_edges([(1, 2)]), {1: 9, 2: 12}, 16)
     assert list(hi_hi) == [8]
     h1, h2 = hi_hi[8]
     assert len(h1) == 1 and h2 == []
+    assert high == {8: {1, 2}}
 
 
 def test_classify_rejects_degree_above_bound():
@@ -68,7 +71,7 @@ def test_classify_rejects_degree_above_bound():
 def test_classify_partitions_every_edge(pairs):
     edges = make_edges(pairs)
     deg = compute_degrees(edges)
-    low, _, per_class = classify_interval(edges, deg, 16)
+    low, per_class, _ = classify_interval(edges, deg, 16)
     routed = list(low)
     for h1, h2 in per_class.values():
         routed.extend(h1)
@@ -83,6 +86,31 @@ def test_classify_partitions_every_edge(pairs):
             h1, h2 = per_class[d]
             both_high = min(deg[e.u], deg[e.v]) >= d
             assert e in (h1 if both_high else h2)
+
+
+# a few hub vertices among many, so every class from the threshold up fills
+_hub_or_not = st.one_of(st.integers(0, 3), st.integers(0, 63))
+
+
+@given(st.sampled_from([1, 4, 16, 64, 256]), st.data())
+def test_classify_matches_the_per_edge_reference(delta, data):
+    # runs of parallel edges, up to delta / 4 long, reach every class and
+    # sometimes pass delta
+    run = st.tuples(_hub_or_not, _hub_or_not, st.integers(1, max(1, delta // 4)))
+    runs = data.draw(st.lists(run.filter(lambda r: r[0] != r[1]), min_size=1, max_size=16))
+    edges = make_edges([(u, v) for u, v, k in runs for _ in range(k)])
+    deg = compute_degrees(edges)
+    try:
+        want = reference_classify(edges, deg, delta)
+    except EngineInvariantError:
+        with pytest.raises(EngineInvariantError):
+            classify_interval(edges, deg, delta)
+        return
+    got = classify_interval(edges, deg, delta)
+    assert got == want
+    # step 1 iterates the high sets, so their order is part of the output
+    for mine, theirs in zip(got[1:], want[1:]):
+        assert [(d, list(x)) for d, x in mine.items()] == [(d, list(x)) for d, x in theirs.items()]
 
 
 # -- engine harness ----------------------------------------------------------
