@@ -45,10 +45,6 @@ __all__ = [
 # decision traces
 
 
-# held records at which a recorder with a sink writes them out
-TRACE_BATCH = 4096
-
-
 class TraceRecorder:
     """Collects the decision records emitted by the engine as JSON lines.
 
@@ -61,25 +57,22 @@ class TraceRecorder:
     lines as json.loads reads them, so in-memory audits see what a reader
     of the trace file sees.
 
-    Without a sink every line stays held until dump; with one, emit dumps
-    to it whenever TRACE_BATCH lines are held, so memory stays bounded and
-    the caller dumps once more for the tail.
+    Without a sink every line stays held until dump; with one, emit writes
+    each line to it at once and holds nothing, so dump has nothing left to
+    write.
     """
 
-    __slots__ = ("_lines", "_parsed", "_sink")
+    __slots__ = ("_lines", "_parsed", "_write")
 
     def __init__(self, sink: IO[str] | None = None) -> None:
         self._lines: list[str] = []
         # the leading held lines that .records has parsed so far
         self._parsed: list[dict] = []
-        self._sink = sink
+        self._write = self._lines.append if sink is None else sink.write
 
     def emit(self, record: dict | str) -> None:
-        """Hold one record: a dict, or its JSON line ending in a newline."""
-        lines = self._lines
-        lines.append(record if type(record) is str else json.dumps(record) + "\n")
-        if self._sink is not None and len(lines) >= TRACE_BATCH:
-            self.dump(self._sink)
+        """Take one record: a dict, or its JSON line ending in a newline."""
+        self._write(record if type(record) is str else json.dumps(record) + "\n")
 
     @property
     def records(self) -> list[dict]:
@@ -223,6 +216,13 @@ class RunMetrics(NamedTuple):
         return json.dumps(self.to_dict(), indent=2)
 
 
+def _close_class_scope(counts: dict, stat: ClassPhaseStat, budget: int, masks: dict) -> None:
+    """Count the class scope of stat's phase, unless it colored nothing."""
+    if masks:
+        scope = ("class", stat.epoch, stat.level, stat.phase, stat.d, None)
+        counts[scope] = (budget, sum(mask.bit_count() for mask in masks.values()))
+
+
 class MetricsCollector:
     """Accumulates the palette scopes and per-level colored counts as the
     engines emit colors; build() freezes them, together with the counts
@@ -233,39 +233,34 @@ class MetricsCollector:
     distinct colors add up over scopes.  A scope therefore keeps only
     (budget, distinct) once its palette is done: LOW, fresh and base scopes
     at once, since each is noted in one call, and a class scope when
-    note_class_phase closes its phase.  Until then a class scope holds its
-    token set.  The class-phase stats stay in one list, in the order the
-    phases end.
+    note_class_phase closes its phase.  Until then the class's state holds
+    the scope's slot masks, one int per family and palette index, and no
+    token is kept.  The class-phase stats stay in one list, in the order
+    the phases end.
     """
 
     def __init__(self) -> None:
         self._counts: dict[tuple, tuple[int, int]] = {}
-        self._open: dict[tuple, tuple[int, set[str]]] = {}
         self._colored: dict[tuple[int, int], int] = {}
         self._class_phase_stats: list[ClassPhaseStat] = []
 
     def note_emission(self, scope: tuple, budget: int, colors: list[str]) -> None:
         """Record the colors one scope handed out in one go.  scope is its
-        ScopeStat's (kind, epoch, level, phase, d, interval), None if unused."""
+        ScopeStat's (kind, epoch, level, phase, d, interval), None if unused.
+        A class scope's distinct colors are counted from its slot masks when
+        its phase closes, so only its colored count is taken here."""
         if not colors:
             return
         key = scope[1:3]
         self._colored[key] = self._colored.get(key, 0) + len(colors)
         if scope[0] != "class":
             self._counts[scope] = (budget, len(set(colors)))
-            return
-        entry = self._open.get(scope)
-        if entry is None:
-            entry = self._open[scope] = (budget, set())
-        entry[1].update(colors)
 
-    def note_class_phase(self, stat: ClassPhaseStat) -> None:
-        """Record a finished (phase, class) and close its palette scope."""
+    def note_class_phase(self, stat: ClassPhaseStat, budget: int, masks: dict) -> None:
+        """Record a finished (phase, class) and close its palette scope,
+        whose colors are the set bits of masks."""
         self._class_phase_stats.append(stat)
-        scope = ("class", stat.epoch, stat.level, stat.phase, stat.d, None)
-        entry = self._open.pop(scope, None)
-        if entry is not None:
-            self._counts[scope] = (entry[0], len(entry[1]))
+        _close_class_scope(self._counts, stat, budget, masks)
 
     def build(
         self, *, config: RunConfig, engines: Iterable, input_edges: int, wall_ms: float
@@ -273,14 +268,17 @@ class MetricsCollector:
         """engines are the run's PhaseEngines, in epoch and level order.
         From each, build reads epoch, level, fresh, interval_index (its
         interval count), phases, deferred (edges deferred by its class
-        intervals), base_bound (the degree bound of its base case, or None)
-        and meter (its SpaceMeter).  A level's peaks appear only if its
-        meter was charged, its interval count only if it is nonzero, its
-        phase and leftover counts only if it ran a phase, and its base case
-        only if it had one."""
+        intervals), base_bound (the degree bound of its base case, or None),
+        meter (its SpaceMeter) and class_phases() (the classes of its open
+        phase, whose scopes count as they stand).  A level's peaks appear
+        only if its meter was charged, its interval count only if it is
+        nonzero, its phase and leftover counts only if it ran a phase, and
+        its base case only if it had one."""
         levels = {(x.epoch, x.level): x for x in engines}
         counts = dict(self._counts)
-        counts.update((scope, (budget, len(colors))) for scope, (budget, colors) in self._open.items())
+        for x in levels.values():
+            for stat, budget, masks in x.class_phases():
+                _close_class_scope(counts, stat, budget, masks)
         scope_stats: list[ScopeStat] = []
         per_level_colors: dict[tuple[int, int], int] = {}
         for scope, (budget, distinct) in sorted(counts.items(), key=lambda kv: repr(kv[0])):

@@ -31,6 +31,10 @@ class ClassState:
     within the current interval only; later intervals are protected by the
     index sets and counters instead.  The two steps read and write these
     stores directly; nothing leaves them before release.
+
+    slot_masks is instrumentation, not metered: per (family, index), the
+    bitmask of slots the phase colored from, so the distinct colors of the
+    class scope are the masks' set bits.
     """
 
     def __init__(
@@ -56,6 +60,7 @@ class ClassState:
         self.block_width = isqrt(delta)
         self.prior_cap = 2 * d // self.block_width
         self.counter_cap = 2 * d
+        self.budget = 3 * self.palette_count * self.palette_size
         self._sigma_source = sigma_source
         self._offset_source = offset_source
         self._meter = meter
@@ -70,6 +75,7 @@ class ClassState:
         self.counters: dict[tuple[int, int], int] = {}
         self.prior_counts: dict[int, int] = {}
         self.window: set[tuple[int, str, int]] = set()
+        self.slot_masks: dict[tuple[str, int], int] = {}
         self.sigma: int | None = None
         self.interval: int | None = None
         # per-interval token prefix of each family, up to the slot
@@ -110,6 +116,12 @@ class ClassState:
         if self._trace is not None:
             self._trace.emit({"kind": "counter-bump", **self._head, "interval": self.interval,
                               "vertex": u, "index": self.sigma, "value": value + 1, "assigned": assigned})
+
+    def mark_slots(self, family: str, mask: int) -> None:
+        """Add mask's slots to those family colored from at the current index."""
+        if mask:
+            key = (family, self.sigma)
+            self.slot_masks[key] = self.slot_masks.get(key, 0) | mask
 
     def end_interval(self) -> None:
         assert self.sigma is not None
@@ -156,11 +168,14 @@ def step1_high_high(
     if trace is not None:
         head = {**state._head, "interval": state.interval}
     emissions: list[tuple[Row, str]] = []
+    bits = 0
     for e, slot in zip(kept, first_fit_slots(kept, state.palette_size)):
         emissions.append((e, f"{prefix}{slot}"))
+        bits |= 1 << slot
         if trace is not None:
             u, v, seq = e
             trace.emit({"kind": "high-assign", **head, "u": u, "v": v, "seq": seq, "slot": slot})
+    state.mark_slots("A", bits)
 
     exiled = high - usable
     leftovers = [e for e in h1 if e[0] not in usable or e[1] not in usable]
@@ -212,6 +227,7 @@ def step2_high_low(
     sigma, interval = state.sigma, state.interval
     offsets, counters, window, prefixes = state.offsets, state.counters, state.window, state._prefixes
     meter = state._meter
+    bits = dict.fromkeys(_CASES, 0)  # per family, the slots this call assigned
     prior = state.prior_counts.get(sigma, 0)  # the tallies only move in end_interval
     prior_full = prior >= state.prior_cap
     trace = state._trace
@@ -274,6 +290,7 @@ def step2_high_low(
                             if not window:
                                 meter.add("window", 1)
                             window.add((v, family, slot))
+                            bits[family] |= 1 << slot
                             assigned = True
                             case = assign_case
                 if not assigned:
@@ -289,4 +306,6 @@ def step2_high_low(
                     emit(line + "}\n")
             if has_counter:
                 state.bump_counter(u, assigned=assigned)
+    for family, mask in bits.items():
+        state.mark_slots(family, mask)
     return emissions, leftovers

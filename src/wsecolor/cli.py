@@ -140,6 +140,14 @@ def cmd_gen(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+def _fstat(stream: IO[str]) -> os.stat_result | None:
+    """The stat of a standard stream's descriptor, or None if it has none."""
+    try:
+        return os.fstat(stream.fileno())
+    except (OSError, ValueError):  # io.UnsupportedOperation: no descriptor
+        return None
+
+
 def _run_from_file(args: argparse.Namespace) -> int:
     out_path = args.out
     if out_path is None:
@@ -148,20 +156,21 @@ def _run_from_file(args: argparse.Namespace) -> int:
         out_path = args.stream + ".colored"
     trace_path = getattr(args, "trace", None)
     # staged files replace their targets one by one, so two outputs on one file
-    # or on the input stream would leave only the last, and two on stdout, by
-    # any name, would interleave; devices are written in place and may be shared
-    try:
-        stdout = os.fstat(sys.stdout.fileno())
-    except (OSError, ValueError):  # io.UnsupportedOperation: stdout has no descriptor
-        stdout = None
-    named = {} if args.stream == "-" else {os.path.realpath(args.stream): "the input stream"}
+    # or on the input stream, stdin's file included, would leave only the last,
+    # and two on stdout, by any name, would interleave; devices are written in
+    # place and may be shared
+    stdout = _fstat(sys.stdout)
+    stdin = _fstat(sys.stdin) if args.stream == "-" else None
+    named = {"<stdin>" if args.stream == "-" else os.path.realpath(args.stream): "the input stream"}
     for option, path in (("--out", out_path), ("--metrics", args.metrics), ("--trace", trace_path)):
         if path is None:
             continue
         key = path if path == "-" else os.path.realpath(path)
         if key != "-" and os.path.exists(path):
             st = os.stat(path)
-            if stdout is not None and os.path.samestat(st, stdout) and not stat.S_ISCHR(st.st_mode):
+            if stdin is not None and stat.S_ISREG(st.st_mode) and os.path.samestat(st, stdin):
+                key = "<stdin>"  # a real path is absolute, so never this
+            elif stdout is not None and os.path.samestat(st, stdout) and not stat.S_ISCHR(st.st_mode):
                 key = "-"
             elif not stat.S_ISREG(st.st_mode):
                 continue
@@ -190,7 +199,8 @@ def _run_from_file(args: argparse.Namespace) -> int:
             trace=trace_path,
             config=config._asdict(),
         )
-        # the trace streams into its staged file as the run goes
+        # the trace streams into its staged file as the run goes, so the
+        # closing dump writes nothing
         with open_out(trace_path) if trace_path else contextlib.nullcontext() as tfh:
             trace = TraceRecorder(sink=tfh) if tfh is not None else None
             colorer = StreamColorer(config, trace=trace)

@@ -219,10 +219,11 @@ class PhaseEngine:
             for d in degree_classes(cfg.delta)
         }
 
-    def _end_phase(self) -> None:
-        assert self._phase is not None
-        for d, state in sorted(self._states.items()):
-            self._collector.note_class_phase(
+    def class_phases(self) -> list[tuple[ClassPhaseStat, int, dict[tuple[str, int], int]]]:
+        """(stats, budget, slot masks) of each class of the open phase, if
+        any, in class order."""
+        return [
+            (
                 ClassPhaseStat(
                     epoch=self.epoch,
                     level=self.level,
@@ -232,8 +233,18 @@ class PhaseEngine:
                     index_inserts=sum(map(len, state.index_sets.values())),
                     counter_creates=len(state.counters),
                     phase_edges=self._phase_edges,
-                )
+                ),
+                state.budget,
+                state.slot_masks,
             )
+            for d, state in sorted(self._states.items())
+        ]
+
+    def _end_phase(self) -> None:
+        assert self._phase is not None
+        for phase in self.class_phases():
+            self._collector.note_class_phase(*phase)
+        for state in self._states.values():
             state.release()
         self._states = {}
         self._phase = None
@@ -272,10 +283,9 @@ class PhaseEngine:
             em2, left2 = step2_high_low(h2, usable, high, deg, state)
             state.end_interval()
             scope = ("class", self.epoch, self.level, phase, d, None)
-            budget = 3 * state.palette_count * state.palette_size
             colored = em1 + em2
             emissions.extend(colored)
-            self._collector.note_emission(scope, budget, [c for _, c in colored])
+            self._collector.note_emission(scope, state.budget, [c for _, c in colored])
             leftovers.extend(left1)
             leftovers.extend(left2)
 

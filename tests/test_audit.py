@@ -29,7 +29,6 @@ from wsecolor import (
 )
 from wsecolor.audit import (
     SPACE_RATIO_LIMIT,
-    TRACE_BATCH,
     ClassPhaseStat,
     EngineInvariantError,
     ScopeStat,
@@ -42,6 +41,9 @@ from wsecolor.audit import (
 )
 from wsecolor.class_colorer import ClassState
 from wsecolor.model import FAMILIES, epoch_config
+from wsecolor.phase_engine import PhaseEngine
+from wsecolor.primitives import RandomSource
+from wsecolor.workload import ORDER_POLICIES
 
 from support import (
     color_run,
@@ -402,16 +404,17 @@ def test_trace_dump_checks_value_types_against_the_template_of_its_keys():
         assert out.getvalue() == "".join(json.dumps(r) + "\n" for r in order)
 
 
-def test_trace_recorder_with_sink_writes_in_batches():
+def test_trace_recorder_with_sink_writes_each_record_through():
     held, streamed = TraceRecorder(), io.StringIO()
     recorder = TraceRecorder(sink=streamed)
-    for i in range(2 * TRACE_BATCH + 5):
-        held.emit({"kind": "exile", "seq": i})
-        recorder.emit({"kind": "exile", "seq": i})
-        assert len(recorder.records) < TRACE_BATCH
-    assert len(recorder.records) == 5 and len(held.records) == 2 * TRACE_BATCH + 5
-    recorder.dump(streamed)
-    assert recorder.records == []
+    for i in range(1000):
+        record = {"kind": "exile", "seq": i} if i % 2 else f'{{"kind": "offset-draw", "vertex": {i}}}\n'
+        held.emit(record)
+        recorder.emit(record)
+        assert streamed.getvalue().count("\n") == i + 1  # reached the sink at once
+        assert recorder.records == []  # and nothing is held
+    assert len(held.records) == 1000
+    recorder.dump(streamed)  # writes nothing more
     whole = io.StringIO()
     held.dump(whole)
     assert held.records == []
@@ -443,7 +446,7 @@ def test_collector_closes_every_scope_by_finalize():
     edges = order_stream(gen_multigraph(256, 64, 4096, seed=3), "vertex-sorted", seed=3)
     colorer = StreamColorer(resolve_config(n=256, delta=64, m=4096, seed=3))
     emissions = list(colorer.run(edges))
-    assert colorer.collector._open == {}  # only (budget, distinct) counts remain
+    assert all(x.class_phases() == [] for x in colorer.engines())  # no phase is left open
     metrics = colorer.metrics(wall_ms=0.0)
     tokens = {c for _, c in emissions}
     assert metrics.colors_used == len(tokens)
@@ -451,6 +454,85 @@ def test_collector_closes_every_scope_by_finalize():
     per_level = Counter((c.epoch, c.level) for c in map(decode_color, tokens))
     assert metrics.colors_per_level == per_level
     assert any(s.kind == "class" for s in metrics.scopes)
+
+
+class FixedIndex(RandomSource):
+    """A sigma root whose every draw is palette index 1, so a phase's
+    intervals repeat one index and its slot masks gather bits over them."""
+
+    def child(self, *labels):
+        return FixedIndex(*super().child(*labels))
+
+    def randrange(self, stop):
+        return 0
+
+
+def class_scope_tokens(tokens):
+    """The distinct class tokens of each (epoch, level, phase, d) head."""
+    groups = {}
+    for c in map(decode_color, tokens):
+        if c.kind in FAMILIES:
+            groups.setdefault((c.epoch, c.level, c.phase, c.d), set()).add(c)
+    return {head: len(colors) for head, colors in groups.items()}
+
+
+def class_scope_counts(metrics):
+    return {(s.epoch, s.level, s.phase, s.d): s.distinct for s in metrics.scopes if s.kind == "class"}
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n=st.integers(4, 24),
+    delta=st.sampled_from([4, 16]),
+    fill=st.floats(0.2, 0.35),
+    order=st.sampled_from(ORDER_POLICIES),
+    delta_mode=st.sampled_from(["known", "unknown"]),
+    max_depth=st.integers(1, 3),
+    fixed_index=st.booleans(),
+    seed=st.integers(0, 1 << 16),
+    cut=st.floats(0.0, 1.0),
+)
+def test_class_scope_counts_are_the_distinct_tokens(n, delta, fill, order, delta_mode, max_depth,
+                                                     fixed_index, seed, cut):
+    # the collector counts a class scope from its slot masks; the tokens
+    # the run emitted are the ground truth, mid-run (a phase may be open)
+    # and after finalize
+    m = max(1, int(n * delta * fill))
+    edges = order_stream(gen_multigraph(n, delta, m, seed=seed), order, seed=seed)
+    config = resolve_config(n=n, delta=delta, m=m, seed=seed, max_depth=max_depth, delta_mode=delta_mode)
+    colorer = StreamColorer(config)
+    if fixed_index:
+        colorer.sigma_root = FixedIndex(*colorer.sigma_root)
+    half = int(cut * len(edges))
+    tokens = [c for _, c in colorer.feed(edges[:half])]
+    assert class_scope_counts(colorer.metrics(wall_ms=0.0)) == class_scope_tokens(tokens)
+    tokens += [c for _, c in colorer.feed(edges[half:])]
+    tokens += [c for _, c in colorer.finalize()]
+    metrics = colorer.metrics(wall_ms=0.0)
+    assert class_scope_counts(metrics) == class_scope_tokens(tokens)
+    assert metrics.colors_used == len(set(tokens))
+
+
+@pytest.mark.parametrize("delta", [64, 256])
+def test_instrumentation_stays_within_the_metered_peak(delta, monkeypatch):
+    # the class scopes' slot masks are all the metrics hold per phase: at
+    # every phase end, across all levels, no more entries than the words the
+    # algorithm's own meter peaked at
+    n = 1024
+    m = n * delta // 4
+    edges = order_stream(gen_multigraph(n, delta, m, seed=1), "vertex-sorted", seed=2)
+    colorer = StreamColorer(resolve_config(n=n, delta=delta, m=m, seed=1))
+    held = []
+    end_phase = PhaseEngine._end_phase
+
+    def probe(engine):
+        held.append(sum(len(s.slot_masks) for x in colorer.engines() for s in x._states.values()))
+        end_phase(engine)
+
+    monkeypatch.setattr(PhaseEngine, "_end_phase", probe)
+    list(colorer.run(edges))
+    metered = sum(colorer.metrics(wall_ms=0.0).peak_words_per_level.values())
+    assert held and 0 < max(held) <= metered
 
 
 def test_saturation_audit_clean_on_real_runs():

@@ -21,7 +21,7 @@ from wsecolor import (
     write_stream,
 )
 from wsecolor import audit
-from wsecolor.audit import LEFTOVER_MIN_RUNS, TRACE_BATCH, trace_audit
+from wsecolor.audit import LEFTOVER_MIN_RUNS, trace_audit
 from wsecolor.cli import BENCH_COLUMNS, main
 from wsecolor.workload import ORDER_POLICIES
 
@@ -188,7 +188,7 @@ def test_streamed_trace_matches_in_memory_dump(tmp_path, capsys):
     recorder = TraceRecorder()
     config = resolve_config(n=n, delta=delta, m=m, delta_mode="unknown")
     run_stream(config, edges, trace=recorder)
-    assert len(recorder.records) > 2 * TRACE_BATCH  # the CLI wrote several batches
+    assert len(recorder.records) > m  # a trace longer than the stream, streamed out as the run went
     held = io.StringIO()
     recorder.dump(held)
     assert trace.read_text(encoding="ascii") == held.getvalue()
@@ -600,6 +600,32 @@ def test_an_output_on_the_input_stream_is_rejected_without_output(command, optio
     assert f"the input stream and {option} name the same file" in err
     assert sorted(p.name for p in tmp_path.iterdir()) == ["g.wse"]
     assert stream_path.read_bytes() == before
+
+
+@pytest.mark.parametrize("command, option", OUTPUT_OPTIONS + [("color", None), ("baseline", None)])
+def test_an_output_on_stdins_file_is_rejected_without_output(command, option, stream_path, tmp_path):
+    # run as a child with stdin redirected from the stream file, as `< g.wse`
+    # does: a staged output on that file would replace the stream being read
+    env = {**os.environ, "PYTHONPATH": str(Path(audit.__file__).resolve().parents[1])}
+    before = stream_path.read_bytes()
+    paths = {"--out": "o.colored", "--metrics": "m.json"}
+    if command == "color":
+        paths["--trace"] = "t.jsonl"
+    if option is not None:
+        paths[option] = "./g.wse"
+    argv = [arg for flag, path in paths.items() for arg in (flag, path)]
+    with open(stream_path, "rb") as stdin:
+        done = subprocess.run([sys.executable, "-m", "wsecolor", command, "-", *argv], cwd=tmp_path, env=env,
+                              stdin=stdin, capture_output=True, text=True, timeout=60)
+    assert stream_path.read_bytes() == before
+    if option is None:  # outputs elsewhere: stdin's file is read as usual
+        assert done.returncode == 0, done.stderr
+        assert sorted(p.name for p in tmp_path.iterdir()) == sorted(["g.wse", *paths.values()])
+        return
+    assert done.returncode == 2
+    assert f"the input stream and {option} name the same file" in done.stderr
+    assert done.stdout == ""
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["g.wse"]
 
 
 @pytest.mark.parametrize("stdout, out", [("pipe", "/dev/stdout"), ("file", "/dev/stdout"), ("file", "captured")])
