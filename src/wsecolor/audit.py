@@ -224,37 +224,33 @@ def _close_class_scope(counts: dict, stat: ClassPhaseStat, budget: int, masks: d
 
 
 class MetricsCollector:
-    """Accumulates the palette scopes and per-level colored counts as the
-    engines emit colors; build() freezes them, together with the counts
-    each level's engine holds, into a RunMetrics.
+    """Accumulates the palette scopes as the engines close them; build()
+    freezes them, together with the counts each level's engine holds, into
+    a RunMetrics.  The colored edges are such a count: an engine's taken
+    minus its deferred, so no emission is counted here.
 
     No two palette scopes share a color token (every token embeds its
     scope's epoch and level, plus its phase and class or its interval), so
     distinct colors add up over scopes.  A scope therefore keeps only
     (budget, distinct) once its palette is done: LOW, fresh and base scopes
-    at once, since each is noted in one call, and a class scope when
-    note_class_phase closes its phase.  Until then the class's state holds
-    the scope's slot masks, one int per family and palette index, and no
-    token is kept.  The class-phase stats stay in one list, in the order
-    the phases end.
+    at once, since each is one greedy palette noted in one call, and a
+    class scope when note_class_phase closes its phase.  Until then the
+    class's state holds the scope's slot masks, one int per family and
+    palette index, and no token is kept.  The class-phase stats stay in one
+    list, in the order the phases end.
     """
 
     def __init__(self) -> None:
         self._counts: dict[tuple, tuple[int, int]] = {}
-        self._colored: dict[tuple[int, int], int] = {}
         self._class_phase_stats: list[ClassPhaseStat] = []
 
-    def note_emission(self, scope: tuple, budget: int, colors: list[str]) -> None:
-        """Record the colors one scope handed out in one go.  scope is its
-        ScopeStat's (kind, epoch, level, phase, d, interval), None if unused.
-        A class scope's distinct colors are counted from its slot masks when
-        its phase closes, so only its colored count is taken here."""
-        if not colors:
-            return
-        key = scope[1:3]
-        self._colored[key] = self._colored.get(key, 0) + len(colors)
-        if scope[0] != "class":
-            self._counts[scope] = (budget, len(set(colors)))
+    def note_emission(self, scope: tuple, budget: int, emissions: list[tuple[tuple, str]]) -> None:
+        """Record the (edge, color) emissions of one greedy palette, a LOW,
+        fresh or base scope, handed out in one go.  scope is its ScopeStat's
+        (kind, epoch, level, phase, d, interval), None if unused.  A palette
+        that colored nothing adds no scope."""
+        if emissions:
+            self._counts[scope] = (budget, len({color for _, color in emissions}))
 
     def note_class_phase(self, stat: ClassPhaseStat, budget: int, masks: dict) -> None:
         """Record a finished (phase, class) and close its palette scope,
@@ -267,13 +263,15 @@ class MetricsCollector:
     ) -> RunMetrics:
         """engines are the run's PhaseEngines, in epoch and level order.
         From each, build reads epoch, level, fresh, interval_index (its
-        interval count), phases, deferred (edges deferred by its class
-        intervals), base_bound (the degree bound of its base case, or None),
-        meter (its SpaceMeter) and class_phases() (the classes of its open
-        phase, whose scopes count as they stand).  A level's peaks appear
-        only if its meter was charged, its interval count only if it is
-        nonzero, its phase and leftover counts only if it ran a phase, and
-        its base case only if it had one."""
+        interval count), phases, taken (edges taken out of its buffer),
+        deferred (edges deferred by its class intervals), base_bound (the
+        degree bound of its base case, or None), meter (its SpaceMeter) and
+        class_phases() (the classes of its open phase, whose scopes count as
+        they stand).  A level's colored count, taken - deferred, appears
+        only if it is nonzero, and depth is the deepest such level.  A
+        level's peaks appear only if its meter was charged, its interval
+        count only if it is nonzero, its phase and leftover counts only if
+        it ran a phase, and its base case only if it had one."""
         levels = {(x.epoch, x.level): x for x in engines}
         counts = dict(self._counts)
         for x in levels.values():
@@ -285,15 +283,15 @@ class MetricsCollector:
             kind, epoch, level, phase, d, interval = scope
             scope_stats.append(ScopeStat(kind, epoch, level, budget, distinct, phase, d, interval))
             per_level_colors[(epoch, level)] = per_level_colors.get((epoch, level), 0) + distinct
-        depth = max((lvl for (_, lvl) in self._colored), default=0)
+        colored = {k: x.taken - x.deferred for k, x in levels.items() if x.taken > x.deferred}
         return RunMetrics(
             config=config,
             input_edges=input_edges,
             colors_used=sum(per_level_colors.values()),
             colors_per_level=per_level_colors,
-            colored_per_level=dict(self._colored),
+            colored_per_level=colored,
             leftover_per_level={k: x.deferred for k, x in levels.items() if x.phases},
-            depth=depth,
+            depth=max((level for _, level in colored), default=0),
             interval_count={k: x.interval_index for k, x in levels.items() if x.interval_index},
             phase_count={k: x.phases for k, x in levels.items() if x.phases},
             peak_words_per_level={k: x.meter.peak for k, x in levels.items() if x.meter.peak},

@@ -136,15 +136,11 @@ class ClassState:
         self.interval = None
 
     def release(self) -> None:
-        """Phase end: hand every tracked word back to the meter."""
+        """Phase end: hand every tracked word back to the meter; the engine drops the state next."""
         self._meter.add("offsets", -len(self.offsets))
         self._meter.add("index_sets", -sum(map(len, self.index_sets.values())))
         self._meter.add("counters", -len(self.counters))
         self._meter.add("prior_counts", -len(self.prior_counts))
-        self.offsets.clear()
-        self.index_sets.clear()
-        self.counters.clear()
-        self.prior_counts.clear()
 
 
 def step1_high_high(
@@ -207,19 +203,16 @@ def step2_high_low(
 
     Low endpoints are visited in ascending id.  A low endpoint whose
     interval degree exceeds the block width gets a counter for the current
-    index (created at zero if absent).  Its edges are enumerated in a fixed
-    order; each one either stays behind a deferral rule or lands on a slot
-    derived from the low endpoint's offset.  Counter holders walk their
+    index (created at zero if absent).  Its edges are enumerated by high
+    endpoint, then seq; each one either stays behind a deferral rule or
+    lands on a slot derived from the low endpoint's offset.  Counter holders walk their
     slots consecutively (C family); the rest pack into per-interval blocks
     shifted by the prior-interval tally (B family).  Counters advance on
     every enumerated edge, assigned or not.
     """
-    # (high endpoint, seq, edge) per low endpoint, in enumeration order once sorted
-    per_low: dict[int, list[tuple[int, int, Row]]] = {}
-    for e in h2:
-        u, v, seq = e
-        low, hi = (v, u) if u in high else (u, v)
-        per_low.setdefault(low, []).append((hi, seq, e))
+    # (low endpoint, high endpoint, seq, edge) per edge, in enumeration
+    # order; seq is unique, so no two edges are compared
+    walk = sorted((e[1], e[0], e[2], e) if e[0] in high else (*e, e) for e in h2)
 
     emissions: list[tuple[Row, str]] = []
     leftovers: list[Row] = []
@@ -238,74 +231,77 @@ def step2_high_low(
             {"kind": "mixed-decision", **state._head, "interval": interval, "index": sigma}
         )[:-1] + ", "
 
-    for u in sorted(per_low):
-        key = (u, sigma)
-        if key not in counters and deg[u] > width:
-            counters[key] = 0
-            meter.add("counters", 1)
-            if trace is not None:
-                emit({"kind": "counter-init", **state._head, "interval": interval,
-                      "vertex": u, "index": sigma})
-        has_counter = key in counters
-        r_u = offsets.get(u)
-        for b, (v, seq, e) in enumerate(sorted(per_low[u])):
-            assigned = False
-            # the record's tail after its case: the counter or prior tally
-            # the decision read, then the slot it tried
-            tally_key = slot = None
-            if v not in usable:
-                # already deferred by step 1; enumerate it anyway so the
-                # counter keeps pace with the edge order
-                case = "skip-exiled"
+    u = b = None
+    for low, v, seq, e in walk:
+        if low != u:  # a new low endpoint: set up its counter, b and r_u
+            u, b = low, -1
+            key = (u, sigma)
+            if key not in counters and deg[u] > width:
+                counters[key] = 0
+                meter.add("counters", 1)
+                if trace is not None:
+                    emit({"kind": "counter-init", **state._head, "interval": interval,
+                          "vertex": u, "index": sigma})
+            has_counter = key in counters
+            r_u = offsets.get(u)
+        b += 1
+        assigned = False
+        # the record's tail after its case: the counter or prior tally
+        # the decision read, then the slot it tried
+        tally_key = slot = None
+        if v not in usable:
+            # already deferred by step 1; enumerate it anyway so the
+            # counter keeps pace with the edge order
+            case = "skip-exiled"
+        else:
+            # offsets are drawn on first use only, u before v
+            if r_u is None:
+                r_u = state.offset_of(u)
+            r_v = offsets.get(v)
+            if r_v is None:
+                r_v = state.offset_of(v)
+            if gap_check(r_u, r_v, d, size):
+                case = "gap-leftover"
             else:
-                # offsets are drawn on first use only, u before v
-                if r_u is None:
-                    r_u = state.offset_of(u)
-                r_v = offsets.get(v)
-                if r_v is None:
-                    r_v = state.offset_of(v)
-                if gap_check(r_u, r_v, d, size):
-                    case = "gap-leftover"
+                if has_counter:
+                    family = "C"
+                    tally = offset = counters[key]
+                    full = tally >= cap
                 else:
-                    if has_counter:
-                        family = "C"
-                        tally = offset = counters[key]
-                        full = tally >= cap
-                    else:
-                        family, tally, full = "B", prior, prior_full
-                        offset = b + width * prior
-                    tally_key, cap_case, conflict_case, assign_case = _CASES[family]
-                    if full:
-                        case = cap_case
-                    else:
-                        assert offset < cap  # b < block width when no counter exists
-                        slot = (r_u + offset) % size
-                        if (v, family, slot) in window:
-                            case = conflict_case
-                        else:
-                            emissions.append((e, f"{prefixes[family]}{slot}"))
-                            # the window is metered per interval, its first word
-                            # here and the rest in end_interval; nothing metered
-                            # shrinks in between, so the peaks match a per-slot charge
-                            if not window:
-                                meter.add("window", 1)
-                            window.add((v, family, slot))
-                            bits[family] |= 1 << slot
-                            assigned = True
-                            case = assign_case
-                if not assigned:
-                    leftovers.append(e)
-            if trace is not None:
-                line = f'{head}"low": {u}, "high": {v}, "seq": {seq}, "b": {b}, "case": "{case}"'
-                # a slot is only tried after a tally is read
-                if slot is not None:
-                    emit(f'{line}, "{tally_key}": {tally}, "slot": {slot}}}\n')
-                elif tally_key is not None:
-                    emit(f'{line}, "{tally_key}": {tally}}}\n')
+                    family, tally, full = "B", prior, prior_full
+                    offset = b + width * prior
+                tally_key, cap_case, conflict_case, assign_case = _CASES[family]
+                if full:
+                    case = cap_case
                 else:
-                    emit(line + "}\n")
-            if has_counter:
-                state.bump_counter(u, assigned=assigned)
+                    assert offset < cap  # b < block width when no counter exists
+                    slot = (r_u + offset) % size
+                    if (v, family, slot) in window:
+                        case = conflict_case
+                    else:
+                        emissions.append((e, f"{prefixes[family]}{slot}"))
+                        # the window is metered per interval, its first word
+                        # here and the rest in end_interval; nothing metered
+                        # shrinks in between, so the peaks match a per-slot charge
+                        if not window:
+                            meter.add("window", 1)
+                        window.add((v, family, slot))
+                        bits[family] |= 1 << slot
+                        assigned = True
+                        case = assign_case
+            if not assigned:
+                leftovers.append(e)
+        if trace is not None:
+            line = f'{head}"low": {u}, "high": {v}, "seq": {seq}, "b": {b}, "case": "{case}"'
+            # a slot is only tried after a tally is read
+            if slot is not None:
+                emit(f'{line}, "{tally_key}": {tally}, "slot": {slot}}}\n')
+            elif tally_key is not None:
+                emit(f'{line}, "{tally_key}": {tally}}}\n')
+            else:
+                emit(line + "}\n")
+        if has_counter:
+            state.bump_counter(u, assigned=assigned)
     for family, mask in bits.items():
         state.mark_slots(family, mask)
     return emissions, leftovers

@@ -5,7 +5,7 @@ statistical self-checks.
 Every subcommand prints its fully resolved configuration as one JSON line
 on stderr; replaying the same invocation reproduces the output (wall-clock
 fields excepted).  Exit codes: 0 success, 1 verification or check failure,
-2 usage or input errors.
+2 usage or input errors, an input too large to hold included.
 """
 
 from __future__ import annotations
@@ -37,6 +37,7 @@ from .model import EngineInvariantError, Row, RunConfig, StreamInputError, resol
 from .pipeline import StreamColorer, baseline_config, run_baseline, run_stream
 from .workload import (
     ORDER_POLICIES,
+    check_graph_shape,
     gen_multigraph,
     order_stream,
     read_colored,
@@ -283,6 +284,10 @@ def cmd_bench(args: argparse.Namespace) -> int:
     if args.seeds < 1:
         raise StreamInputError(f"bench needs at least one seed, got --seeds {args.seeds}")
     edge_counts = {(n, delta): _edge_count(n, delta, args.edge_factor) for n in args.n for delta in args.delta}
+    # every grid point is checked before the CSV header goes out
+    for (n, delta), m in edge_counts.items():
+        check_graph_shape(n, delta, m)
+        resolve_config(n=n, delta=delta, kappa=args.kappa, m=m)
     _effective(
         "bench",
         n=args.n,
@@ -514,6 +519,9 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_FAIL
     except OSError as err:
         print(f"error: {err}", file=sys.stderr)
+        return EXIT_USAGE
+    except MemoryError:  # a table sized by the input, such as one entry per vertex
+        print("error: out of memory: the input's vertex or edge count is too large", file=sys.stderr)
         return EXIT_USAGE
 
 

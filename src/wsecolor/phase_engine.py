@@ -33,17 +33,6 @@ Emissions = list[tuple[Row, str]]
 _seq = itemgetter(2)
 
 
-def color_greedy(
-    edges: list[Row], bound: int, prefix: str, size: int, scope: tuple, collector: MetricsCollector
-) -> Emissions:
-    """First-fit color edges of max degree bound from one fresh palette of
-    size tokens, prefix plus slot, noting the emissions under scope with
-    size as its budget."""
-    out = greedy_edge_color(edges, bound, [f"{prefix}{s}" for s in range(size)])
-    collector.note_emission(scope, size, [color for _, color in out])
-    return out
-
-
 def compute_degrees(edges: list[Row]) -> dict[int, int]:
     """Degree of every endpoint, in order of first appearance."""
     deg: dict[int, int] = {}
@@ -111,8 +100,9 @@ class PhaseEngine:
 
     The engine keeps its level's accounting: meter, its SpaceMeter;
     interval_index, the intervals processed; phases, the phases started;
-    deferred, the edges its class intervals deferred; and base_bound, the
-    degree bound of its base case, or None.
+    taken, the edges it took out of its buffer to color or defer; deferred,
+    the edges its class intervals deferred; and base_bound, the degree bound
+    of its base case, or None.  So taken - deferred edges are colored here.
     """
 
     def __init__(
@@ -138,6 +128,7 @@ class PhaseEngine:
         self._buffer: list[Row] = []
         self.interval_index = 0
         self.phases = 0
+        self.taken = 0
         self.deferred = 0
         self.base_bound: int | None = None
         self._phase: int | None = None
@@ -162,23 +153,20 @@ class PhaseEngine:
         return self._process_interval()
 
     def flush(self) -> tuple[Emissions, list[Row]]:
-        """Process the final partial interval, if any.  When a class level's
-        first interval is also its last, the level's whole input is
-        buffered: color it outright from BASE colors and defer nothing."""
+        """Process the final partial interval, if any, then end the open
+        phase.  When a class level's first interval is also its last, the
+        level's whole input is buffered: color it outright from BASE colors
+        and defer nothing."""
         if not self._buffer:
-            return [], []
-        if self.interval_index > 0 or self.fresh:
-            return self._process_interval()
-        edges = self._take()
-        bound = max(compute_degrees(edges).values())
-        self.base_bound = bound
-        prefix = token_prefix(self.epoch, self.level, KIND_BASE)
-        scope = ("base", self.epoch, self.level, None, None, None)
-        return color_greedy(edges, bound, prefix, 2 * bound - 1, scope, self._collector), []
-
-    def close(self) -> None:
-        if self._phase is not None:
-            self._end_phase()
+            out: tuple[Emissions, list[Row]] = [], []
+        elif self.interval_index > 0 or self.fresh:
+            out = self._process_interval()
+        else:
+            edges = self._take()
+            self.base_bound = bound = max(compute_degrees(edges).values())
+            out = self._greedy("base", edges, bound, 2 * bound - 1), []
+        self._end_phase()
+        return out
 
     # -- internals ----------------------------------------------------------
 
@@ -186,17 +174,22 @@ class PhaseEngine:
         """Empty the buffer, charging it to the meter at its full size."""
         edges = self._buffer
         self._buffer = []
+        self.taken += len(edges)
         self.meter.pulse("buffer", len(edges))
         return edges
 
-    def _fresh_interval(self) -> tuple[Emissions, list[Row]]:
-        index = self.interval_index
-        edges = self._take()
-        self.interval_index = index + 1
-        bound = max(compute_degrees(edges).values())
-        prefix = token_prefix(self.epoch, self.level, KIND_LOW, phase=0, interval=index)
-        scope = ("fresh", self.epoch, self.level, None, None, index)
-        return color_greedy(edges, bound, prefix, 2 * self.config.delta - 1, scope, self._collector), []
+    def _greedy(self, kind: str, edges: list[Row], bound: int, size: int) -> Emissions:
+        """First-fit color edges of max degree bound from one fresh palette
+        of size tokens, noted as one scope of kind with size as its budget:
+        "base", the level's whole input, or "fresh" or "low", the interval
+        in process."""
+        interval = None if kind == "base" else self.interval_index
+        # a fresh level runs no phase, so its tokens read phase 0
+        prefix = token_prefix(self.epoch, self.level, KIND_BASE if kind == "base" else KIND_LOW,
+                              phase=self._phase or 0, interval=interval)
+        out = greedy_edge_color(edges, bound, [f"{prefix}{s}" for s in range(size)])
+        self._collector.note_emission((kind, self.epoch, self.level, None, None, interval), size, out)
+        return out
 
     def _start_phase(self, phase: int) -> None:
         self._phase = phase
@@ -241,7 +234,7 @@ class PhaseEngine:
         ]
 
     def _end_phase(self) -> None:
-        assert self._phase is not None
+        """Close the class scopes of the open phase, if any, and release its states."""
         for phase in self.class_phases():
             self._collector.note_class_phase(*phase)
         for state in self._states.values():
@@ -250,9 +243,14 @@ class PhaseEngine:
         self._phase = None
 
     def _process_interval(self) -> tuple[Emissions, list[Row]]:
-        if self.fresh:
-            return self._fresh_interval()
         cfg = self.config
+        if self.fresh:
+            edges = self._take()
+            bound = max(compute_degrees(edges).values())
+            out = self._greedy("fresh", edges, bound, 2 * cfg.delta - 1)
+            self.interval_index += 1
+            return out, []
+
         index = self.interval_index
         phase = index // cfg.sqrt_delta
         if self._phase is None:
@@ -268,11 +266,7 @@ class PhaseEngine:
 
         low, per_class, high_by_class = classify_interval(edges, deg, cfg.delta)
 
-        low_prefix = token_prefix(self.epoch, self.level, KIND_LOW, phase=phase, interval=index)
-        low_scope = ("low", self.epoch, self.level, None, None, index)
-        emissions = color_greedy(
-            low, cfg.sqrt_delta - 1, low_prefix, 2 * cfg.sqrt_delta - 1, low_scope, self._collector
-        )
+        emissions = self._greedy("low", low, cfg.sqrt_delta - 1, 2 * cfg.sqrt_delta - 1)
         leftovers: list[Row] = []
 
         for d, state in sorted(self._states.items()):
@@ -282,12 +276,8 @@ class PhaseEngine:
             em1, left1, usable = step1_high_high(h1, h2, high, state)
             em2, left2 = step2_high_low(h2, usable, high, deg, state)
             state.end_interval()
-            scope = ("class", self.epoch, self.level, phase, d, None)
-            colored = em1 + em2
-            emissions.extend(colored)
-            self._collector.note_emission(scope, state.budget, [c for _, c in colored])
-            leftovers.extend(left1)
-            leftovers.extend(left2)
+            emissions += em1 + em2
+            leftovers += left1 + left2
 
         leftovers.sort(key=_seq)
         self.deferred += len(leftovers)

@@ -114,14 +114,13 @@ class StreamColorer:
 
     def finalize(self) -> Emissions:
         # every epoch still holds buffered edges; drain them in epoch order,
-        # and walk each chain top-down: flush, close, forward.  enumerate
+        # and walk each chain top-down: flush, then forward.  enumerate
         # reads the live list, so it reaches the levels a flush appends.
         out, self._owed = self._owed, []
         for epoch in sorted(self._epochs):
             chain = self._epochs[epoch]
             for level, engine in enumerate(chain):
                 emissions, leftovers = engine.flush()
-                engine.close()
                 out += emissions
                 out += self._forward(chain, level, leftovers)
         return out

@@ -21,6 +21,7 @@ __all__ = [
     "ORDER_POLICIES",
     "StreamFormatError",
     "StreamHeader",
+    "check_graph_shape",
     "colored_line",
     "gen_multigraph",
     "order_stream",
@@ -46,6 +47,21 @@ class StreamHeader(NamedTuple):
     m: int
 
 
+def check_graph_shape(n: int, delta: int, m: int) -> None:
+    """Raise StreamInputError unless m loop-free edges fit n vertices of degree at most delta."""
+    if n < 1:
+        raise StreamInputError(f"vertex count must be >= 1, got {n}")
+    if m < 0:
+        raise StreamInputError(f"edge count must be >= 0, got {m}")
+    if delta < 1:
+        # the bound every colorer takes (normalize_delta), so color reads what gen writes
+        raise StreamInputError(f"degree bound must be >= 1, got {delta}")
+    if m > n * delta // 2:
+        raise StreamInputError(f"{m} edges cannot fit {n} vertices of degree at most {delta}")
+    if m > 0 and n < 2:
+        raise StreamInputError("need at least 2 vertices for loop-free edges")
+
+
 def gen_multigraph(
     n: int, delta: int, m: int, *, allow_parallel: bool = True, seed: int = 0
 ) -> list[Row]:
@@ -58,17 +74,7 @@ def gen_multigraph(
     fewer than two vertices have free degree, and otherwise after a
     generous attempt budget instead of spinning forever.
     """
-    if n < 1:
-        raise StreamInputError(f"vertex count must be >= 1, got {n}")
-    if m < 0:
-        raise StreamInputError(f"edge count must be >= 0, got {m}")
-    if delta < 1:
-        # the bound every colorer takes (normalize_delta), so color reads what gen writes
-        raise StreamInputError(f"degree bound must be >= 1, got {delta}")
-    if m > n * delta // 2:
-        raise StreamInputError(f"{m} edges cannot fit {n} vertices of degree at most {delta}")
-    if m > 0 and n < 2:
-        raise StreamInputError("need at least 2 vertices for loop-free edges")
+    check_graph_shape(n, delta, m)
 
     # Random(seed).randrange(n) per endpoint, its draws made in C:
     # getrandbits(n.bit_length()) until the value is below n

@@ -456,6 +456,28 @@ def test_collector_closes_every_scope_by_finalize():
     assert any(s.kind == "class" for s in metrics.scopes)
 
 
+@pytest.mark.parametrize("mode", ["known", "unknown"])
+def test_colored_counts_are_read_off_the_engines(mode):
+    # fed a whole interval at a time and never finalized, a run has edges
+    # waiting in deeper levels' buffers; each level's colored count is still
+    # the tokens emitted at it so far, and after finalize every input edge
+    edges = order_stream(gen_multigraph(256, 64, 4096, seed=3), "vertex-sorted", seed=3)
+    config = resolve_config(n=256, delta=64, m=4096, seed=3, delta_mode=mode)
+    colorer = StreamColorer(config)
+    emissions, waiting = [], 0
+    for start in range(0, len(edges), config.interval_size):
+        emissions += colorer.feed(edges[start : start + config.interval_size])
+        metrics = colorer.metrics(wall_ms=0.0)
+        per_level = Counter((c.epoch, c.level) for c in decoded(emissions))
+        assert metrics.colored_per_level == per_level
+        assert metrics.depth == max((level for _, level in per_level), default=0)
+        waiting = max(waiting, start + config.interval_size - len(emissions))
+    assert waiting > 0 and metrics.depth > 0
+    emissions += colorer.finalize()
+    metrics = colorer.metrics(wall_ms=0.0)
+    assert sum(metrics.colored_per_level.values()) == len(emissions) == metrics.input_edges == len(edges)
+
+
 class FixedIndex(RandomSource):
     """A sigma root whose every draw is palette index 1, so a phase's
     intervals repeat one index and its slot masks gather bits over them."""
@@ -616,12 +638,14 @@ def test_note_emission_counts_a_scope_in_one_call():
     cfg = resolve_config(n=4, delta=4)
     collector.note_emission(("low", 0, 1, None, None, 0), 3, [])  # an empty bucket adds no scope
     empty = collector.build(config=cfg, engines=[], input_edges=0, wall_ms=0.0)
-    assert empty.scopes == [] and empty.colored_per_level == {}
+    assert empty.scopes == []
 
-    colors = [f"E0.L1.P0.I0.LOW.{s}" for s in (0, 1, 0)]
-    collector.note_emission(("low", 0, 1, None, None, 0), 3, colors)
+    edges = make_edges([(0, 1), (1, 2), (2, 3)])
+    emissions = [(e, f"E0.L1.P0.I0.LOW.{s}") for e, s in zip(edges, (0, 1, 0))]
+    collector.note_emission(("low", 0, 1, None, None, 0), 3, emissions)
     metrics = collector.build(config=cfg, engines=[], input_edges=3, wall_ms=0.0)
-    assert metrics.colored_per_level == {(0, 1): 3}
+    # the colored edges are the engines' count, not the collector's
+    assert metrics.colored_per_level == {} and metrics.depth == 0
     assert metrics.colors_per_level == {(0, 1): 2}
     assert [(s.kind, s.budget, s.distinct) for s in metrics.scopes] == [("low", 3, 2)]
     assert metrics.scopes[0] == ScopeStat("low", 0, 1, 3, 2, None, None, 0)

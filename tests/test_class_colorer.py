@@ -7,6 +7,8 @@ the degree bound.
 """
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from wsecolor import Edge, SpaceMeter, TraceRecorder, decode_color, encode_color
 from wsecolor.class_colorer import ClassState, step1_high_high, step2_high_low
@@ -285,15 +287,35 @@ def test_counter_created_only_past_width():
     assert s.counters == {}
 
 
-def test_low_vertices_visited_in_ascending_id():
+HIGH = (9, 10, 11)
+
+
+@given(
+    pairs=st.lists(
+        st.tuples(st.integers(0, 5), st.sampled_from(HIGH), st.booleans()), min_size=1, max_size=30
+    ),
+    usable=st.sets(st.sampled_from(HIGH)),
+)
+@example(pairs=[(5, 9, False), (2, 9, False)], usable={9})
+def test_low_vertices_visited_in_ascending_id(pairs, usable):
+    # edges drawn with repeats (parallel edges), several per low endpoint and
+    # in both orientations; every one is enumerated once, by low endpoint,
+    # then high endpoint, then seq, with b counting from 0 per low endpoint
     trace = TraceRecorder()
     s = make_state(trace=trace)
     s.begin_interval(0)
-    s.offsets.update({2: 20, 5: 40, 9: 60})
-    h2 = [Edge(5, 9, 0), Edge(2, 9, 1)]
-    run_step2(s, h2, {9}, {9}, {2: 1, 5: 1, 9: 8})
-    lows = [r["low"] for r in trace.records if r["kind"] == "mixed-decision"]
-    assert lows == [2, 5]
+    h2 = [Edge(v, u, seq) if flip else Edge(u, v, seq) for seq, (u, v, flip) in enumerate(pairs)]
+    deg = {}
+    for u, v, _ in pairs:
+        deg[u] = deg.get(u, 0) + 1
+        deg[v] = deg.get(v, 0) + 1
+    run_step2(s, h2, usable, set(HIGH), deg)
+    walk = [(r["low"], r["high"], r["seq"], r["b"]) for r in trace.records if r["kind"] == "mixed-decision"]
+    expect = []
+    for low, high, seq in sorted((u, v, seq) for seq, (u, v, _) in enumerate(pairs)):
+        b = expect[-1][3] + 1 if expect and expect[-1][0] == low else 0
+        expect.append((low, high, seq, b))
+    assert walk == expect
 
 
 # -- step 1 scenarios ---------------------------------------------------------

@@ -708,7 +708,7 @@ def test_bench_grid_shape(tmp_path, capsys):
 
 
 def test_failed_bench_leaves_no_partial_csv(tmp_path, capsys):
-    # the n=64 row is written before n=1 is rejected
+    # n=1 is rejected before the n=64 row is run
     argv = ("bench", "--n", "64,1", "--delta", "16", "--seeds", "1",
             "--orders", "arrival-random", "--algorithms", "wse")
     code, _, err = run_cli(capsys, *argv, "--out", str(tmp_path / "x.csv"))
@@ -765,6 +765,44 @@ def test_bench_rejects_fewer_than_one_seed_without_output(seeds, tmp_path, capsy
     assert out == ""
     assert err.splitlines() == [f"error: bench needs at least one seed, got --seeds {seeds}"]
     assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize(
+    "option, error",
+    [
+        ("--n=0", "vertex count must be >= 1, got 0"),
+        ("--delta=0", "degree bound must be >= 1, got 0"),
+        ("--n=1", "need at least 2 vertices for loop-free edges"),
+        ("--edge-factor=-1", "edge count must be >= 0, got -1024"),
+        ("--kappa=7", "kappa must be a power of two >= 32, got 7"),
+    ],
+)
+def test_bench_rejects_a_bad_grid_point_before_the_header(option, error, capsys):
+    code, out, err = run_cli(capsys, "bench", option, "--seeds", "1")
+    assert code == 2
+    assert out == ""
+    assert err.splitlines() == [f"error: {error}"]
+
+
+# 10**15 vertices take 8 PB of list slots, which no 64-bit address space
+# holds, so the allocation fails at once; never test with an n that could fit
+HUGE_N = 10**15
+
+
+@pytest.mark.parametrize("command", ["gen", "color", "baseline"])
+def test_a_vertex_count_too_large_to_hold_is_a_usage_error_without_output(command, tmp_path, capsys):
+    if command == "gen":
+        argv = ("gen", "--n", str(HUGE_N), "--delta", "4", "--m", "1", str(tmp_path / "g.wse"))
+    else:
+        stream = tmp_path / "big.wse"
+        stream.write_text(f"wse v1 {HUGE_N} 4 1\n0 1\n")
+        argv = (command, str(stream))
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    errors = [line for line in err.splitlines() if not line.startswith("{")]
+    assert errors == ["error: out of memory: the input's vertex or edge count is too large"]
+    assert [p.name for p in tmp_path.iterdir()] == ([] if command == "gen" else ["big.wse"])
 
 
 def test_bench_rejects_unknown_algorithm(capsys):

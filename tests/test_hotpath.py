@@ -4,6 +4,7 @@ per scope, not per edge, and colors stay token strings from palette to
 file.  The gen path builds plain rows and makes its draws inline.  Counts
 calls instead of timing them, so it holds on any machine."""
 
+import json
 import random
 import sys
 
@@ -124,6 +125,11 @@ def test_class_path_meters_per_interval(tmp_path, capsys, counts):
     assert counts["encode_color"] == 0
     assert counts["ColorId"] == 0
     assert counts["SpaceMeter.add"] < 0.2 * m
+    # one note per greedy palette, the LOW or fresh one of each interval and
+    # each base case's, and none per class interval
+    metrics = json.loads((tmp_path / "m.json").read_text())
+    assert any(metrics["phase_count"].values())
+    assert counts["note_emission"] == sum(metrics["interval_count"].values()) + len(metrics["base_cases"])
     assert counts["Edge"] == 0
     assert 0 < counts["feed"] < 0.1 * m
     assert 0 < counts["ingest"] < 0.1 * m

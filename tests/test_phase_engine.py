@@ -164,7 +164,6 @@ def test_buffer_peak_is_the_largest_interval(count, peak):
     pairs = [(i % 16, 16 + (i * 7) % 16) for i in range(count)]
     emissions, leftovers = feed_all(engine, make_edges(pairs))
     em, left = engine.flush()
-    engine.close()
     assert len(emissions) + len(em) + len(leftovers) + len(left) == count
     assert meter.category_peaks["buffer"] == peak
     assert meter.total == 0
@@ -269,7 +268,7 @@ def test_phase_rollover_resets_class_state():
     cfg = resolve_config(n=4, delta=4, interval_size=2)
     engine, _, collector = make_engine(cfg, trace=trace)
     feed_all(engine, make_edges([(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]))
-    engine.close()
+    engine.flush()
     class_records = [r for r in trace.records if r["kind"] == "class-interval"]
     phases = {r["interval"]: r["phase"] for r in class_records}
     assert phases == {0: 0, 1: 0, 2: 1}
@@ -288,7 +287,6 @@ def test_flush_handles_partial_interval():
     feed_all(engine, make_edges([(0, 1), (1, 2), (2, 3)]))
     emissions, leftovers = engine.flush()
     assert len(emissions) + len(leftovers) == 3
-    engine.close()
     assert meter.total == 0
 
 
@@ -307,7 +305,6 @@ def test_flush_colors_first_partial_interval_as_base_case():
     assert sorted(e.seq for e, _ in emissions) == [0, 1, 2]
     assert {c.kind for c in decoded(emissions)} == {"BASE"}
     assert find_conflicts(emissions) == []
-    engine.close()
     assert engine.room == cfg.interval_size
     assert meter.total == 0
     metrics = collector.build(config=cfg, engines=[engine], input_edges=3, wall_ms=0.0)
@@ -320,7 +317,6 @@ def test_fresh_role_colors_first_partial_interval_from_low_palette(role):
     assert engine.fresh
     feed_all(engine, make_edges([(0, 1), (1, 2), (0, 1)]))
     emissions, leftovers = engine.flush()
-    engine.close()
     assert leftovers == []
     assert sorted(e.seq for e, _ in emissions) == [0, 1, 2]
     assert {(c.kind, c.interval, c.phase) for c in decoded(emissions)} == {("LOW", 0, 0)}
@@ -339,12 +335,17 @@ def test_overfull_degree_detected_at_interval():
         feed_all(engine, make_edges(pairs))
 
 
-def test_close_releases_phase_state():
+def test_flush_ends_the_open_phase():
+    # two full intervals of a four-interval phase: flush has no edges left
+    # to process, and still ends the phase and releases its state
     cfg = resolve_config(n=8, delta=16, interval_size=4)
-    engine, meter, _ = make_engine(cfg)
+    engine, meter, collector = make_engine(cfg)
     pairs = [(0, 1), (0, 2), (0, 3), (0, 4), (0, 5), (1, 2), (1, 3), (1, 4)]
     feed_all(engine, make_edges(pairs))
-    engine.flush()
-    engine.close()
+    assert engine.class_phases() and meter.total > 0
+    assert engine.flush() == ([], [])
+    assert engine.class_phases() == []
+    metrics = collector.build(config=cfg, engines=[engine], input_edges=8, wall_ms=0.0)
+    assert [stat.d for stat in metrics.class_phase_stats] == degree_classes(cfg.delta)
     assert meter.total == 0
     assert meter.peak > 0
