@@ -325,6 +325,30 @@ class VerifyResult(NamedTuple):
         return self.status == "ok"
 
 
+# verify_proper's table from color to its head and slot holds at most
+# this many colors and is cleared when full
+PARSED = 4096
+_UNMATCHED = -2  # the slot of a seq that no colored line has matched yet
+
+
+def _clashes(seqs: array, slots: array, us: array, vs: array, seen: array) -> bool:
+    """True when two edges of one color among a head's seqs share a vertex.
+    Sorted by slot, the seqs run through one color after another, and
+    seen[x] names the last color seen at vertex x by its first seq there,
+    which needs no check.  The order within a color does not matter."""
+    slot = _UNMATCHED
+    for s in sorted(seqs, key=slots.__getitem__):
+        u, v = us[s], vs[s]
+        if slots[s] != slot:
+            slot = slots[s]
+            c = seen[u] = seen[v] = s
+        elif seen[u] == c or seen[v] == c:
+            return True
+        else:
+            seen[u] = seen[v] = c
+    return False
+
+
 def verify_proper(
     colored: Iterable[tuple[Iterable[int], str]], input_edges: Iterable[Iterable[int]]
 ) -> VerifyResult:
@@ -332,17 +356,22 @@ def verify_proper(
 
     Ok iff the multiset of colored (u, v, seq) triples equals the input
     multiset and no two distinct edge instances sharing an endpoint carry
-    equal colors.  Colors are canonical tokens, as run_stream and
-    read_colored yield them, compared as strings.  Each edge is unpacked
-    as (u, v, seq), so Edges and the readers' int rows both serve.  Both
-    arguments may be one-shot iterables.  input_edges is read to the end
-    first and must be positional: the edge at position i has seq i, as
-    read_stream, order_stream and run_stream produce; anything else raises
-    ValueError.  colored is then read once, and each matched edge keeps a
-    reference to its color; no per-color table exists until colored is
-    exhausted, so a reader's own token tables are freed before the one
-    table here is built.  Colors are grouped by equality, not identity.
-    The conflict reported is the one an ascending-seq scan meets first.
+    equal colors.  Colors are compared as strings, whatever object holds
+    them.  Each edge is unpacked as (u, v, seq), so Edges and the readers'
+    int rows both serve.  Both arguments may be one-shot iterables.
+    input_edges is read to the end first and must be positional: the edge
+    at position i has seq i, as read_stream, order_stream and run_stream
+    produce; anything else raises ValueError.  colored is then read once.
+
+    No table from color to edges is kept.  A color splits into its head,
+    the text up to its last dot, and an int slot; a color whose slot is
+    not canonical (ASCII digits, no leading zero, at most 18 of them, so
+    it fits an int64) is a head of its own.  Each matched seq keeps its
+    slot in an int array and each head keeps an int array of its seqs, so
+    memory grows with the edges and the heads, not with the distinct
+    colors.  A table of PARSED recent colors, cleared when full, spares
+    re-parsing a color that repeats.  The conflict reported is the one an
+    ascending-seq scan meets first.
     """
     us, vs = array("q"), array("q")
     for u, v, seq in input_edges:
@@ -355,58 +384,79 @@ def verify_proper(
         raise ValueError("input vertices must be non-negative")
 
     # An input seq is matched by the first colored line with its exact
-    # triple and keeps that line's color; every other line is surplus, and
-    # only the smallest surplus triple is kept.
-    color_of: list[str | None] = [None] * m
+    # triple, keeps that line's slot and joins its head's seqs; every other
+    # line is surplus, and only the smallest surplus triple is kept.  A
+    # color that is a head of its own takes slot -1, so two colors are
+    # equal exactly when head and slot are.
+    slots = array("q", [_UNMATCHED]) * m
+    heads: dict[str, array] = {}
+    parsed: dict[str, tuple[array, int]] = {}  # color -> (its head's seqs, slot)
     surplus = None
     for (u, v, s), color in colored:
-        if 0 <= s < m and color_of[s] is None and u == us[s] and v == vs[s]:
-            color_of[s] = color
+        if 0 <= s < m and slots[s] == _UNMATCHED and u == us[s] and v == vs[s]:
+            got = parsed.get(color)
+            if got is None:
+                if len(parsed) >= PARSED:
+                    parsed.clear()
+                head, dot, slot = color.rpartition(".")
+                # a canonical slot of at most 18 digits, which fits an int64
+                if slot.isdigit() and slot.isascii() and dot and len(slot) < 19 and (slot[0] != "0" or slot == "0"):
+                    value = int(slot)
+                else:
+                    head, value = color, -1
+                seqs = heads.get(head)
+                if seqs is None:
+                    seqs = heads[head] = array("q")
+                got = parsed[color] = seqs, value
+            seqs, slots[s] = got
+            seqs.append(s)
         elif surplus is None or (u, v, s) < surplus:
             surplus = (u, v, s)
+    parsed.clear()
     bits = []
-    if None in color_of:
-        missing = min((us[s], vs[s], s) for s in range(m) if color_of[s] is None)
+    if _UNMATCHED in slots:
+        missing = min((us[s], vs[s], s) for s in range(m) if slots[s] == _UNMATCHED)
         bits.append(f"missing {missing}")
     if surplus is not None:
         bits.append(f"unexpected {surplus}")
     if bits:
         return VerifyResult(status="mismatch", detail="; ".join(bits))
 
-    # Each color's edges are chained in ascending seq: head[color] is the
-    # chain's first seq, which names it, and after[s] the next.  Scanning a
-    # chain, held[x] is the name of the last chain seen at vertex x and
-    # holder[x] its seq, so a chain's first repeat at u (then v) is its
-    # earliest conflict.  The smallest second seq over all chains is the
-    # conflict an ascending-seq scan of the stream meets first.
-    head: dict[str, int] = {}
-    after = array("q", [-1]) * m
-    for s in range(m - 1, -1, -1):
-        color = color_of[s]
-        after[s] = head.get(color, -1)
-        head[color] = s
     n = max(max(us), max(vs)) + 1 if m else 0
+    seen = array("q", [-1]) * n
+    clashing = [head for head, seqs in heads.items() if _clashes(seqs, slots, us, vs, seen)]
+    if not clashing:
+        return VerifyResult(status="ok")
+
+    # In a clashing head, seqs sorted by (slot, seq) chain each color's
+    # edges in ascending seq, and a chain is named by its first seq.
+    # Scanning a chain, held[x] is the name of the last chain seen at
+    # vertex x and holder[x] its seq, so a chain's first repeat at u (then
+    # v) is its earliest conflict.  The smallest second seq over all chains
+    # is the conflict an ascending-seq scan of the stream meets first.
     held = array("q", [-1]) * n
     holder = array("q", [0]) * n
-    witness = None
     limit = m
-    for c in head.values():
-        s = c
-        while 0 <= s < limit:
+    for head in clashing:
+        chain = sorted(heads[head])
+        chain.sort(key=slots.__getitem__)
+        slot = _UNMATCHED
+        for s in chain:
+            if s >= limit:
+                continue
             u, v = us[s], vs[s]
-            if held[u] == c:
-                witness, limit = (s, holder[u], u), s
-                break
-            held[u], holder[u] = c, s
-            if held[v] == c and holder[v] != s:
-                witness, limit = (s, holder[v], v), s
-                break
-            held[v], holder[v] = c, s
-            s = after[s]
-    if witness is None:
-        return VerifyResult(status="ok")
-    second, first, x = witness
-    color = color_of[second]
+            if slots[s] != slot:
+                slot = slots[s]
+                c = held[u] = held[v] = holder[u] = holder[v] = s
+            elif held[u] == c:
+                witness, limit = (s, holder[u], u, head), s
+            elif held[v] == c:
+                witness, limit = (s, holder[v], v, head), s
+            else:
+                held[u] = held[v] = c
+                holder[u] = holder[v] = s
+    second, first, x, head = witness
+    color = head if slots[second] < 0 else f"{head}.{slots[second]}"
     return VerifyResult(
         status="conflict",
         detail=f"color {color} repeats at vertex {x}",

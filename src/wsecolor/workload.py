@@ -238,6 +238,12 @@ def write_colored(fh: IO[str], emissions: Iterable[tuple[Row, str]]) -> None:
         fh.write(colored_line(row, color))
 
 
+# read_colored's spelling table holds at most this many entries and is
+# cleared when full, so a palette that mints a color per edge costs the
+# reader no more than the table
+SPELLINGS = 4096
+
+
 def read_colored(fh: IO[str]) -> Iterator[tuple[Row, str]]:
     """Parse a colored file lazily into ((u, v, seq), color) rows, one per
     line, with the triple as plain ints.
@@ -247,7 +253,11 @@ def read_colored(fh: IO[str]) -> Iterator[tuple[Row, str]]:
     the token up to its last dot, is decoded and validated once, where it
     first appears; a later token with that head only has its slot, leading
     zeros dropped, appended to the canonical head.  Every spelling of a
-    color yields one string: its canonical token.
+    color yields an equal string: its canonical token.  The table from
+    spelling to color holds SPELLINGS entries and is cleared when full, so
+    the spellings of a color share one string object only within one
+    filling of the table; a token that is already canonical is yielded as
+    the object the line was split into.
     """
     canonical: dict[str, str] = {}
     # A valid token is a head, a dot and a slot of ASCII digits, so a token
@@ -255,32 +265,42 @@ def read_colored(fh: IO[str]) -> Iterator[tuple[Row, str]]:
     # canonical head plus str(int(slot)), and int fails as the decoder's does.
     heads: dict[str, str] = {}  # raw head -> canonical head, trailing dot included
     for lineno, line in enumerate(fh, start=1):
-        fields = line.split()
-        if len(fields) != 4:
-            if not fields:
+        try:
+            a, b, c, token = line.split()
+        except ValueError:
+            if not line.split():
                 continue
             raise StreamFormatError(
                 f"line {lineno}: expected '<u> <v> <seq> <color>', got {line.rstrip()!r}"
-            )
-        a, b, c, token = fields
+            ) from None
         # _decimal's rule; a token outside ASCII is the decoder's to name
         if not (a.isdigit() and b.isdigit() and c.isdigit() and (line.isascii() or _decimal((a, b, c)))):
             raise StreamFormatError(
                 f"line {lineno}: endpoints and seq must be integers, got {line.rstrip()!r}"
             )
-        u, v, seq = int(a), int(b), int(c)
+        row = int(a), int(b), int(c)
         color = canonical.get(token)
         if color is None:
             head, _, slot = token.rpartition(".")
             prefix = heads.get(head)
             try:
                 if prefix is not None and slot.isascii() and slot.isdigit():
-                    color = prefix + str(int(slot))
+                    value = int(slot)
+                    # decoding drops only leading zeros, so the raw head is
+                    # canonical when its prefix is as long; with a canonical
+                    # slot too, the token is its own color
+                    if len(prefix) + len(slot) == len(token) and (slot[0] != "0" or slot == "0"):
+                        color = token
+                    else:
+                        color = prefix + str(value)
                 else:
                     color = encode_color(decode_color(token))
                     heads[head] = color[: color.rindex(".") + 1]
             except ValueError as err:
                 raise StreamFormatError(f"line {lineno}: {err}") from None
-            # a canonical token maps to itself, so each color is one string
+            if len(canonical) >= SPELLINGS - 1:  # room for the token and its color
+                canonical.clear()
+            # a canonical token maps to itself, so within the table each
+            # color is one string
             color = canonical[token] = canonical.setdefault(color, color)
-        yield (u, v, seq), color
+        yield row, color

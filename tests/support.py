@@ -234,17 +234,17 @@ _PALETTE = ["E0.L0.BASE.0", "E0.L0.BASE.1", "E0.L0.P0.I0.LOW.0"]
 
 
 @st.composite
-def damaged_colorings(draw):
+def damaged_colorings(draw, palette=_PALETTE):
     """(colored, edges): a small stream with self-loops and parallel edges
-    on at most 4 vertices, painted from a three-color palette; some lines
-    dropped or doubled, surplus triples added, and the lines shuffled.
-    About half the colors are fresh copies, built per pair, so equal colors
-    are not always one object."""
+    on at most 4 vertices, painted from palette, by default three canonical
+    colors; some lines dropped or doubled, surplus triples added, and the
+    lines shuffled.  About half the colors are fresh copies, built per
+    pair, so equal colors are not always one object."""
     n = draw(st.integers(1, 4))
     vertex = st.integers(0, n - 1)
     edges = make_edges(draw(st.lists(st.tuples(vertex, vertex), max_size=8)))
     color = st.builds(
-        lambda c, fresh: c.encode().decode() if fresh else c, st.sampled_from(_PALETTE), st.booleans()
+        lambda c, fresh: c.encode().decode() if fresh else c, st.sampled_from(palette), st.booleans()
     )
     colored = []
     for e in edges:

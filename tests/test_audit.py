@@ -3,6 +3,7 @@ dual-run counter check with its regression canary."""
 
 import io
 import json
+import tracemalloc
 from collections import Counter
 
 import pytest
@@ -22,10 +23,14 @@ from wsecolor import (
     leftover_stats,
     offset_independence_check,
     order_stream,
+    read_colored,
+    read_stream,
     resolve_config,
     run_stream,
     space_check,
     verify_proper,
+    write_colored,
+    write_stream,
 )
 from wsecolor.audit import (
     SPACE_RATIO_LIMIT,
@@ -165,6 +170,53 @@ def test_verify_names_a_misplaced_seq_the_same_for_edges_and_rows(rows):
 def test_verify_matches_the_ascending_seq_reference(case):
     colored, edges = case
     assert verify_proper(iter(colored), iter(edges)) == reference_verify(colored, edges)
+
+
+# Colors the file reader never yields: padded and bare slots, no dot, an
+# empty head, and slots too long for an int64, beside their canonical kin.
+NON_CANONICAL = [
+    "E0.L0.BASE.3",
+    "E0.L0.BASE.03",
+    "E0.L0.BASE.",
+    "7",
+    "7.0",
+    ".7",
+    "E0.L0.BASE.1234567890123456789",
+    "E0.L0.BASE.12345678901234567890",
+]
+
+
+@settings(max_examples=400)
+@given(damaged_colorings(NON_CANONICAL))
+def test_verify_matches_the_ascending_seq_reference_on_non_canonical_colors(case):
+    # verify_proper splits canonical slots off their heads; every other
+    # color must still compare as its whole string
+    colored, edges = case
+    assert verify_proper(iter(colored), iter(edges)) == reference_verify(colored, edges)
+
+
+def test_verify_memory_does_not_grow_with_the_palette(tmp_path):
+    # degree-burst order drives the class palettes, which mint a color for
+    # almost every edge; verify keeps per-edge int arrays and per-head seq
+    # arrays, about 60 B/edge here, where a table per color took about 158
+    n, delta, m = 512, 256, 32768
+    edges, emissions, _, _ = color_run(n, delta, m, order="degree-burst", seed=5, kappa=32)
+    assert len(set(color for _, color in emissions)) > m // 2
+    with open(tmp_path / "s.wse", "w") as fh:
+        write_stream(fh, n, delta, edges)
+    with open(tmp_path / "s.colored", "w") as fh:
+        write_colored(fh, emissions)
+    del emissions
+    with open(tmp_path / "s.colored") as cfh, open(tmp_path / "s.wse") as sfh:
+        _, body = read_stream(sfh)
+        tracemalloc.start()
+        try:
+            result = verify_proper(read_colored(cfh), body)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert result.ok
+    assert peak / m <= 80, peak / m
 
 
 def test_verify_agrees_with_pairwise_oracle():

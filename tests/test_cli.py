@@ -21,9 +21,9 @@ from wsecolor import (
     write_stream,
 )
 from wsecolor import audit
-from wsecolor.audit import LEFTOVER_MIN_RUNS, trace_audit
+from wsecolor.audit import LEFTOVER_MIN_RUNS, PARSED, trace_audit
 from wsecolor.cli import BENCH_COLUMNS, main
-from wsecolor.workload import ORDER_POLICIES
+from wsecolor.workload import ORDER_POLICIES, SPELLINGS
 
 
 def run_cli(capsys, *argv):
@@ -363,6 +363,23 @@ def test_verify_compares_canonical_colors(tmp_path, capsys):
     code, out, _ = run_cli(capsys, "verify", str(colored), str(stream))
     assert code == 1
     assert out.startswith("conflict: color E1.L0.BASE.3 repeats at vertex 1")
+
+
+def test_verify_finds_a_conflict_across_the_spelling_table_bound(tmp_path, capsys):
+    # the conflict's two lines, one padded, are read with more distinct
+    # colors between them than the reader's and the verifier's tables hold
+    k = max(SPELLINGS, PARSED) + 10
+    stream = tmp_path / "s.wse"
+    stream.write_text(f"wse v1 4 {k + 2} {k + 2}\n0 1\n" + "2 3\n" * k + "1 2\n")
+    colored = tmp_path / "s.colored"
+    colored.write_text(
+        "0 1 0 E0.L0.BASE.3\n"
+        + "".join(f"2 3 {seq} E0.L0.BASE.{seq + 9}\n" for seq in range(1, k + 1))
+        + f"1 2 {k + 1} E0.L0.BASE.03\n"
+    )
+    code, out, _ = run_cli(capsys, "verify", str(colored), str(stream))
+    assert code == 1
+    assert out == f"conflict: color E0.L0.BASE.3 repeats at vertex 1; edges (0,1) seq 0 and (1,2) seq {k + 1}\n"
 
 
 @pytest.mark.parametrize("command", ["color", "baseline"])

@@ -23,7 +23,7 @@ from wsecolor import (
     write_stream,
 )
 from wsecolor.model import FAMILIES
-from wsecolor.workload import ORDER_POLICIES, StreamFormatError
+from wsecolor.workload import ORDER_POLICIES, SPELLINGS, StreamFormatError
 
 from support import (
     damaged_colorings,
@@ -369,6 +369,17 @@ def test_colored_non_canonical_head_reads_as_the_canonical_head():
     text = "0 1 0 E01.L0.BASE.3\n1 2 1 E01.L0.BASE.4\n"
     colors = [color for _, color in read_colored(io.StringIO(text))]
     assert colors == ["E1.L0.BASE.3", "E1.L0.BASE.4"]
+
+
+@pytest.mark.parametrize("first, last", [("03", "3"), ("3", "03")], ids=["padded-first", "canonical-first"])
+def test_colored_spellings_across_the_table_bound_read_as_equal_strings(first, last):
+    # more distinct tokens than the spelling table holds lie between the two
+    # spellings, so the table is cleared in between
+    filler = "".join(f"2 3 {seq} E0.L0.BASE.{seq + 9}\n" for seq in range(1, SPELLINGS + 10))
+    text = f"0 1 0 E0.L0.BASE.{first}\n{filler}1 2 {SPELLINGS + 10} E0.L0.BASE.{last}\n"
+    colors = [color for _, color in read_colored(io.StringIO(text))]
+    assert len(set(colors)) > SPELLINGS
+    assert colors[0] == colors[-1] == "E0.L0.BASE.3"
 
 
 @pytest.mark.parametrize(
