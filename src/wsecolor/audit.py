@@ -331,7 +331,7 @@ PARSED = 4096
 _UNMATCHED = -2  # the slot of a seq that no colored line has matched yet
 
 
-def _clashes(seqs: array, slots: array, us: array, vs: array, seen: array) -> bool:
+def _clashes(seqs: array, slots: array, us: array, vs: array, seen: array | dict) -> bool:
     """True when two edges of one color among a head's seqs share a vertex.
     Sorted by slot, the seqs run through one color after another, and
     seen[x] names the last color seen at vertex x by its first seq there,
@@ -365,21 +365,29 @@ def verify_proper(
 
     No table from color to edges is kept.  A color splits into its head,
     the text up to its last dot, and an int slot; a color whose slot is
-    not canonical (ASCII digits, no leading zero, at most 18 of them, so
-    it fits an int64) is a head of its own.  Each matched seq keeps its
-    slot in an int array and each head keeps an int array of its seqs, so
-    memory grows with the edges and the heads, not with the distinct
+    not canonical (ASCII digits, no leading zero, at most 9 of them, so
+    it fits an int32) is a head of its own.  Each matched seq keeps its
+    slot in an int32 array and each head keeps an int32 array of its seqs
+    (int64 once m reaches 2**31); the endpoint columns are uint16 until an
+    id outside 16 bits widens both to int64.  So an edge costs 12 bytes,
+    and memory grows with the edges and the heads, not with the distinct
     colors.  A table of PARSED recent colors, cleared when full, spares
     re-parsing a color that repeats.  The conflict reported is the one an
     ascending-seq scan meets first.
     """
-    us, vs = array("q"), array("q")
+    us, vs = array("H"), array("H")
     for u, v, seq in input_edges:
         if seq != len(us):
             raise ValueError(f"input edge {Edge(u, v, seq)} at position {len(us)}: seq must equal position")
-        us.append(u)
-        vs.append(v)
+        try:
+            us.append(u)
+            vs.append(v)
+        except OverflowError:  # an id outside uint16 widens both columns
+            us, vs = array("q", us[: len(vs)]), array("q", vs)
+            us.append(u)
+            vs.append(v)
     m = len(us)
+    wide = "i" if m < 2**31 else "q"  # the type of a column of seqs
     if m and min(min(us), min(vs)) < 0:
         raise ValueError("input vertices must be non-negative")
 
@@ -388,7 +396,7 @@ def verify_proper(
     # line is surplus, and only the smallest surplus triple is kept.  A
     # color that is a head of its own takes slot -1, so two colors are
     # equal exactly when head and slot are.
-    slots = array("q", [_UNMATCHED]) * m
+    slots = array("i", [_UNMATCHED]) * m
     heads: dict[str, array] = {}
     parsed: dict[str, tuple[array, int]] = {}  # color -> (its head's seqs, slot)
     surplus = None
@@ -399,14 +407,14 @@ def verify_proper(
                 if len(parsed) >= PARSED:
                     parsed.clear()
                 head, dot, slot = color.rpartition(".")
-                # a canonical slot of at most 18 digits, which fits an int64
-                if slot.isdigit() and slot.isascii() and dot and len(slot) < 19 and (slot[0] != "0" or slot == "0"):
+                # a canonical slot of at most 9 digits, which fits an int32
+                if slot.isdigit() and slot.isascii() and dot and len(slot) < 10 and (slot[0] != "0" or slot == "0"):
                     value = int(slot)
                 else:
                     head, value = color, -1
                 seqs = heads.get(head)
                 if seqs is None:
-                    seqs = heads[head] = array("q")
+                    seqs = heads[head] = array(wide)
                 got = parsed[color] = seqs, value
             seqs, slots[s] = got
             seqs.append(s)
@@ -423,7 +431,11 @@ def verify_proper(
         return VerifyResult(status="mismatch", detail="; ".join(bits))
 
     n = max(max(us), max(vs)) + 1 if m else 0
-    seen = array("q", [-1]) * n
+
+    def table(fill):  # per vertex: over 0..n-1, or over the ids present if sparse
+        return dict.fromkeys(us, fill) | dict.fromkeys(vs, fill) if n > 65536 + 8 * m else array(wide, [fill]) * n
+
+    seen = table(-1)
     clashing = [head for head, seqs in heads.items() if _clashes(seqs, slots, us, vs, seen)]
     if not clashing:
         return VerifyResult(status="ok")
@@ -434,8 +446,7 @@ def verify_proper(
     # vertex x and holder[x] its seq, so a chain's first repeat at u (then
     # v) is its earliest conflict.  The smallest second seq over all chains
     # is the conflict an ascending-seq scan of the stream meets first.
-    held = array("q", [-1]) * n
-    holder = array("q", [0]) * n
+    held, holder = table(-1), table(0)
     limit = m
     for head in clashing:
         chain = sorted(heads[head])

@@ -158,6 +158,28 @@ def test_verify_rejects_input_it_cannot_index(edges):
         verify_proper([], edges)
 
 
+@pytest.mark.parametrize("pairs", [[(0, -1)], [(-1, 0)], [(0, 2**40), (-1, 0)], [(0, -(2**40))]])
+def test_verify_rejects_a_negative_vertex_whatever_its_column_width(pairs):
+    with pytest.raises(ValueError) as info:
+        verify_proper([], make_edges(pairs))
+    assert str(info.value) == "input vertices must be non-negative"
+
+
+@pytest.mark.parametrize("big", [65535, 65536, 2**40])
+@pytest.mark.parametrize("case", ["ok", "conflict", "missing"])
+def test_verify_widens_its_endpoint_columns_for_ids_past_16_bits(big, case):
+    # an id past uint16 widens both columns once, whether it comes as u or
+    # as v; 2**40 also takes the per-vertex tables over the ids present
+    edges = make_edges([(0, 1), (1, 2), (2, big), (big, 3), (3, big), (big, 1)])
+    tokens = {"ok": [0, 1, 0, 1, 2, 3], "conflict": [0, 1, 0, 1, 0, 3], "missing": [0, 1, 0, 1, 2, 3]}[case]
+    colored = painted(edges, tokens)[: 5 if case == "missing" else 6]
+    result = verify_proper(iter(colored), iter(edges))
+    assert result == reference_verify(colored, edges)
+    assert result.status == {"ok": "ok", "conflict": "conflict"}.get(case, "mismatch")
+    if case == "conflict":
+        assert result.detail == f"color E0.L0.BASE.0 repeats at vertex {big}"
+
+
 @pytest.mark.parametrize("rows", [[Edge(0, 1, 1)], [(0, 1, 1)]], ids=["edge", "tuple"])
 def test_verify_names_a_misplaced_seq_the_same_for_edges_and_rows(rows):
     with pytest.raises(ValueError) as info:
@@ -173,7 +195,8 @@ def test_verify_matches_the_ascending_seq_reference(case):
 
 
 # Colors the file reader never yields: padded and bare slots, no dot, an
-# empty head, and slots too long for an int64, beside their canonical kin.
+# empty head, and slots too long for an int64, beside their canonical kin;
+# and slots on both sides of the 9-digit cut, one of them past an int32.
 NON_CANONICAL = [
     "E0.L0.BASE.3",
     "E0.L0.BASE.03",
@@ -183,6 +206,10 @@ NON_CANONICAL = [
     ".7",
     "E0.L0.BASE.1234567890123456789",
     "E0.L0.BASE.12345678901234567890",
+    "E0.L0.BASE.999999999",
+    "E0.L0.BASE.1000000000",
+    "E0.L0.BASE.2147483648",
+    "E0.L0.BASE.000000003",
 ]
 
 
@@ -195,13 +222,12 @@ def test_verify_matches_the_ascending_seq_reference_on_non_canonical_colors(case
     assert verify_proper(iter(colored), iter(edges)) == reference_verify(colored, edges)
 
 
-def test_verify_memory_does_not_grow_with_the_palette(tmp_path):
-    # degree-burst order drives the class palettes, which mint a color for
-    # almost every edge; verify keeps per-edge int arrays and per-head seq
-    # arrays, about 60 B/edge here, where a table per color took about 158
+def _verify_peak_per_edge(tmp_path, order):
+    """Traced heap peak of verify_proper per edge, reading an n=512, Δ=256,
+    m=32,768 stream and its coloring from files; with the distinct colors."""
     n, delta, m = 512, 256, 32768
-    edges, emissions, _, _ = color_run(n, delta, m, order="degree-burst", seed=5, kappa=32)
-    assert len(set(color for _, color in emissions)) > m // 2
+    edges, emissions, _, _ = color_run(n, delta, m, order=order, seed=5, kappa=32)
+    distinct = len(set(color for _, color in emissions))
     with open(tmp_path / "s.wse", "w") as fh:
         write_stream(fh, n, delta, edges)
     with open(tmp_path / "s.colored", "w") as fh:
@@ -216,7 +242,27 @@ def test_verify_memory_does_not_grow_with_the_palette(tmp_path):
         finally:
             tracemalloc.stop()
     assert result.ok
-    assert peak / m <= 80, peak / m
+    return peak / m, distinct
+
+
+def test_verify_memory_does_not_grow_with_the_palette(tmp_path):
+    # degree-burst order drives the class palettes, which mint a color for
+    # almost every edge; verify keeps 12 B/edge of columns and per-head
+    # seq arrays, about 37 B/edge here, where int64 columns took about 57
+    # and a table per color about 158
+    per_edge, distinct = _verify_peak_per_edge(tmp_path, "degree-burst")
+    assert distinct > 32768 // 2
+    assert per_edge <= 45, per_edge
+
+
+def test_verify_memory_per_edge_with_few_colors(tmp_path):
+    # arrival-random order puts nearly every edge on a LOW palette, so the
+    # colors are few and the 12 B/edge columns are most of the peak: about
+    # 15 B/edge, where int64 seq arrays alone took about 19.6 and int64
+    # columns about 36
+    per_edge, distinct = _verify_peak_per_edge(tmp_path, "arrival-random")
+    assert distinct < 32768 // 16
+    assert per_edge <= 18, per_edge
 
 
 def test_verify_agrees_with_pairwise_oracle():

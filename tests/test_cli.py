@@ -382,6 +382,28 @@ def test_verify_finds_a_conflict_across_the_spelling_table_bound(tmp_path, capsy
     assert out == f"conflict: color E0.L0.BASE.3 repeats at vertex 1; edges (0,1) seq 0 and (1,2) seq {k + 1}\n"
 
 
+def test_verify_reads_vertex_ids_past_16_bits(tmp_path, capsys):
+    # ids past uint16 widen verify's endpoint columns; the verdicts and the
+    # conflict line read as they do for small ids
+    stream = tmp_path / "w.wse"
+    pairs = [(0, 69999), (69999, 65536), (65536, 1), (1, 0), (65536, 69998), (69998, 65535), (65535, 0)]
+    stream.write_text(f"wse v1 70000 3 {len(pairs)}\n" + "".join(f"{u} {v}\n" for u, v in pairs))
+    assert run_cli(capsys, "color", str(stream))[0] == 0
+    colored = stream.with_suffix(".wse.colored")
+    code, out, _ = run_cli(capsys, "verify", str(colored), str(stream))
+    assert (code, out) == (0, f"ok: {len(pairs)} edges, coloring is proper\n")
+    # plant seq 0's color on seq 1, which shares vertex 69999 with it
+    lines = [line.split() for line in colored.read_text().splitlines()]
+    assert [line[2] for line in lines[:2]] == ["0", "1"]
+    lines[1][3] = lines[0][3]
+    colored.write_text("".join(" ".join(f) + "\n" for f in lines))
+    code, out, _ = run_cli(capsys, "verify", str(colored), str(stream))
+    assert code == 1
+    assert out == (
+        f"conflict: color {lines[0][3]} repeats at vertex 69999; edges (0,69999) seq 0 and (69999,65536) seq 1\n"
+    )
+
+
 @pytest.mark.parametrize("command", ["color", "baseline"])
 def test_failed_run_leaves_no_partial_output(command, tmp_path, capsys):
     bad = tmp_path / "bad.wse"
