@@ -331,24 +331,6 @@ PARSED = 4096
 _UNMATCHED = -2  # the slot of a seq that no colored line has matched yet
 
 
-def _clashes(seqs: array, slots: array, us: array, vs: array, seen: array | dict) -> bool:
-    """True when two edges of one color among a head's seqs share a vertex.
-    Sorted by slot, the seqs run through one color after another, and
-    seen[x] names the last color seen at vertex x by its first seq there,
-    which needs no check.  The order within a color does not matter."""
-    slot = _UNMATCHED
-    for s in sorted(seqs, key=slots.__getitem__):
-        u, v = us[s], vs[s]
-        if slots[s] != slot:
-            slot = slots[s]
-            c = seen[u] = seen[v] = s
-        elif seen[u] == c or seen[v] == c:
-            return True
-        else:
-            seen[u] = seen[v] = c
-    return False
-
-
 def verify_proper(
     colored: Iterable[tuple[Iterable[int], str]], input_edges: Iterable[Iterable[int]]
 ) -> VerifyResult:
@@ -372,8 +354,9 @@ def verify_proper(
     id outside 16 bits widens both to int64.  So an edge costs 12 bytes,
     and memory grows with the edges and the heads, not with the distinct
     colors.  A table of PARSED recent colors, cleared when full, spares
-    re-parsing a color that repeats.  The conflict reported is the one an
-    ascending-seq scan meets first.
+    re-parsing a color that repeats.  One walk then visits each head's
+    seqs in (slot, seq) order with one per-vertex table, and reports the
+    conflict an ascending-seq scan meets first.
     """
     us, vs = array("H"), array("H")
     for u, v, seq in input_edges:
@@ -430,26 +413,18 @@ def verify_proper(
     if bits:
         return VerifyResult(status="mismatch", detail="; ".join(bits))
 
+    # Each head's seqs sorted by (slot, seq) chain its colors one after
+    # another, each in ascending seq, and a chain is named by its first
+    # seq.  held[x] names the last chain seen at vertex x, over 0..n-1 or
+    # over the ids present if sparse, so a chain's first repeat at u (then
+    # v) is its earliest conflict.  The smallest second seq over all
+    # chains, carried in limit, is the conflict an ascending-seq scan of
+    # the stream meets first, so the walk skips every seq at or past it.
     n = max(max(us), max(vs)) + 1 if m else 0
-
-    def table(fill):  # per vertex: over 0..n-1, or over the ids present if sparse
-        return dict.fromkeys(us, fill) | dict.fromkeys(vs, fill) if n > 65536 + 8 * m else array(wide, [fill]) * n
-
-    seen = table(-1)
-    clashing = [head for head, seqs in heads.items() if _clashes(seqs, slots, us, vs, seen)]
-    if not clashing:
-        return VerifyResult(status="ok")
-
-    # In a clashing head, seqs sorted by (slot, seq) chain each color's
-    # edges in ascending seq, and a chain is named by its first seq.
-    # Scanning a chain, held[x] is the name of the last chain seen at
-    # vertex x and holder[x] its seq, so a chain's first repeat at u (then
-    # v) is its earliest conflict.  The smallest second seq over all chains
-    # is the conflict an ascending-seq scan of the stream meets first.
-    held, holder = table(-1), table(0)
+    held = dict.fromkeys(us, -1) | dict.fromkeys(vs, -1) if n > 65536 + 8 * m else array(wide, [-1]) * n
     limit = m
-    for head in clashing:
-        chain = sorted(heads[head])
+    for head, seqs in heads.items():
+        chain = sorted(seqs)
         chain.sort(key=slots.__getitem__)
         slot = _UNMATCHED
         for s in chain:
@@ -458,16 +433,20 @@ def verify_proper(
             u, v = us[s], vs[s]
             if slots[s] != slot:
                 slot = slots[s]
-                c = held[u] = held[v] = holder[u] = holder[v] = s
-            elif held[u] == c:
-                witness, limit = (s, holder[u], u, head), s
-            elif held[v] == c:
-                witness, limit = (s, holder[v], v, head), s
+                c = held[u] = held[v] = s
+            elif held[u] == c or held[v] == c:
+                x = u if held[u] == c else v
+                found, limit = head, s
             else:
                 held[u] = held[v] = c
-                holder[u] = holder[v] = s
-    second, first, x, head = witness
-    color = head if slots[second] < 0 else f"{head}.{slots[second]}"
+        del chain  # so that no two heads' chains are alive at once
+    if limit == m:
+        return VerifyResult(status="ok")
+    # the chain stopped at its first repeat, so one earlier edge of its
+    # color meets it at x
+    second, slot = limit, slots[limit]
+    first = next(s for s in heads[found] if s < second and slots[s] == slot and x in (us[s], vs[s]))
+    color = found if slot < 0 else f"{found}.{slot}"
     return VerifyResult(
         status="conflict",
         detail=f"color {color} repeats at vertex {x}",

@@ -21,6 +21,7 @@ from wsecolor import (
     resolve_config,
     run_stream,
 )
+from wsecolor.primitives import RandomSource
 
 
 def find_conflicts(colored):
@@ -78,6 +79,17 @@ def color_run(n, delta, m, *, order="arrival-random", seed=0, trace=None, **over
     config = resolve_config(n=n, delta=delta, seed=seed, m=m, **overrides)
     emissions, metrics = run_stream(config, edges, trace=trace)
     return edges, emissions, metrics, config
+
+
+class FixedIndex(RandomSource):
+    """A sigma root whose every draw is palette index 1, so a phase's
+    intervals repeat one index and its slot masks gather bits over them."""
+
+    def child(self, *labels):
+        return FixedIndex(*super().child(*labels))
+
+    def randrange(self, stop):
+        return 0
 
 
 def oracle_gen_multigraph(n, delta, m, *, allow_parallel=True, seed=0):

@@ -47,10 +47,10 @@ from wsecolor.audit import (
 from wsecolor.class_colorer import ClassState
 from wsecolor.model import FAMILIES, epoch_config
 from wsecolor.phase_engine import PhaseEngine
-from wsecolor.primitives import RandomSource
 from wsecolor.workload import ORDER_POLICIES
 
 from support import (
+    FixedIndex,
     color_run,
     damaged_colorings,
     decoded,
@@ -169,7 +169,7 @@ def test_verify_rejects_a_negative_vertex_whatever_its_column_width(pairs):
 @pytest.mark.parametrize("case", ["ok", "conflict", "missing"])
 def test_verify_widens_its_endpoint_columns_for_ids_past_16_bits(big, case):
     # an id past uint16 widens both columns once, whether it comes as u or
-    # as v; 2**40 also takes the per-vertex tables over the ids present
+    # as v; 2**40 also takes the per-vertex table over the ids present
     edges = make_edges([(0, 1), (1, 2), (2, big), (big, 3), (3, big), (big, 1)])
     tokens = {"ok": [0, 1, 0, 1, 2, 3], "conflict": [0, 1, 0, 1, 0, 3], "missing": [0, 1, 0, 1, 2, 3]}[case]
     colored = painted(edges, tokens)[: 5 if case == "missing" else 6]
@@ -269,6 +269,70 @@ def test_verify_agrees_with_pairwise_oracle():
     edges, emissions, _, _ = color_run(64, 16, 256, seed=9)
     assert verify_proper(emissions, edges).status == "ok"
     assert find_conflicts(emissions) == []
+
+
+@pytest.fixture(scope="module")
+def forced_run():
+    """A traced run whose sigma root repeats one palette index, so exile,
+    skip-exiled and index-cap-leftover fire on purpose: vertex-sorted,
+    n=256, Δ=64, m=4,096, κ=32, all seeds 1.  Returns (config, edges,
+    emissions, trace records, metrics)."""
+    edges = order_stream(gen_multigraph(256, 64, 4096, seed=1), "vertex-sorted", seed=1)
+    config = resolve_config(n=256, delta=64, m=4096, seed=1, kappa=32)
+    trace = TraceRecorder()
+    colorer = StreamColorer(config, trace=trace)
+    colorer.sigma_root = FixedIndex(*colorer.sigma_root)
+    emissions = list(colorer.run(edges))
+    return config, edges, emissions, trace.records, colorer.metrics(wall_ms=0.0)
+
+
+def read_back(config, edges, pairs):
+    """verify_proper on pairs and edges written as files and read back."""
+    stream, colored = io.StringIO(), io.StringIO()
+    write_stream(stream, config.n, config.delta, edges)
+    write_colored(colored, pairs)
+    stream.seek(0)
+    colored.seek(0)
+    return verify_proper(read_colored(colored), read_stream(stream)[1])
+
+
+def test_a_repeated_index_drives_the_rare_rules(forced_run):
+    # under random indices exile and the index cap bind a few times per
+    # suite; one index repeated drives them by the dozen and the thousand
+    # (24, 23 and 2,225 at depth 3), and the run still verifies and audits
+    # clean.  cap-leftover does not fire here.
+    config, edges, emissions, records, metrics = forced_run
+    assert read_back(config, edges, emissions).ok
+    ok, detail, _ = trace_audit(records, config)
+    assert ok, detail
+    counts = Counter(r["case"] if r["kind"] == "mixed-decision" else r["kind"] for r in records)
+    assert counts["exile"] >= 10 and counts["skip-exiled"] >= 10, counts
+    assert counts["index-cap-leftover"] >= 1000, counts
+    assert metrics.depth >= 2
+
+
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
+def test_verify_matches_the_reference_on_planted_conflicts(forced_run, data):
+    # 1-3 edges take the color of another edge at one of their endpoints,
+    # often in another head of the run's 41 over levels 0-3, so the
+    # earliest conflict may lie in a head the walk visits after a later
+    # one; damaged_colorings spans two heads and 8 edges
+    config, edges, emissions, _, _ = forced_run
+    at = {}
+    for i, ((u, v, _), _) in enumerate(emissions):
+        at.setdefault(u, []).append(i)
+        at.setdefault(v, []).append(i)
+    colors = [color for _, color in emissions]
+    for _ in range(data.draw(st.integers(1, 3))):
+        i = data.draw(st.integers(0, len(emissions) - 1))
+        x = data.draw(st.sampled_from(emissions[i][0][:2]))
+        colors[i] = colors[data.draw(st.sampled_from([j for j in at[x] if j != i]))]
+    pairs = [(Edge(*row), color) for (row, _), color in zip(emissions, colors)]
+    expected = reference_verify(pairs, [Edge(*e) for e in edges])
+    assert expected.status == "conflict"
+    assert verify_proper(pairs, [Edge(*e) for e in edges]) == expected
+    assert read_back(config, edges, pairs) == expected
 
 
 # -- counter traces ----------------------------------------------------------
@@ -574,17 +638,6 @@ def test_colored_counts_are_read_off_the_engines(mode):
     emissions += colorer.finalize()
     metrics = colorer.metrics(wall_ms=0.0)
     assert sum(metrics.colored_per_level.values()) == len(emissions) == metrics.input_edges == len(edges)
-
-
-class FixedIndex(RandomSource):
-    """A sigma root whose every draw is palette index 1, so a phase's
-    intervals repeat one index and its slot masks gather bits over them."""
-
-    def child(self, *labels):
-        return FixedIndex(*super().child(*labels))
-
-    def randrange(self, stop):
-        return 0
 
 
 def class_scope_tokens(tokens):
