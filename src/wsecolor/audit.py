@@ -2,7 +2,8 @@
 and the statistical checks behind the acceptance suite.
 
 Everything here observes the engine from the outside.  verify_proper is the
-ground truth for output correctness; the trace audits re-derive the slot
+ground truth for output correctness, on the (head, slot) colors that
+read_colored splits; the trace audits re-derive the slot
 structure that the colorer is supposed to maintain; the space meter counts
 the words the algorithm is actually allowed to keep.
 """
@@ -325,38 +326,34 @@ class VerifyResult(NamedTuple):
         return self.status == "ok"
 
 
-# verify_proper's table from color to its head and slot holds at most
-# this many colors and is cleared when full
-PARSED = 4096
 _UNMATCHED = -2  # the slot of a seq that no colored line has matched yet
 
 
 def verify_proper(
-    colored: Iterable[tuple[Iterable[int], str]], input_edges: Iterable[Iterable[int]]
+    colored: Iterable[tuple[Iterable[int], str, int]], input_edges: Iterable[Iterable[int]]
 ) -> VerifyResult:
     """Check conservation and properness of a colored stream.
 
     Ok iff the multiset of colored (u, v, seq) triples equals the input
     multiset and no two distinct edge instances sharing an endpoint carry
-    equal colors.  Colors are compared as strings, whatever object holds
-    them.  Each edge is unpacked as (u, v, seq), so Edges and the readers'
+    equal colors.  colored holds (edge, head, slot) rows as read_colored
+    yields them, so two colors are equal exactly when head and slot are;
+    slot is an int32, -1 for a color that is a head of its own, and a
+    conflict's color is its head, then a dot and its slot if that is not
+    -1.  Each edge is unpacked as (u, v, seq), so Edges and the readers'
     int rows both serve.  Both arguments may be one-shot iterables.
     input_edges is read to the end first and must be positional: the edge
     at position i has seq i, as read_stream, order_stream and run_stream
     produce; anything else raises ValueError.  colored is then read once.
 
-    No table from color to edges is kept.  A color splits into its head,
-    the text up to its last dot, and an int slot; a color whose slot is
-    not canonical (ASCII digits, no leading zero, at most 9 of them, so
-    it fits an int32) is a head of its own.  Each matched seq keeps its
-    slot in an int32 array and each head keeps an int32 array of its seqs
+    No table from color to edges is kept.  Each matched seq keeps its slot
+    in an int32 array and each head keeps an int32 array of its seqs
     (int64 once m reaches 2**31); the endpoint columns are uint16 until an
     id outside 16 bits widens both to int64.  So an edge costs 12 bytes,
     and memory grows with the edges and the heads, not with the distinct
-    colors.  A table of PARSED recent colors, cleared when full, spares
-    re-parsing a color that repeats.  One walk then visits each head's
-    seqs in (slot, seq) order with one per-vertex table, and reports the
-    conflict an ascending-seq scan meets first.
+    colors.  One walk then visits each head's seqs in (slot, seq) order
+    with one per-vertex table, and reports the conflict an ascending-seq
+    scan meets first.
     """
     us, vs = array("H"), array("H")
     for u, v, seq in input_edges:
@@ -376,34 +373,19 @@ def verify_proper(
 
     # An input seq is matched by the first colored line with its exact
     # triple, keeps that line's slot and joins its head's seqs; every other
-    # line is surplus, and only the smallest surplus triple is kept.  A
-    # color that is a head of its own takes slot -1, so two colors are
-    # equal exactly when head and slot are.
+    # line is surplus, and only the smallest surplus triple is kept.
     slots = array("i", [_UNMATCHED]) * m
     heads: dict[str, array] = {}
-    parsed: dict[str, tuple[array, int]] = {}  # color -> (its head's seqs, slot)
     surplus = None
-    for (u, v, s), color in colored:
+    for (u, v, s), head, slot in colored:
         if 0 <= s < m and slots[s] == _UNMATCHED and u == us[s] and v == vs[s]:
-            got = parsed.get(color)
-            if got is None:
-                if len(parsed) >= PARSED:
-                    parsed.clear()
-                head, dot, slot = color.rpartition(".")
-                # a canonical slot of at most 9 digits, which fits an int32
-                if slot.isdigit() and slot.isascii() and dot and len(slot) < 10 and (slot[0] != "0" or slot == "0"):
-                    value = int(slot)
-                else:
-                    head, value = color, -1
-                seqs = heads.get(head)
-                if seqs is None:
-                    seqs = heads[head] = array(wide)
-                got = parsed[color] = seqs, value
-            seqs, slots[s] = got
+            seqs = heads.get(head)
+            if seqs is None:
+                seqs = heads[head] = array(wide)
             seqs.append(s)
+            slots[s] = slot
         elif surplus is None or (u, v, s) < surplus:
             surplus = (u, v, s)
-    parsed.clear()
     bits = []
     if _UNMATCHED in slots:
         missing = min((us[s], vs[s], s) for s in range(m) if slots[s] == _UNMATCHED)

@@ -244,26 +244,27 @@ def write_colored(fh: IO[str], emissions: Iterable[tuple[Row, str]]) -> None:
 SPELLINGS = 4096
 
 
-def read_colored(fh: IO[str]) -> Iterator[tuple[Row, str]]:
-    """Parse a colored file lazily into ((u, v, seq), color) rows, one per
-    line, with the triple as plain ints.
+def read_colored(fh: IO[str]) -> Iterator[tuple[Row, str, int]]:
+    """Parse a colored file lazily into ((u, v, seq), head, slot) rows, one
+    per line, with the triple as plain ints: the one place a color is split.
 
     A bad line raises a line-numbered StreamFormatError when it is reached,
-    after every good line before it has been yielded.  Each distinct head,
-    the token up to its last dot, is decoded and validated once, where it
-    first appears; a later token with that head only has its slot, leading
-    zeros dropped, appended to the canonical head.  Every spelling of a
-    color yields an equal string: its canonical token.  The table from
-    spelling to color holds SPELLINGS entries and is cleared when full, so
-    the spellings of a color share one string object only within one
-    filling of the table; a token that is already canonical is yielded as
-    the object the line was split into.
+    after every good line before it has been yielded.  head is the color's
+    canonical head, the token up to its last dot without that dot, and slot
+    the int after it.  A slot past an int32 (value >> 31) makes the whole
+    canonical token a head of its own, with slot -1.  So two tokens yield
+    equal (head, slot) exactly when they are spellings of one color.  Each
+    distinct raw head is decoded and validated once, where it first
+    appears; a later token with it only has its slot read as ASCII
+    digits.  A head split off its slot is one string object on every
+    line.  A table of SPELLINGS recent tokens, cleared when full, spares
+    reading a token that repeats.
     """
-    canonical: dict[str, str] = {}
+    spellings: dict[str, tuple[str, int]] = {}
     # A valid token is a head, a dot and a slot of ASCII digits, so a token
     # with a known head decodes exactly when its slot is digits, to the
-    # canonical head plus str(int(slot)), and int fails as the decoder's does.
-    heads: dict[str, str] = {}  # raw head -> canonical head, trailing dot included
+    # canonical head and int(slot), and int fails as the decoder's does.
+    heads: dict[str, str] = {}  # raw head -> canonical head
     for lineno, line in enumerate(fh, start=1):
         try:
             a, b, c, token = line.split()
@@ -279,28 +280,23 @@ def read_colored(fh: IO[str]) -> Iterator[tuple[Row, str]]:
                 f"line {lineno}: endpoints and seq must be integers, got {line.rstrip()!r}"
             )
         row = int(a), int(b), int(c)
-        color = canonical.get(token)
-        if color is None:
-            head, _, slot = token.rpartition(".")
-            prefix = heads.get(head)
+        got = spellings.get(token)
+        if got is None:
+            raw, _, slot = token.rpartition(".")
+            head = heads.get(raw)
             try:
-                if prefix is not None and slot.isascii() and slot.isdigit():
-                    value = int(slot)
-                    # decoding drops only leading zeros, so the raw head is
-                    # canonical when its prefix is as long; with a canonical
-                    # slot too, the token is its own color
-                    if len(prefix) + len(slot) == len(token) and (slot[0] != "0" or slot == "0"):
-                        color = token
-                    else:
-                        color = prefix + str(value)
-                else:
+                if head is None or not (slot.isascii() and slot.isdigit()):
                     color = encode_color(decode_color(token))
-                    heads[head] = color[: color.rindex(".") + 1]
+                    head = color[: color.rindex(".")]
+                    # a canonical head is its own raw head, and one object
+                    head = heads[raw] = heads.setdefault(head, head)
+                value = int(slot)
             except ValueError as err:
                 raise StreamFormatError(f"line {lineno}: {err}") from None
-            if len(canonical) >= SPELLINGS - 1:  # room for the token and its color
-                canonical.clear()
-            # a canonical token maps to itself, so within the table each
-            # color is one string
-            color = canonical[token] = canonical.setdefault(color, color)
-        yield row, color
+            if value >> 31:
+                head, value = f"{head}.{value}", -1
+            if len(spellings) >= SPELLINGS:
+                spellings.clear()
+            got = spellings[token] = head, value
+        head, value = got
+        yield row, head, value

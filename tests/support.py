@@ -20,6 +20,7 @@ from wsecolor import (
     order_stream,
     resolve_config,
     run_stream,
+    verify_proper,
 )
 from wsecolor.primitives import RandomSource
 
@@ -40,6 +41,30 @@ def find_conflicts(colored):
                 if s1 != s2 and t1 == t2:
                     conflicts.append((v, t1, s1, s2))
     return conflicts
+
+
+def split_color(color):
+    """A color string as (head, slot), by read_colored's rule for a
+    canonical token: a slot of ASCII digits without a leading zero that
+    fits an int32, after the last dot, splits off; any other string is a
+    head of its own with slot -1.  So two strings split equal exactly when
+    they are equal."""
+    head, dot, slot = color.rpartition(".")
+    if dot and slot.isascii() and slot.isdigit() and (slot[0] != "0" or slot == "0") and int(slot) < 2**31:
+        return head, int(slot)
+    return color, -1
+
+
+def verify_pairs(colored, input_edges):
+    """verify_proper on in-memory (edge, color) pairs, each color split by
+    split_color as it reaches the verifier."""
+    return verify_proper(((e, *split_color(color)) for e, color in colored), input_edges)
+
+
+def joined(rows):
+    """read_colored's (row, head, slot) rows as (row, color) pairs, the
+    color joined back into its canonical token."""
+    return [(row, head if slot < 0 else f"{head}.{slot}") for row, head, slot in rows]
 
 
 def reference_verify(colored, input_edges):

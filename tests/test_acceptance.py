@@ -27,9 +27,10 @@ from wsecolor import (
     resolve_config,
     run_baseline,
     run_stream,
-    verify_proper,
 )
 from wsecolor.audit import audit_gate, depth_gate, space_gate, trace_audit
+
+from support import verify_pairs
 
 KAPPA = 32
 GRID_NS = (64, 256)
@@ -83,7 +84,7 @@ def run_grid_cell(n, delta, order, seed):
             audit=(True, "not audited: the run raised", 0),
             fallback_intervals=0, depth=-1, error=str(err),
         )
-    verify = verify_proper(emissions, edges)
+    verify = verify_pairs(emissions, edges)
     conserved = (
         Counter(tuple(e) for e in edges)
         == Counter(row for row, _ in emissions)
@@ -277,7 +278,7 @@ def test_11_base_case_and_verifier(capsys):
     for seed in range(10):
         config, edges = build_workload(64, 16, "arrival-random", seed, m=40)
         emissions, metrics = run_stream(config, edges)
-        status = verify_proper(emissions, edges).status
+        status = verify_pairs(emissions, edges).status
         deg = Counter()
         for u, v, _ in edges:
             deg[u] += 1
@@ -294,7 +295,7 @@ def test_11_base_case_and_verifier(capsys):
     for trial in range(50):
         edges, emissions = runs[trial % len(runs)]
         corrupted = plant_adjacent_copy(emissions, random.Random(1_000 + trial))
-        if verify_proper(corrupted, edges).status == "conflict":
+        if verify_pairs(corrupted, edges).status == "conflict":
             detected += 1
     ok = not failures and detected == 50
     detail = (

@@ -58,6 +58,7 @@ from support import (
     find_conflicts,
     make_edges,
     reference_verify,
+    verify_pairs,
 )
 
 
@@ -70,13 +71,13 @@ def painted(edges, tokens):
 
 def test_verify_accepts_proper_path():
     edges = make_edges([(0, 1), (1, 2)])
-    result = verify_proper(painted(edges, [0, 1]), edges)
+    result = verify_pairs(painted(edges, [0, 1]), edges)
     assert result.status == "ok" and result.ok
 
 
 def test_verify_flags_conflict_with_witness():
     edges = make_edges([(0, 1), (1, 2)])
-    result = verify_proper(painted(edges, [3, 3]), edges)
+    result = verify_pairs(painted(edges, [3, 3]), edges)
     assert result.status == "conflict"
     assert not result.ok
     assert result.first.seq == 0 and result.second.seq == 1
@@ -86,13 +87,13 @@ def test_verify_flags_conflict_with_witness():
 
 def test_verify_flags_parallel_edges_sharing_a_color():
     edges = make_edges([(0, 1), (0, 1)])
-    assert verify_proper(painted(edges, [2, 2]), edges).status == "conflict"
-    assert verify_proper(painted(edges, [2, 5]), edges).status == "ok"
+    assert verify_pairs(painted(edges, [2, 2]), edges).status == "conflict"
+    assert verify_pairs(painted(edges, [2, 5]), edges).status == "ok"
 
 
 def test_verify_flags_missing_edge():
     edges = make_edges([(0, 1), (2, 3)])
-    result = verify_proper(painted(edges, [0, 1])[:1], edges)
+    result = verify_pairs(painted(edges, [0, 1])[:1], edges)
     assert result.status == "mismatch"
     assert "missing" in result.detail
 
@@ -100,7 +101,7 @@ def test_verify_flags_missing_edge():
 def test_verify_flags_surplus_edge():
     edges = make_edges([(0, 1)])
     extra = painted(make_edges([(0, 1), (5, 6)]), [0, 1])
-    result = verify_proper(extra, edges)
+    result = verify_pairs(extra, edges)
     assert result.status == "mismatch"
     assert "unexpected" in result.detail
 
@@ -108,7 +109,7 @@ def test_verify_flags_surplus_edge():
 def test_verify_flags_duplicated_emission():
     edges = make_edges([(0, 1)])
     twice = painted(edges + edges, [0, 4])
-    assert verify_proper(twice, edges).status == "mismatch"
+    assert verify_pairs(twice, edges).status == "mismatch"
 
 
 def _path_cases():
@@ -126,8 +127,8 @@ def _path_cases():
 @pytest.mark.parametrize("case", ["ok", "missing", "unexpected", "duplicate", "conflict"])
 def test_verify_reads_a_one_shot_input_iterator_like_a_list(case):
     colored, edges = _path_cases()[case]
-    from_list = verify_proper(colored, edges)
-    from_iter = verify_proper(colored, (e for e in edges))
+    from_list = verify_pairs(colored, edges)
+    from_iter = verify_pairs(colored, (e for e in edges))
     # record equality: status, detail, first, second and color all match
     assert from_iter == from_list
     assert from_list.status == {"ok": "ok", "conflict": "conflict"}.get(case, "mismatch")
@@ -136,7 +137,7 @@ def test_verify_reads_a_one_shot_input_iterator_like_a_list(case):
 def test_verify_drains_the_input_before_a_verdict():
     edges = make_edges([(0, 1), (1, 2)])
     it = iter(edges)
-    assert verify_proper(painted(edges, [3, 3]), it).status == "conflict"
+    assert verify_pairs(painted(edges, [3, 3]), it).status == "conflict"
     assert next(it, None) is None
 
 
@@ -144,7 +145,7 @@ def test_verify_compares_colors_by_value_not_by_object():
     edges = make_edges([(0, 1), (1, 2)])
     colored = [(e, "".join(["E1.L0.BASE.", "3"])) for e in edges]
     assert colored[0][1] is not colored[1][1]
-    result = verify_proper(colored, edges)
+    result = verify_pairs(colored, edges)
     assert result.status == "conflict"
     assert result.detail == "color E1.L0.BASE.3 repeats at vertex 1"
 
@@ -173,7 +174,7 @@ def test_verify_widens_its_endpoint_columns_for_ids_past_16_bits(big, case):
     edges = make_edges([(0, 1), (1, 2), (2, big), (big, 3), (3, big), (big, 1)])
     tokens = {"ok": [0, 1, 0, 1, 2, 3], "conflict": [0, 1, 0, 1, 0, 3], "missing": [0, 1, 0, 1, 2, 3]}[case]
     colored = painted(edges, tokens)[: 5 if case == "missing" else 6]
-    result = verify_proper(iter(colored), iter(edges))
+    result = verify_pairs(iter(colored), iter(edges))
     assert result == reference_verify(colored, edges)
     assert result.status == {"ok": "ok", "conflict": "conflict"}.get(case, "mismatch")
     if case == "conflict":
@@ -191,12 +192,12 @@ def test_verify_names_a_misplaced_seq_the_same_for_edges_and_rows(rows):
 @given(damaged_colorings())
 def test_verify_matches_the_ascending_seq_reference(case):
     colored, edges = case
-    assert verify_proper(iter(colored), iter(edges)) == reference_verify(colored, edges)
+    assert verify_pairs(iter(colored), iter(edges)) == reference_verify(colored, edges)
 
 
 # Colors the file reader never yields: padded and bare slots, no dot, an
 # empty head, and slots too long for an int64, beside their canonical kin;
-# and slots on both sides of the 9-digit cut, one of them past an int32.
+# and slots on both sides of the old 9-digit cut and of the int32 cut.
 NON_CANONICAL = [
     "E0.L0.BASE.3",
     "E0.L0.BASE.03",
@@ -208,6 +209,7 @@ NON_CANONICAL = [
     "E0.L0.BASE.12345678901234567890",
     "E0.L0.BASE.999999999",
     "E0.L0.BASE.1000000000",
+    "E0.L0.BASE.2147483647",
     "E0.L0.BASE.2147483648",
     "E0.L0.BASE.000000003",
 ]
@@ -216,10 +218,10 @@ NON_CANONICAL = [
 @settings(max_examples=400)
 @given(damaged_colorings(NON_CANONICAL))
 def test_verify_matches_the_ascending_seq_reference_on_non_canonical_colors(case):
-    # verify_proper splits canonical slots off their heads; every other
-    # color must still compare as its whole string
+    # split_color splits canonical int32 slots off their heads; every
+    # other color is a head of its own and compares as its whole string
     colored, edges = case
-    assert verify_proper(iter(colored), iter(edges)) == reference_verify(colored, edges)
+    assert verify_pairs(iter(colored), iter(edges)) == reference_verify(colored, edges)
 
 
 def _verify_peak_per_edge(tmp_path, order):
@@ -267,7 +269,7 @@ def test_verify_memory_per_edge_with_few_colors(tmp_path):
 
 def test_verify_agrees_with_pairwise_oracle():
     edges, emissions, _, _ = color_run(64, 16, 256, seed=9)
-    assert verify_proper(emissions, edges).status == "ok"
+    assert verify_pairs(emissions, edges).status == "ok"
     assert find_conflicts(emissions) == []
 
 
@@ -331,7 +333,7 @@ def test_verify_matches_the_reference_on_planted_conflicts(forced_run, data):
     pairs = [(Edge(*row), color) for (row, _), color in zip(emissions, colors)]
     expected = reference_verify(pairs, [Edge(*e) for e in edges])
     assert expected.status == "conflict"
-    assert verify_proper(pairs, [Edge(*e) for e in edges]) == expected
+    assert verify_pairs(pairs, [Edge(*e) for e in edges]) == expected
     assert read_back(config, edges, pairs) == expected
 
 

@@ -21,7 +21,7 @@ from wsecolor import (
     write_stream,
 )
 from wsecolor import audit
-from wsecolor.audit import LEFTOVER_MIN_RUNS, PARSED, trace_audit
+from wsecolor.audit import LEFTOVER_MIN_RUNS, trace_audit
 from wsecolor.cli import BENCH_COLUMNS, main
 from wsecolor.workload import ORDER_POLICIES, SPELLINGS
 
@@ -367,8 +367,8 @@ def test_verify_compares_canonical_colors(tmp_path, capsys):
 
 def test_verify_finds_a_conflict_across_the_spelling_table_bound(tmp_path, capsys):
     # the conflict's two lines, one padded, are read with more distinct
-    # colors between them than the reader's and the verifier's tables hold
-    k = max(SPELLINGS, PARSED) + 10
+    # colors between them than the reader's spelling table holds
+    k = SPELLINGS + 10
     stream = tmp_path / "s.wse"
     stream.write_text(f"wse v1 4 {k + 2} {k + 2}\n0 1\n" + "2 3\n" * k + "1 2\n")
     colored = tmp_path / "s.colored"
@@ -380,6 +380,34 @@ def test_verify_finds_a_conflict_across_the_spelling_table_bound(tmp_path, capsy
     code, out, _ = run_cli(capsys, "verify", str(colored), str(stream))
     assert code == 1
     assert out == f"conflict: color E0.L0.BASE.3 repeats at vertex 1; edges (0,1) seq 0 and (1,2) seq {k + 1}\n"
+
+
+@pytest.mark.parametrize(
+    "first, second, out",
+    [
+        # a slot at the top of the int32 range keeps its slot: a padded
+        # spelling of it conflicts, the slot below it does not
+        ("2147483647", "02147483647", "conflict: color E0.L0.BASE.2147483647 repeats at vertex 1"),
+        ("2147483647", "2147483646", "ok"),
+        # past it the token is a head of its own, still compared canonically
+        ("2147483648", "02147483648", "conflict: color E0.L0.BASE.2147483648 repeats at vertex 1"),
+        ("02147483648", "2147483648", "conflict: color E0.L0.BASE.2147483648 repeats at vertex 1"),
+        ("2147483648", "2147483647", "ok"),
+        # and never meets slot 0, whatever its low 32 bits
+        ("2147483648", "0", "ok"),
+        ("0", "4294967296", "ok"),
+    ],
+)
+def test_verify_cuts_slots_at_the_int32_range(tmp_path, capsys, first, second, out):
+    stream = tmp_path / "s.wse"
+    stream.write_text("wse v1 3 2 2\n0 1\n1 2\n")
+    colored = tmp_path / "s.colored"
+    colored.write_text(f"0 1 0 E0.L0.BASE.{first}\n1 2 1 E0.L0.BASE.{second}\n")
+    code, printed, _ = run_cli(capsys, "verify", str(colored), str(stream))
+    if out == "ok":
+        assert (code, printed) == (0, "ok: 2 edges, coloring is proper\n")
+    else:
+        assert (code, printed) == (1, f"{out}; edges (0,1) seq 0 and (1,2) seq 1\n")
 
 
 def test_verify_reads_vertex_ids_past_16_bits(tmp_path, capsys):

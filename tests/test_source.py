@@ -173,6 +173,16 @@ def test_only_audit_names_the_space_ratio_limit(path):
     assert names_of(path.read_text(encoding="utf-8"), "SPACE_RATIO_LIMIT") == []
 
 
+# read_colored is the one place a color is split into its head and slot,
+# so only workload.py names the split
+COLOR_SPLITTERS = frozenset(("workload.py",))
+
+
+@pytest.mark.parametrize("path", [p for p in SOURCES if p.name not in COLOR_SPLITTERS], ids=lambda p: p.name)
+def test_only_the_colored_reader_splits_colors(path):
+    assert names_of(path.read_text(encoding="utf-8"), "rpartition") == []
+
+
 def test_default_check_runs_visit_every_arrival_order():
     assert {target: runs for target, (runs, _, _) in CHECKS.items() if runs < len(ORDER_POLICIES)} == {}
 

@@ -28,10 +28,12 @@ from wsecolor.workload import ORDER_POLICIES, SPELLINGS, StreamFormatError
 from support import (
     damaged_colorings,
     find_conflicts,
+    joined,
     make_edges,
     oracle_gen_multigraph,
     oracle_order_stream,
     oracle_stream_text,
+    verify_pairs,
 )
 
 
@@ -335,40 +337,57 @@ def test_colored_roundtrip():
     write_colored(fh, emissions)
     lines = fh.getvalue().splitlines()
     assert lines[0] == "0 1 0 E0.L0.BASE.3"
-    assert list(read_colored(io.StringIO(fh.getvalue()))) == [(tuple(e), c) for e, c in emissions]
+    assert joined(read_colored(io.StringIO(fh.getvalue()))) == [(tuple(e), c) for e, c in emissions]
 
 
 def test_colored_lines_with_one_token_share_one_color():
     tokens = ["E0.L0.BASE.3", "E0.L1.P2.I5.LOW.7", "E2.L0.P1.D8.B17.42"]
     text = "".join(f"{i % 9} {i % 9 + 1} {i} {tokens[i % 3]}\n" for i in range(300))
     parsed = list(read_colored(io.StringIO(text)))
-    assert len({id(color) for _, color in parsed}) == 3
+    assert len({id(head) for _, head, _ in parsed}) == 3
     by_line = [
         ((int(u), int(v), int(seq)), token)
         for u, v, seq, token in (line.split() for line in text.splitlines())
     ]
-    assert parsed == by_line
+    assert joined(parsed) == by_line
 
 
 def test_colored_spellings_of_one_color_read_as_one_canonical_token():
     text = "0 1 0 E00.L0.BASE.03\n1 2 1 E0.L0.BASE.3\n2 3 2 E0.L000.BASE.3\n"
-    colors = [color for _, color in read_colored(io.StringIO(text))]
-    assert colors == ["E0.L0.BASE.3"] * 3
-    assert len({id(color) for color in colors}) == 1
-    assert decode_color(colors[0]) == ColorId(0, 0, "BASE", 3)
+    parsed = list(read_colored(io.StringIO(text)))
+    assert [color for _, *color in parsed] == [["E0.L0.BASE", 3]] * 3
+    assert len({id(head) for _, head, _ in parsed}) == 1
+    assert decode_color(joined(parsed)[0][1]) == ColorId(0, 0, "BASE", 3)
 
 
 def test_colored_known_head_with_a_padded_slot_reads_as_the_canonical_token():
     text = "0 1 0 E0.L0.P1.D8.B17.42\n1 2 1 E0.L0.P1.D8.B17.03\n2 3 2 E0.L0.P1.D8.B17.3\n"
-    colors = [color for _, color in read_colored(io.StringIO(text))]
-    assert colors == ["E0.L0.P1.D8.B17.42", "E0.L0.P1.D8.B17.3", "E0.L0.P1.D8.B17.3"]
-    assert colors[1] is colors[2]
+    parsed = list(read_colored(io.StringIO(text)))
+    assert [color for _, *color in parsed] == [["E0.L0.P1.D8.B17", slot] for slot in (42, 3, 3)]
+    assert parsed[0][1] is parsed[1][1] is parsed[2][1]
 
 
 def test_colored_non_canonical_head_reads_as_the_canonical_head():
     text = "0 1 0 E01.L0.BASE.3\n1 2 1 E01.L0.BASE.4\n"
-    colors = [color for _, color in read_colored(io.StringIO(text))]
+    colors = [color for _, color in joined(read_colored(io.StringIO(text)))]
     assert colors == ["E1.L0.BASE.3", "E1.L0.BASE.4"]
+
+
+@pytest.mark.parametrize(
+    "slot, color",
+    [
+        ("2147483647", ("E0.L0.BASE", 2**31 - 1)),
+        ("02147483647", ("E0.L0.BASE", 2**31 - 1)),
+        ("2147483648", ("E0.L0.BASE.2147483648", -1)),
+        ("02147483648", ("E0.L0.BASE.2147483648", -1)),
+        ("4294967296", ("E0.L0.BASE.4294967296", -1)),
+    ],
+)
+def test_colored_slot_past_an_int32_makes_the_token_a_head_of_its_own(slot, color):
+    # the cut is value >> 31: a slot up to 2**31 - 1 splits off its head,
+    # a larger one leaves the whole canonical token as head with slot -1
+    for text in (f"0 1 0 E0.L0.BASE.{slot}\n", f"0 1 0 E0.L0.BASE.5\n1 2 1 E00.L0.BASE.{slot}\n"):
+        assert list(read_colored(io.StringIO(text)))[-1][1:] == color
 
 
 @pytest.mark.parametrize("first, last", [("03", "3"), ("3", "03")], ids=["padded-first", "canonical-first"])
@@ -377,7 +396,7 @@ def test_colored_spellings_across_the_table_bound_read_as_equal_strings(first, l
     # spellings, so the table is cleared in between
     filler = "".join(f"2 3 {seq} E0.L0.BASE.{seq + 9}\n" for seq in range(1, SPELLINGS + 10))
     text = f"0 1 0 E0.L0.BASE.{first}\n{filler}1 2 {SPELLINGS + 10} E0.L0.BASE.{last}\n"
-    colors = [color for _, color in read_colored(io.StringIO(text))]
+    colors = [color for _, color in joined(read_colored(io.StringIO(text)))]
     assert len(set(colors)) > SPELLINGS
     assert colors[0] == colors[-1] == "E0.L0.BASE.3"
 
@@ -397,27 +416,40 @@ def test_colored_bad_slot_after_a_known_head_raises_the_decoders_message(slot):
     assert str(read.value) == f"line 2: {decoded.value}"
 
 
+# slots on both sides of the int32 cut, beside the small ones
+_CUT_SLOTS = st.sampled_from((2**31 - 2, 2**31 - 1, 2**31, 2**31 + 1, 2**32))
+
+
 @st.composite
 def padded_tokens(draw):
-    """A valid color token with up to two leading zeros on any field."""
-    def field(low=0):
-        return "0" * draw(st.integers(0, 2)) + str(draw(st.integers(low, 3)))
+    """A valid color token with up to two leading zeros on any field, its
+    slot small or on either side of the int32 cut."""
+    def field(low=0, values=None):
+        value = draw(values if values is not None else st.integers(low, 3))
+        return "0" * draw(st.integers(0, 2)) + str(value)
 
     head = f"E{field()}.L{field()}."
     kind = draw(st.sampled_from(("BASE", "LOW", *FAMILIES)))
+    slot = field(values=st.one_of(st.integers(0, 3), _CUT_SLOTS))
     if kind == "BASE":
-        return f"{head}BASE.{field()}"
+        return f"{head}BASE.{slot}"
     if kind == "LOW":
-        return f"{head}P{field()}.I{field()}.LOW.{field()}"
-    return f"{head}P{field()}.D{field()}.{kind}{field(1)}.{field()}"
+        return f"{head}P{field()}.I{field()}.LOW.{slot}"
+    return f"{head}P{field()}.D{field()}.{kind}{field(1)}.{slot}"
 
 
 @given(st.lists(padded_tokens(), min_size=1, max_size=30))
 def test_colored_tokens_read_as_their_decoded_canonical_form(tokens):
     text = "".join(f"0 1 {seq} {token}\n" for seq, token in enumerate(tokens))
-    colors = [color for _, color in read_colored(io.StringIO(text))]
-    assert colors == [encode_color(decode_color(token)) for token in tokens]
-    assert len({id(color) for color in colors}) == len(set(colors))
+    rows = list(read_colored(io.StringIO(text)))
+    canonical = [encode_color(decode_color(token)) for token in tokens]
+    assert [color for _, color in joined(rows)] == canonical
+    # (head, slot) pairs are equal exactly when the canonical tokens are
+    split = [(head, slot) for _, head, slot in rows]
+    assert all((a == b) == (x == y) for a, x in zip(split, canonical) for b, y in zip(split, canonical))
+    # a head split off its slot is one string object wherever it is read
+    heads = [head for head, slot in split if slot >= 0]
+    assert len({id(head) for head in heads}) == len(set(heads))
 
 
 def test_colored_reports_a_repeated_bad_token_at_its_first_line():
@@ -444,8 +476,8 @@ def test_colored_wraps_color_decode_errors_with_the_line():
 def test_colored_yields_good_lines_before_raising_at_a_bad_one():
     text = "0 1 0 E0.L0.BASE.3\n1 2 1 E0.L0.BASE.4\n2 3 x E0.L0.BASE.5\n3 4 3 E0.L0.BASE.6\n"
     lines = read_colored(io.StringIO(text))
-    assert next(lines) == ((0, 1, 0), "E0.L0.BASE.3")
-    assert next(lines) == ((1, 2, 1), "E0.L0.BASE.4")
+    assert next(lines) == ((0, 1, 0), "E0.L0.BASE", 3)
+    assert next(lines) == ((1, 2, 1), "E0.L0.BASE", 4)
     with pytest.raises(StreamFormatError, match="line 3: endpoints and seq"):
         next(lines)
 
@@ -458,7 +490,7 @@ def test_colored_file_supports_the_verifier(tmp_path):
     with open(path, "w") as fh:
         write_colored(fh, emissions)
     with open(path) as fh:
-        assert find_conflicts(read_colored(fh)) == []
+        assert find_conflicts(joined(read_colored(fh))) == []
     with open(path) as fh:
         assert verify_proper(read_colored(fh), edges).ok
 
@@ -502,7 +534,7 @@ def read_back(emissions):
 @given(st.lists(st.tuples(st.builds(Edge, _small, _small, st.integers(-3, 99)), _tokens), max_size=20))
 def test_colored_file_round_trip_yields_the_emission_rows(emissions):
     rows = read_back(emissions)
-    assert rows == [(tuple(e), c) for e, c in emissions[: len(rows)]]
+    assert joined(rows) == [(tuple(e), c) for e, c in emissions[: len(rows)]]
 
 
 @settings(max_examples=300)
@@ -513,4 +545,4 @@ def test_verify_judges_file_rows_as_the_in_memory_pairs(case):
     rows = read_back(colored)
     if len(rows) == len(colored):  # no surplus line with seq -1, which no file can hold
         _, body = read_stream(io.StringIO(stream_text(4, 16, edges)))
-        assert verify_proper(rows, body) == verify_proper(colored, edges)
+        assert verify_proper(rows, body) == verify_pairs(colored, edges)
